@@ -1,21 +1,15 @@
-"""Backend selection and shared runtime knobs.
+"""Kernel module and shared runtime knobs.
 
-The wrapping transform's inner loops exist twice: a Cython extension and a
-NumPy fallback with the same signatures.  The compiled one is used when it
-imported successfully; set CURVEWAVE_PURE_PYTHON=1 to force the fallback
-(used by the benchmark to compare both).  CURVEWAVE_THREADS caps the FFT
+The wrapping transform's inner loops (the wedge gather and scatter) live in
+``_kernels_py`` as NumPy fancy-indexing, imported here as ``kernels``;
+``analyze`` and ``synthesize`` call through it.  ``BACKEND`` names that
+implementation in benchmark provenance.  CURVEWAVE_THREADS caps the FFT
 worker pool and column-level parallelism.
 """
 
 import os
 
-if os.environ.get("CURVEWAVE_PURE_PYTHON"):
-    from . import _kernels_py as kernels
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as kernels
+from . import _kernels_py as kernels
 
 BACKEND = kernels.BACKEND
 

@@ -1,4 +1,4 @@
-"""NumPy fallback for the compiled gather/scatter kernels."""
+"""Gather/scatter between an (N, N) spectrum and a wedge's wrapped rectangle."""
 
 BACKEND = "python"
 

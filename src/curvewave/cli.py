@@ -2,7 +2,8 @@
 
 Subcommands: frame-check, transform, propagate, matrix, sparsity, flow.
 A JSON config file provides the experiment manifest; --grid/--seed/
---threshold/--out override individual fields.  Exit codes: 0 ok,
+--threshold/--out override individual fields.  Unknown manifest keys (at
+the top level, in "frame" or in "columns") are refused.  Exit codes: 0 ok,
 1 invariant failure, 2 bad configuration or input.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,23 @@ from .sparsity import DEFAULT_THRESHOLD, SparseOperatorMatrix, build_matrix, dec
 __all__ = ["ExperimentConfig", "main"]
 
 
+# Accepted manifest keys.  "frame" takes exactly the FrameParams fields, each
+# cast to its annotated type.
+_TOP_KEYS = {"frame", "operator", "model", "columns", "seed", "threshold", "out", "n_fields"}
+_FRAME_CASTS = {f.name: {"int": int, "float": float}[f.type] for f in fields(FrameParams)}
+_COLUMN_KEYS = {"count", "scales"}
+
+
+def _checked(where: str, section, allowed) -> dict:
+    """Return a manifest section, refusing a non-object or any key not in ``allowed``."""
+    if not isinstance(section, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    return section
+
+
 @dataclass
 class ExperimentConfig:
     """Parsed experiment manifest (frame + operator + sampling + outputs)."""
@@ -33,7 +51,6 @@ class ExperimentConfig:
     operator: dict = field(default_factory=lambda: {"kind": "identity"})
     model: dict = field(default_factory=lambda: {"kind": "constant"})
     columns: dict = field(default_factory=lambda: {"count": 8, "scales": None})
-    times: list[float] = field(default_factory=lambda: [0.25])
     seed: int = 0
     threshold: float = DEFAULT_THRESHOLD
     out: Path = Path(".")
@@ -45,24 +62,16 @@ class ExperimentConfig:
         if args.config:
             with open(args.config) as fh:
                 raw = json.load(fh)
-        fr = dict(raw.get("frame", {}))
+        _checked("manifest", raw, _TOP_KEYS)
+        fr = {k: _FRAME_CASTS[k](v) for k, v in _checked("frame", raw.get("frame", {}), _FRAME_CASTS).items()}
         if args.grid is not None:
             fr["n"] = args.grid
-        n = int(fr.get("n", 128))
-        scales = int(fr.get("scales", max(1, n.bit_length() - 3)))
-        params = FrameParams(
-            n=n,
-            scales=scales,
-            angles_base=int(fr.get("angles_base", 8)),
-            delta1=float(fr.get("delta1", 1.0)),
-            delta2=float(fr.get("delta2", 1.0)),
-            smooth_step_order=int(fr.get("smooth_step_order", 4)),
-        )
-        cfg = cls(frame=params)
+        fr.setdefault("n", 128)
+        fr.setdefault("scales", max(1, fr["n"].bit_length() - 3))
+        cfg = cls(frame=FrameParams(**fr))
         cfg.operator = raw.get("operator", cfg.operator)
         cfg.model = raw.get("model", cfg.model)
-        cfg.columns = {**cfg.columns, **raw.get("columns", {})}
-        cfg.times = raw.get("times", cfg.times)
+        cfg.columns = {**cfg.columns, **_checked("columns", raw.get("columns", {}), _COLUMN_KEYS)}
         cfg.seed = int(raw.get("seed", 0) if args.seed is None else args.seed)
         cfg.threshold = float(raw.get("threshold", DEFAULT_THRESHOLD) if args.threshold is None else args.threshold)
         cfg.out = Path(raw.get("out", ".") if args.out is None else args.out)
@@ -231,7 +240,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.load(args)
-    except (OSError, ValueError, FrameError) as exc:
+    except (OSError, ValueError, TypeError, FrameError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

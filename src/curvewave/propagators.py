@@ -379,12 +379,12 @@ class WarpMap:
         raise ValueError(f"unknown warp kind {kind!r}")
 
 
-def apply_warp(f: np.ndarray, warp: WarpMap, method: str = "spectral") -> np.ndarray:
+def apply_warp(f: np.ndarray, warp: WarpMap) -> np.ndarray:
     """Composition f(phi(x)) on the grid.
 
-    ``spectral`` evaluates the trigonometric interpolant of f exactly at
-    the warped points (O(N^4), fine at desk scale); ``bicubic`` maps
-    coordinates on an 8x zero-padded upsampling for speed.
+    Evaluates the trigonometric interpolant of f exactly (to rounding) at
+    the N^2 warped points by a direct sum over its N^2 Fourier
+    coefficients: O(N^4) work, fine at desk scale (N <= 128).
     """
     f = np.asarray(f, dtype=np.complex128)
     warp.validate(min(f.shape[-1], 64))
@@ -392,28 +392,7 @@ def apply_warp(f: np.ndarray, warp: WarpMap, method: str = "spectral") -> np.nda
     grid = np.arange(n) / n
     x = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)
     y = np.mod(warp.phi(x), 1.0)
-    if method == "spectral":
-        return _eval_fourier_at_points(_fft2(f), y[..., 0], y[..., 1])
-    if method == "bicubic":
-        from scipy.ndimage import map_coordinates
-
-        factor = 8
-        big = spfft.ifft2(_pad_spectrum(spfft.fft2(f), factor), workers=fft_workers())
-        coords = np.stack([y[..., 0] * n * factor, y[..., 1] * n * factor])
-        re = map_coordinates(big.real, coords, order=3, mode="grid-wrap")
-        im = map_coordinates(big.imag, coords, order=3, mode="grid-wrap")
-        return re + 1j * im
-    raise ValueError(f"unknown interpolation method {method!r}")
-
-
-def _pad_spectrum(spec: np.ndarray, factor: int) -> np.ndarray:
-    n = spec.shape[-1]
-    big = np.zeros((n * factor, n * factor), dtype=np.complex128)
-    half = n // 2
-    sl = np.r_[0:half, n * factor - half : n * factor]
-    src = np.r_[0:half, half:n]
-    big[np.ix_(sl, sl)] = spec[np.ix_(src, src)] * factor**2
-    return big
+    return _eval_fourier_at_points(_fft2(f), y[..., 0], y[..., 1])
 
 
 def _eval_fourier_at_points(spec: np.ndarray, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:

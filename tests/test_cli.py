@@ -1,14 +1,17 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import curvewave as cw
 from curvewave import formats
-from curvewave.cli import main
+from curvewave.cli import ExperimentConfig, _build_parser, main
 
 from conftest import random_field, rotated_box_energy
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, **overrides):
@@ -46,6 +49,52 @@ class TestFrameCheck:
     def test_missing_config_exits_2(self, tmp_path):
         rc = main(["--config", str(tmp_path / "nope.json"), "frame-check"])
         assert rc == 2
+
+
+def load_config(path):
+    return ExperimentConfig.load(_build_parser().parse_args(["--config", path, "frame-check"]))
+
+
+class TestManifest:
+    def test_transition_reaches_frame_params(self, tmp_path, capsys):
+        path = write_config(tmp_path, frame={"n": 64, "scales": 4, "transition": 0.25})
+        assert load_config(path).frame == cw.FrameParams(n=64, scales=4, transition=0.25)
+        assert main(["--config", path, "frame-check"]) == 0
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"frame": {"n": 64, "scales": 4, "smoth_step_order": 6}}, "smoth_step_order"),
+            ({"times": [0.25]}, "times"),
+            ({"thresold": 1e-6}, "thresold"),
+            ({"columns": {"count": 3, "scale": [3]}}, "scale"),
+        ],
+    )
+    def test_unknown_key_exits_2(self, tmp_path, capsys, overrides, key):
+        rc = main(["--config", write_config(tmp_path, **overrides), "frame-check"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "unknown key" in err and key in err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"frame": [64, 4]}, "frame must be a JSON object"),
+            ({"columns": 3}, "columns must be a JSON object"),
+            ({"frame": {"n": None, "scales": 4}}, "config error"),
+        ],
+    )
+    def test_malformed_section_exits_2(self, tmp_path, capsys, overrides, message):
+        assert main(["--config", write_config(tmp_path, **overrides), "frame-check"]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["halfwave_n128.json", "variable_wave_n128.json"])
+    def test_shipped_configs_load(self, name):
+        path = CONFIGS / name
+        raw = json.loads(path.read_text())
+        cfg = load_config(str(path))
+        assert cfg.frame == cw.FrameParams(**raw["frame"])
+        assert cfg.columns == raw["columns"] and cfg.seed == raw["seed"]
 
 
 class TestTransform:

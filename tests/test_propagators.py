@@ -228,6 +228,16 @@ class TestWarp:
         out = cw.apply_warp(f, cw.WarpMap.identity())
         assert np.max(np.abs(out - f)) <= 1e-9 * np.max(np.abs(f))
 
+    def test_plane_wave_composition_exact(self):
+        # A grid plane wave is its own trigonometric interpolant, so f(phi(x)) is known in closed form.
+        n = 32
+        g = np.arange(n) / n
+        x = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1)
+        a = np.array([3.0, -2.0])
+        for warp in (cw.WarpMap.shear(0.4), cw.WarpMap.sinusoidal(0.05, (1, 1))):
+            out = cw.apply_warp(np.exp(2j * np.pi * (x @ a)), warp)
+            assert np.max(np.abs(out - np.exp(2j * np.pi * (warp.phi(x) @ a)))) <= 1e-12
+
     def test_map_invariants(self):
         for warp in (cw.WarpMap.shear(0.4), cw.WarpMap.sinusoidal(0.05, (1, 0)), cw.WarpMap.sinusoidal(0.03, (2, 1))):
             warp.validate(64)
@@ -242,7 +252,7 @@ class TestWarp:
         wedge = frame128.wedge(4, 0)
         mu = cw.CurveletIndex(4, 0, int(0.5 * wedge.rect[0]), int(0.5 * wedge.rect[1]))
         f = cw.waveform(frame128, mu)
-        out = cw.apply_warp(f, warp, method="spectral")
+        out = cw.apply_warp(f, warp)
         spec = np.abs(spfft.fft2(out, norm="ortho")) ** 2
         q = np.fft.fftfreq(128) * 128
         q1, q2 = np.meshgrid(q, q, indexing="ij")
@@ -259,7 +269,7 @@ class TestWarp:
     def test_warped_curvelet_remains_molecule(self, frame128):
         mu = cw.CurveletIndex(4, 2, 4, 4)
         f = cw.waveform(frame128, mu)
-        out = cw.apply_warp(f, cw.WarpMap.sinusoidal(0.02, (1, 0)), method="spectral")
+        out = cw.apply_warp(f, cw.WarpMap.sinusoidal(0.02, (1, 0)))
         prof = cw.molecule_profile(frame128, out, mu)
         assert prof.is_molecule
 
@@ -271,13 +281,6 @@ class TestWarp:
         )
         lhalf = lambda col: float(np.sum(np.sqrt(np.abs(col.values))))
         assert lhalf(warped) <= pinned.WARP_LHALF_FACTOR * lhalf(plain)
-
-    def test_bicubic_close_to_spectral(self, frame64):
-        f = cw.waveform(frame64, cw.CurveletIndex(2, 1, 1, 1))
-        warp = cw.WarpMap.sinusoidal(0.03, (1, 0))
-        a = cw.apply_warp(f, warp, method="spectral")
-        b = cw.apply_warp(f, warp, method="bicubic")
-        assert np.linalg.norm(a - b) <= 1e-2 * np.linalg.norm(a)
 
 
 class TestHyperCurvelets:
