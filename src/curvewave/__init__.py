@@ -54,6 +54,6 @@ from .sparsity import (
     polarization_split,
     truncation_error,
 )
-from .windows import WindowFamily, build_windows, eval_wedge
+from .windows import WindowFamily, build_windows
 
 __version__ = "0.1.0"

@@ -4,7 +4,8 @@ The wrapping transform's inner loops (the wedge gather and scatter) live in
 ``_kernels_py`` as NumPy fancy-indexing, imported here as ``kernels``;
 ``analyze`` and ``synthesize`` call through it.  ``BACKEND`` names that
 implementation in benchmark provenance.  CURVEWAVE_THREADS caps the FFT
-worker pool and column-level parallelism.
+worker pool and column-level parallelism.  ``checked`` and
+``checked_kind`` refuse JSON specs with keys their reader would ignore.
 """
 
 import os
@@ -28,3 +29,25 @@ def thread_count() -> int:
 def fft_workers() -> int | None:
     n = thread_count()
     return n if n > 1 else None
+
+
+def checked(where: str, section, allowed) -> dict:
+    """Return a JSON section, refusing a non-object or any key not in ``allowed``."""
+    if not isinstance(section, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    return section
+
+
+def checked_kind(where: str, spec, keys_by_kind: dict, default: str | None = None) -> str:
+    """Return the "kind" of a JSON spec, refusing a non-object, an unknown
+    kind, or a key that kind does not read (``keys_by_kind``, besides "kind")."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    kind = spec.get("kind", default)
+    if kind not in keys_by_kind:
+        raise ValueError(f"unknown {where} kind {kind!r}")
+    checked(f"{kind} {where}", spec, {"kind", *keys_by_kind[kind]})
+    return kind

@@ -3,8 +3,9 @@
 Subcommands: frame-check, transform, propagate, matrix, sparsity, flow.
 A JSON config file provides the experiment manifest; --grid/--seed/
 --threshold/--out override individual fields.  Unknown manifest keys (at
-the top level, in "frame" or in "columns") are refused.  Exit codes: 0 ok,
-1 invariant failure, 2 bad configuration or input.
+the top level, in "frame" or "columns", or ones the "operator" or "model"
+kind does not read) are refused.  Exit codes: 0 ok, 1 invariant failure,
+2 bad configuration or input.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
+from ._core import checked
 from .flow import FlowState, VelocityModel, flow_trajectory
 from .frame import CurveletIndex, FrameError, FrameParams, analyze, build_frame, synthesize
 from .propagators import OperatorSpec
@@ -33,23 +35,13 @@ _FRAME_CASTS = {f.name: {"int": int, "float": float}[f.type] for f in fields(Fra
 _COLUMN_KEYS = {"count", "scales"}
 
 
-def _checked(where: str, section, allowed) -> dict:
-    """Return a manifest section, refusing a non-object or any key not in ``allowed``."""
-    if not isinstance(section, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-    return section
-
-
 @dataclass
 class ExperimentConfig:
     """Parsed experiment manifest (frame + operator + sampling + outputs)."""
 
     frame: FrameParams
-    operator: dict = field(default_factory=lambda: {"kind": "identity"})
-    model: dict = field(default_factory=lambda: {"kind": "constant"})
+    operator: OperatorSpec = field(default_factory=lambda: OperatorSpec(kind="identity"))
+    model: VelocityModel = field(default_factory=VelocityModel.constant)
     columns: dict = field(default_factory=lambda: {"count": 8, "scales": None})
     seed: int = 0
     threshold: float = DEFAULT_THRESHOLD
@@ -62,16 +54,18 @@ class ExperimentConfig:
         if args.config:
             with open(args.config) as fh:
                 raw = json.load(fh)
-        _checked("manifest", raw, _TOP_KEYS)
-        fr = {k: _FRAME_CASTS[k](v) for k, v in _checked("frame", raw.get("frame", {}), _FRAME_CASTS).items()}
+        checked("manifest", raw, _TOP_KEYS)
+        fr = {k: _FRAME_CASTS[k](v) for k, v in checked("frame", raw.get("frame", {}), _FRAME_CASTS).items()}
         if args.grid is not None:
             fr["n"] = args.grid
         fr.setdefault("n", 128)
         fr.setdefault("scales", max(1, fr["n"].bit_length() - 3))
         cfg = cls(frame=FrameParams(**fr))
-        cfg.operator = raw.get("operator", cfg.operator)
-        cfg.model = raw.get("model", cfg.model)
-        cfg.columns = {**cfg.columns, **_checked("columns", raw.get("columns", {}), _COLUMN_KEYS)}
+        if "operator" in raw:
+            cfg.operator = OperatorSpec.from_json(raw["operator"])
+        if "model" in raw:
+            cfg.model = VelocityModel.from_json(raw["model"])
+        cfg.columns = {**cfg.columns, **checked("columns", raw.get("columns", {}), _COLUMN_KEYS)}
         cfg.seed = int(raw.get("seed", 0) if args.seed is None else args.seed)
         cfg.threshold = float(raw.get("threshold", DEFAULT_THRESHOLD) if args.threshold is None else args.threshold)
         cfg.out = Path(raw.get("out", ".") if args.out is None else args.out)
@@ -138,7 +132,7 @@ def cmd_transform(cfg: ExperimentConfig, input_path: str) -> int:
 
 
 def cmd_propagate(cfg: ExperimentConfig, input_path: str) -> int:
-    op = OperatorSpec.from_json(cfg.operator)
+    op = cfg.operator
     f = formats.read_field(input_path)
     op.resolve_symbol(f.shape[-1])
     out = op.apply(f)
@@ -158,7 +152,7 @@ def _sample_columns(cfg: ExperimentConfig, table) -> list[CurveletIndex]:
 
 def cmd_matrix(cfg: ExperimentConfig) -> int:
     table = build_frame(cfg.frame)
-    op = OperatorSpec.from_json(cfg.operator)
+    op = cfg.operator
     op.resolve_symbol(table.n)
     cols = _sample_columns(cfg, table)
     matrix = build_matrix(table, op, cols, threshold=cfg.threshold)
@@ -171,13 +165,11 @@ def cmd_matrix(cfg: ExperimentConfig) -> int:
 
 def cmd_sparsity(cfg: ExperimentConfig, matrix_path: str) -> int:
     table = build_frame(cfg.frame)
-    op = OperatorSpec.from_json(cfg.operator)
-    matrix = SparseOperatorMatrix.read_csv(table, op, matrix_path)
+    matrix = SparseOperatorMatrix.read_csv(table, cfg.operator, matrix_path)
     if not matrix.columns:
         print("sparsity: empty matrix", file=sys.stderr)
         return 1
-    model = VelocityModel.from_json(cfg.model)
-    report = decay_report(matrix, model=model)
+    report = decay_report(matrix, model=cfg.model)
     cfg.out.mkdir(parents=True, exist_ok=True)
     with open(cfg.out / "decay_report.json", "w") as fh:
         json.dump(report.to_json(), fh, indent=2)
@@ -190,9 +182,8 @@ def cmd_sparsity(cfg: ExperimentConfig, matrix_path: str) -> int:
 
 
 def cmd_flow(cfg: ExperimentConfig, x0, xi0, branch: str, t: float) -> int:
-    model = VelocityModel.from_json(cfg.model)
     state = FlowState.initial(x0, xi0)
-    times, states = flow_trajectory(state, model, branch, t)
+    times, states = flow_trajectory(state, cfg.model, branch, t)
     cfg.out.mkdir(parents=True, exist_ok=True)
     path = cfg.out / "trajectory.csv"
     with open(path, "w") as fh:

@@ -1,8 +1,9 @@
 """Bicharacteristic flow for the eigenvalue Hamiltonians lambda = s*c(x)|xi|.
 
-Fixed-step RK4 on the torus phase space, the orientation-tracking
-rotation U(t) (defined directly by U(t) n(t) = n(0)), and the induced
-curvelet index map mu -> mu_nu(t) with deterministic snapping.
+Fixed-step RK4 on the torus phase space (one ray or a stack of rays per
+call), the orientation-tracking rotation U(t) (defined directly by
+U(t) n(t) = n(0)), and the induced curvelet index map mu -> mu_nu(t)
+with deterministic snapping.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._core import checked_kind
 from .frame import CurveletIndex, FrameTable, frame_atom
 
 __all__ = [
@@ -54,6 +56,13 @@ class VelocityModel:
     center: tuple[float, float] = (0.5, 0.5)
     width: float = 0.1
 
+    # JSON keys each kind reads besides "kind"
+    _KEYS = {
+        "constant": ("c0",),
+        "sinusoidal": ("amplitude", "wavevector", "c0"),
+        "gaussian-bump": ("center", "width", "amplitude", "c0"),
+    }
+
     @classmethod
     def constant(cls, c0: float = 1.0) -> VelocityModel:
         return cls(kind="constant", c0=c0)
@@ -67,7 +76,7 @@ class VelocityModel:
         return cls(kind="gaussian-bump", c0=c0, amplitude=amplitude, center=tuple(center), width=float(width))
 
     def __post_init__(self):
-        if self.kind not in {"constant", "sinusoidal", "gaussian-bump"}:
+        if self.kind not in self._KEYS:
             raise ValueError(f"unknown velocity model kind {self.kind!r}")
         if self.kind == "gaussian-bump" and self.width <= 0:
             raise ValueError("bump width must be positive")
@@ -95,9 +104,7 @@ class VelocityModel:
         if self.kind == "constant":
             return np.broadcast_to(np.float64(self.c0), x.shape[:-1]).copy()
         if self.kind == "sinusoidal":
-            k = np.asarray(self.wavevector, dtype=float)
-            phase = 2.0 * np.pi * (x @ k)
-            return self.c0 + self.amplitude * np.sin(phase)
+            return self.c0 + self.amplitude * np.sin(self._phase(x))
         out = np.broadcast_to(np.float64(self.c0), x.shape[:-1]).copy()
         for rel in self._bump_images(x):
             out = out + self.amplitude * np.exp(-0.5 * np.sum(rel * rel, axis=-1) / self.width**2)
@@ -109,13 +116,18 @@ class VelocityModel:
             return np.zeros_like(x)
         if self.kind == "sinusoidal":
             k = np.asarray(self.wavevector, dtype=float)
-            phase = 2.0 * np.pi * (x @ k)
-            return 2.0 * np.pi * self.amplitude * np.cos(phase)[..., None] * k
+            return 2.0 * np.pi * self.amplitude * np.cos(self._phase(x))[..., None] * k
         out = np.zeros_like(x)
         for rel in self._bump_images(x):
             g = np.exp(-0.5 * np.sum(rel * rel, axis=-1) / self.width**2)
             out = out - (self.amplitude / self.width**2) * g[..., None] * rel
         return out
+
+    def _phase(self, x):
+        # written out, not x @ k: a matrix-vector product may round one
+        # stacked point differently from the same point on its own
+        k1, k2 = self.wavevector
+        return 2.0 * np.pi * (x[..., 0] * k1 + x[..., 1] * k2)
 
     def _bump_images(self, x):
         # periodize over the 3x3 nearest images so c is smooth on the torus
@@ -146,21 +158,27 @@ class VelocityModel:
 
     @classmethod
     def from_json(cls, spec: dict) -> VelocityModel:
-        kind = spec.get("kind", "constant")
+        kind = checked_kind("velocity model", spec, cls._KEYS, default="constant")
         if kind == "constant":
             return cls.constant(spec.get("c0", 1.0))
         if kind == "sinusoidal":
             return cls.sinusoidal(spec["amplitude"], spec.get("wavevector", (1, 0)), spec.get("c0", 1.0))
-        if kind == "gaussian-bump":
-            return cls.gaussian_bump(
-                spec.get("center", (0.5, 0.5)), spec.get("width", 0.1), spec.get("amplitude", 0.2), spec.get("c0", 1.0)
-            )
-        raise ValueError(f"unknown velocity model kind {kind!r}")
+        return cls.gaussian_bump(
+            spec.get("center", (0.5, 0.5)), spec.get("width", 0.1), spec.get("amplitude", 0.2), spec.get("c0", 1.0)
+        )
+
+
+def _norm(xi):
+    return np.hypot(xi[..., 0], xi[..., 1])
 
 
 @dataclass(frozen=True)
 class FlowState:
-    """Phase-space point plus the rotation tracking the orientation drift."""
+    """Phase-space points plus the rotations tracking the orientation drift.
+
+    x, xi and n0 have shape (..., 2): one state may carry a stack of rays,
+    which every function below advances together.
+    """
 
     x: np.ndarray
     xi: np.ndarray
@@ -170,33 +188,33 @@ class FlowState:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
         object.__setattr__(self, "n0", np.asarray(self.n0, dtype=float))
-        if np.hypot(*self.xi) == 0.0:
+        if np.any(_norm(self.xi) == 0.0):
             raise ValueError("flow state requires |xi| > 0")
 
     @classmethod
     def initial(cls, x, xi) -> FlowState:
         xi = np.asarray(xi, dtype=float)
-        mag = np.hypot(*xi)
-        if mag == 0.0:
+        mag = _norm(xi)
+        if np.any(mag == 0.0):
             raise ValueError("flow state requires |xi| > 0")
-        return cls(x=np.asarray(x, dtype=float), xi=xi, n0=xi / mag)
+        return cls(x=np.asarray(x, dtype=float), xi=xi, n0=xi / mag[..., None])
 
     @property
     def n(self) -> np.ndarray:
-        return self.xi / np.hypot(*self.xi)
+        return self.xi / _norm(self.xi)[..., None]
 
     @property
     def rotation(self) -> np.ndarray:
-        """U(t): the rotation with U(t) n(t) = n(0)."""
+        """U(t), shape (..., 2, 2): the rotation with U(t) n(t) = n(0)."""
         nt, n0 = self.n, self.n0
-        cos = float(nt @ n0)
-        sin = float(nt[0] * n0[1] - nt[1] * n0[0])
-        return np.array([[cos, -sin], [sin, cos]])
+        cos = nt[..., 0] * n0[..., 0] + nt[..., 1] * n0[..., 1]
+        sin = nt[..., 0] * n0[..., 1] - nt[..., 1] * n0[..., 0]
+        return np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
 
 
 def _rhs(x, xi, model: VelocityModel, sign: int):
-    mag = np.hypot(*xi)
-    dx = sign * model.c(x) * xi / mag
+    mag = _norm(xi)[..., None]
+    dx = sign * model.c(x)[..., None] * xi / mag
     dxi = -sign * mag * model.grad_c(x)
     return dx, dxi
 
@@ -213,7 +231,7 @@ def flow_step(state: FlowState, model: VelocityModel, branch, dt: float) -> Flow
     k4x, k4s = _rhs(x + dt * k3x, xi + dt * k3s, model, sign)
     x_new = np.mod(x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x), 1.0)
     xi_new = xi + dt / 6.0 * (k1s + 2 * k2s + 2 * k3s + k4s)
-    if np.hypot(*xi_new) == 0.0:  # impossible for c > 0; guards integrator misuse
+    if np.any(_norm(xi_new) == 0.0):  # impossible for c > 0; guards integrator misuse
         raise ArithmeticError("frequency collapsed to zero along the flow")
     return replace(state, x=x_new, xi=xi_new)
 
@@ -251,6 +269,12 @@ def _index_dt(table: FrameTable, mu: CurveletIndex) -> float:
     return min(1e-3, 1.0 / (4.0 * rho))
 
 
+def _flow_center(table: FrameTable, mu: CurveletIndex, model: VelocityModel, branch, t: float) -> FlowState:
+    """The phase-space center of mu flowed for time t."""
+    state = FlowState.initial(table.center(mu), table.xi_center(mu))
+    return flow(state, model, branch, t, dt=_index_dt(table, mu))
+
+
 def _snap_int(value: float) -> int:
     # round-half-down: equidistant snaps resolve toward the smaller index
     return int(math.ceil(value - 0.5))
@@ -269,13 +293,7 @@ def flow_index(table: FrameTable, mu: CurveletIndex, model: VelocityModel, branc
     if w.kind != "directional" or normalize_branch(branch) == 0 or t == 0:
         return table.phase_point(mu), mu
 
-    state = flow(
-        FlowState.initial(table.center(mu), table.xi_center(mu)),
-        model,
-        branch,
-        t,
-        dt=_index_dt(table, mu),
-    )
+    state = _flow_center(table, mu, model, branch, t)
     point = PhasePoint(x=state.x, xi=state.xi, directional=True)
 
     scales = table.directional_scales()
@@ -305,43 +323,32 @@ def predicted_curvelet(table: FrameTable, mu: CurveletIndex, model: VelocityMode
     if sign == 0 or t == 0:
         return frame_atom(table, mu) / norm
 
-    state = flow(
-        FlowState.initial(table.center(mu), table.xi_center(mu)),
-        model,
-        branch,
-        t,
-        dt=_index_dt(table, mu),
-    )
+    state = _flow_center(table, mu, model, branch, t)
     rot = state.rotation
     x_mu = table.center(mu)
     n = table.n
     grid = np.arange(n) / n
-    g1 = grid[:, None] - state.x[0]
-    g2 = grid[None, :] - state.x[1]
     # shortest-displacement wrap keeps the motion rigid on the torus
-    g1 = np.mod(g1 + 0.5, 1.0) - 0.5
-    g2 = np.mod(g2 + 0.5, 1.0) - 0.5
-    y1 = rot[0, 0] * g1 + rot[0, 1] * g2 + x_mu[0]
-    y2 = rot[1, 0] * g1 + rot[1, 1] * g2 + x_mu[1]
-
+    g1 = np.mod(grid - state.x[0] + 0.5, 1.0) - 0.5
+    g2 = np.mod(grid - state.x[1] + 0.5, 1.0) - 0.5
+    # q.(U g + x_mu) = (U^T q).g + q.x_mu: the grid offsets g1 (row) and g2
+    # (column) meet the rotated frequencies p = U^T q separately
+    p1 = rot[0, 0] * w.q1 + rot[1, 0] * w.q2
+    p2 = rot[0, 1] * w.q1 + rot[1, 1] * w.q2
     rect1, rect2 = np.divmod(w.wrapped, w.rect[1])
-    coeff = (
-        w.weights
-        * np.exp(-2j * np.pi * (rect1 * mu.k1 / w.rect[0] + rect2 * mu.k2 / w.rect[1]))
-        / (math.sqrt(w.size) * n * norm)
-    )
-    return _scattered_trig_sum(coeff, w.q1, w.q2, y1, y2)
+    phase = w.q1 * x_mu[0] + w.q2 * x_mu[1] - rect1 * mu.k1 / w.rect[0] - rect2 * mu.k2 / w.rect[1]
+    coeff = w.weights * np.exp(2j * np.pi * phase) / (math.sqrt(w.size) * n * norm)
+    return _scattered_trig_sum(coeff, p1, p2, g1, g2)
 
 
-def _scattered_trig_sum(coeff, q1, q2, y1, y2):
-    """sum_k coeff[k] exp(2pi i (q1[k] y1 + q2[k] y2)) over point arrays."""
-    shape = y1.shape
-    p1 = y1.ravel()
-    p2 = y2.ravel()
-    out = np.empty(p1.size, dtype=np.complex128)
-    chunk_rows = max(256, int(4e6 / max(len(coeff), 1)))  # ~64 MB phase blocks
-    for start in range(0, p1.size, chunk_rows):
-        sl = slice(start, start + chunk_rows)
-        phase = np.exp(2j * np.pi * (np.outer(p1[sl], q1) + np.outer(p2[sl], q2)))
-        out[sl] = phase @ coeff
-    return out.reshape(shape)
+def _scattered_trig_sum(coeff, p1, p2, g1, g2):
+    """sum_k coeff[k] exp(2pi i (p1[k] g1[a] + p2[k] g2[b])) on the grid (a, b).
+
+    Scattered frequencies on a tensor grid: the phase factors into a row
+    and a column part, so the sum is one (rows x K) @ (K x columns)
+    product, exact and O(N^2 K).  ``propagators._eval_fourier_at_points``
+    is the transpose case (grid frequencies at scattered points) and
+    factors over frequency rows instead.
+    """
+    rows = np.exp(2j * np.pi * np.outer(g1, p1)) * coeff
+    return rows @ np.exp(2j * np.pi * np.outer(p2, g2))

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft as spfft
 
-from ._core import fft_workers
+from ._core import checked_kind, fft_workers
 from .flow import VelocityModel, normalize_branch
 from .frame import CurveletIndex, FrameTable, waveform
 
@@ -51,6 +51,15 @@ def _grids(n: int):
     q2 = np.broadcast_to(q[None, :], (n, n))
     mag = 2.0 * np.pi * np.hypot(q1, q2)  # physical |xi|
     return q1, q2, mag
+
+
+@lru_cache(maxsize=8)
+def _grid_points(n: int) -> np.ndarray:
+    """Read-only sample points x[a, b] = (a/N, b/N), shape (N, N, 2)."""
+    grid = np.arange(n) / n
+    x = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)
+    x.flags.writeable = False
+    return x
 
 
 def _fft2(f):
@@ -181,9 +190,7 @@ def solve_variable_wave(
         raise ValueError(f"dt={dt} violates the CFL bound {limit:.3e}")
     if t == 0:
         return u, v
-    grid = np.arange(n) / n
-    x = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)
-    c2 = np.asarray(model.c(x)) ** 2
+    c2 = np.asarray(model.c(_grid_points(n))) ** 2
     steps = max(1, int(math.ceil(abs(t) / dt - 1e-12)))
     h = t / steps
     for _ in range(steps):
@@ -209,18 +216,14 @@ def oneway_velocity(u0: np.ndarray, model: VelocityModel, sign) -> np.ndarray:
     u0 = np.asarray(u0, dtype=np.complex128)
     n = u0.shape[-1]
     _, _, mag = _grids(n)
-    grid = np.arange(n) / n
-    x = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)
-    return 1j * s * np.asarray(model.c(x)) * _ifft2(mag * _fft2(u0))
+    return 1j * s * np.asarray(model.c(_grid_points(n))) * _ifft2(mag * _fft2(u0))
 
 
 def wave_energy(u: np.ndarray, v: np.ndarray, model: VelocityModel) -> float:
     """E = 1/2 sum(|v|^2 / c^2 + |grad u|^2), conserved by the wave flow."""
     n = u.shape[-1]
     q1, q2, _ = _grids(n)
-    grid = np.arange(n) / n
-    x = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)
-    c2 = np.asarray(model.c(x)) ** 2
+    c2 = np.asarray(model.c(_grid_points(n))) ** 2
     spec = _fft2(u)
     gx = _ifft2(2j * np.pi * q1 * spec)
     gy = _ifft2(2j * np.pi * q2 * spec)
@@ -288,6 +291,9 @@ class WarpMap:
     amplitude: float = 0.0
     wavevector: tuple[int, int] = (1, 0)
 
+    # JSON keys each kind reads besides "kind"
+    _KEYS = {"identity": (), "shear": ("s",), "sinusoidal": ("amplitude", "wavevector")}
+
     @classmethod
     def identity(cls) -> WarpMap:
         return cls(kind="identity")
@@ -304,7 +310,7 @@ class WarpMap:
         return cls(kind="sinusoidal", amplitude=float(amplitude), wavevector=k)
 
     def __post_init__(self):
-        if self.kind not in {"identity", "shear", "sinusoidal"}:
+        if self.kind not in self._KEYS:
             raise ValueError(f"unknown warp kind {self.kind!r}")
 
     def phi(self, x):
@@ -350,8 +356,7 @@ class WarpMap:
 
     def validate(self, n: int = 64) -> None:
         """Check round-trip inversion and Jacobian-determinant bounds on a grid."""
-        grid = np.arange(n) / n
-        x = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)
+        x = _grid_points(n)
         err = np.max(np.abs(self.phi(self.phi_inv(x)) - x))
         if err > 1e-8:
             raise ValueError(f"warp inverse defect {err:.3e}")
@@ -369,14 +374,12 @@ class WarpMap:
 
     @classmethod
     def from_json(cls, spec: dict) -> WarpMap:
-        kind = spec.get("kind", "identity")
+        kind = checked_kind("warp map", spec, cls._KEYS, default="identity")
         if kind == "identity":
             return cls.identity()
         if kind == "shear":
             return cls.shear(spec["s"])
-        if kind == "sinusoidal":
-            return cls.sinusoidal(spec["amplitude"], spec.get("wavevector", (1, 0)))
-        raise ValueError(f"unknown warp kind {kind!r}")
+        return cls.sinusoidal(spec["amplitude"], spec.get("wavevector", (1, 0)))
 
 
 def apply_warp(f: np.ndarray, warp: WarpMap) -> np.ndarray:
@@ -388,15 +391,19 @@ def apply_warp(f: np.ndarray, warp: WarpMap) -> np.ndarray:
     """
     f = np.asarray(f, dtype=np.complex128)
     warp.validate(min(f.shape[-1], 64))
-    n = f.shape[-1]
-    grid = np.arange(n) / n
-    x = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)
-    y = np.mod(warp.phi(x), 1.0)
+    y = np.mod(warp.phi(_grid_points(f.shape[-1])), 1.0)
     return _eval_fourier_at_points(_fft2(f), y[..., 0], y[..., 1])
 
 
 def _eval_fourier_at_points(spec: np.ndarray, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-    """Evaluate the trig interpolant with unitary-FFT coefficients at points."""
+    """Evaluate the trig interpolant with unitary-FFT coefficients at points.
+
+    Grid frequencies at scattered points: the N x N frequencies form a
+    tensor grid, so a chunk of points contracts the q2 axis in one matrix
+    product and then the q1 axis, O(N^2) per point.
+    ``flow._scattered_trig_sum`` is the transpose case (scattered
+    frequencies on the tensor sample grid) and factors over grid rows.
+    """
     n = spec.shape[-1]
     q = np.fft.fftfreq(n) * n
     shape = y1.shape
@@ -469,7 +476,17 @@ class OperatorSpec:
     warp: WarpMap | None = None
     conjugated: bool = False
 
-    _SCALAR = {"identity", "halfwave", "cos-wave", "variable-wave", "gaussian-smooth", "psido", "warp"}
+    # JSON keys each kind reads (and ``to_json`` writes) besides "kind"
+    _KEYS = {
+        "identity": (),
+        "halfwave": ("t", "sign", "c0"),
+        "cos-wave": ("t", "c0"),
+        "acoustic": ("t",),
+        "variable-wave": ("t", "sign", "model", "dt"),
+        "gaussian-smooth": ("width",),
+        "psido": ("symbol",),
+        "warp": ("map",),
+    }
 
     @property
     def is_vector(self) -> bool:
@@ -533,9 +550,7 @@ class OperatorSpec:
 
     @classmethod
     def from_json(cls, spec: dict) -> OperatorSpec:
-        kind = spec.get("kind")
-        if kind not in cls._SCALAR and kind != "acoustic":
-            raise ValueError(f"unknown operator kind {kind!r}")
+        kind = checked_kind("operator", spec, cls._KEYS)
         out = cls(kind=kind)
         out.t = float(spec.get("t", 0.0))
         out.c0 = float(spec.get("c0", 1.0))

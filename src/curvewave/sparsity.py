@@ -14,10 +14,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csc_array
 from scipy.stats import theilslopes
 
 from .distance import PhasePoint, omega
-from .flow import VelocityModel, flow, FlowState, normalize_branch
+from .flow import VelocityModel, _flow_center, normalize_branch
 from .frame import CoeffSet, CurveletIndex, FrameTable, analyze, frame_atom
 from .propagators import BRANCHES, OperatorSpec, polarization_fractions, hyper_curvelet, apply_acoustic
 
@@ -240,7 +241,7 @@ def _flowed_points(table: FrameTable, mu: CurveletIndex, model: VelocityModel, t
         if s == 0 or t == 0:
             out[s] = table.phase_point(mu)
             continue
-        st = flow(FlowState.initial(table.center(mu), table.xi_center(mu)), model, s, t)
+        st = _flow_center(table, mu, model, s, t)
         out[s] = PhasePoint(x=st.x, xi=st.xi, directional=True)
     return out
 
@@ -299,16 +300,6 @@ class DecayReport:
     @property
     def median_slope(self) -> float:
         return float(np.median([c.decay_slope for c in self.columns]))
-
-    def slope_quantile(self, q: float) -> float:
-        return float(np.quantile([c.decay_slope for c in self.columns], q))
-
-    def radius_for_fraction(self, frac: float) -> float:
-        conc = np.asarray(self.concentration)
-        idx = np.searchsorted(conc, frac)
-        if idx >= len(self.ball_radii):
-            return math.inf
-        return self.ball_radii[idx]
 
     def to_json(self) -> dict:
         return {
@@ -395,41 +386,32 @@ def build_matrix(
     return mat
 
 
-def _truncate_column(col: MatrixColumn, keep: int, order: np.ndarray):
-    """Residual values after keeping the first `keep` entries of `order`."""
-    if keep > col.nnz:
-        raise ValueError(f"keep={keep} exceeds the column support ({col.nnz} entries)")
-    if keep == col.nnz:
-        empty = np.zeros(0, dtype=np.int64)
-        return np.zeros(0, dtype=np.complex128), empty, empty
-    drop = order[keep:]
-    return col.values[drop], col.rows_flat[drop], col.row_component[drop]
-
-
 def truncation_error(
     matrix: SparseOperatorMatrix,
     keep_per_column: int,
     mode: str = "largest",
     model: VelocityModel | None = None,
-    iters: int = 30,
-    restarts: int = 2,
-    seed: int = 0,
 ) -> float:
-    """Spectral-norm estimate of A - A_B on the sampled columns.
+    """Spectral norm of A - A_B on the sampled columns.
 
     A_B keeps `keep_per_column` entries per column, either the largest in
     magnitude (mode "largest") or the nearest to the flowed column index
-    in the pseudo-distance (mode "nearest").  The residual norm is the top
-    singular value of the residual column block, estimated by power
-    iteration on its Gram matrix with random restarts; it is decreasing
-    in keep_per_column by construction.
+    in the pseudo-distance (mode "nearest").  The residual block R holds
+    the dropped entries, one column per sampled column, in rows keyed by
+    (component, packed position); the result is its largest singular
+    value, sqrt of the top eigenvalue of the m x m Gram matrix R^H R,
+    exact to rounding.  Keeping more entries zeroes more of R, which need
+    not lower its spectral norm, so the error is not guaranteed to fall
+    monotonically with the budget.
     """
     if keep_per_column < 1:
         raise ValueError("keep_per_column must be >= 1")
     cols = matrix.columns
-    m = len(cols)
-    if m == 0:
+    if not cols:
         raise ValueError("truncation error of an empty matrix")
+    short = min(c.nnz for c in cols)
+    if keep_per_column > short:
+        raise ValueError(f"keep={keep_per_column} exceeds the column support ({short} entries)")
     if mode == "largest":
         orders = [np.argsort(np.abs(c.values))[::-1] for c in cols]
     elif mode == "nearest":
@@ -437,44 +419,15 @@ def truncation_error(
         orders = [np.argsort(column_omegas(matrix.table, c, model, matrix.t)) for c in cols]
     else:
         raise ValueError(f"unknown truncation mode {mode!r}")
-    residuals = [_truncate_column(c, keep_per_column, o) for c, o in zip(cols, orders)]
-    # Gram matrix of residual columns in the packed coefficient space.
-    gram = np.zeros((m, m), dtype=np.complex128)
-    for a in range(m):
-        va, ra, na = residuals[a]
-        if len(va) == 0:
-            continue
-        key_a = ra * 4 + na  # component count is <= 3; 4 keeps keys unique
-        order_a = np.argsort(key_a)
-        key_a, va_s = key_a[order_a], va[order_a]
-        for b in range(a, m):
-            vb, rb, nb = residuals[b]
-            if len(vb) == 0:
-                continue
-            key_b = rb * 4 + nb
-            order_b = np.argsort(key_b)
-            key_b_s, vb_s = key_b[order_b], vb[order_b]
-            ia = np.searchsorted(key_b_s, key_a)
-            ia = np.clip(ia, 0, len(key_b_s) - 1)
-            match = key_b_s[ia] == key_a
-            dot = np.sum(np.conj(va_s[match]) * vb_s[ia[match]])
-            gram[a, b] = dot
-            gram[b, a] = np.conj(dot)
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(restarts + 1):
-        v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(iters):
-            w = gram @ v
-            nw = np.linalg.norm(w)
-            if nw == 0:
-                break
-            lam = nw
-            v = w / nw
-        best = max(best, lam)
-    return math.sqrt(best)
+    drops = [order[keep_per_column:] for order in orders]
+    # row key (component, packed position): a scalar operator's rows span
+    # one packed vector, which keeps the sparse product's row index short
+    keys = np.concatenate([c.row_component[d] * matrix.table.size + c.rows_flat[d] for c, d in zip(cols, drops)])
+    vals = np.concatenate([c.values[d] for c, d in zip(cols, drops)])
+    starts = np.cumsum([0] + [len(d) for d in drops])
+    block = csc_array((vals, keys, starts), shape=(int(keys.max(initial=0)) + 1, len(cols)))
+    gram = (block.conj().T @ block).toarray()
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
 def polarization_split(table: FrameTable, t: float, mu: CurveletIndex, component=None, hyper_mode: str | None = None):

@@ -8,8 +8,11 @@ regularized incomplete beta function) composed with sin/cos, so that the
     sum_l  V(t - l)^2  = 1        for every real t,
     W0(r)^2 + sum_{j>=0} W(2^-j r)^2 = 1   for every r >= 0.
 
-``W`` is supported inside r in [1/2, 2] (crossovers at sqrt(2)^-+1),
-``V`` inside t in [-1, 1] (crossovers at -+1/2), ``W0`` inside [0, 1).
+W (``radial``) is supported inside r in [1/2, 2] (crossovers at
+sqrt(2)^-+1), V (``angular``) inside t in [-1, 1] (crossovers at -+1/2),
+W0 (``lowpass``) inside [0, 1).  ``frame.build_frame`` composes them into
+the frequency wedges.
+
 ``transition`` in (0, 1/2] is the half-width of the crossover band; 1/2
 reproduces the classic Meyer windows with no flat top.  With step order
 p the windows are C^(p-1).
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
-__all__ = ["WindowFamily", "build_windows", "eval_wedge"]
+__all__ = ["WindowFamily", "build_windows"]
 
 _HALF_PI = 0.5 * np.pi
 
@@ -85,11 +88,6 @@ class WindowFamily:
         out[m] = np.sin(_HALF_PI * _smooth_step(t, self.smooth_step_order))
         return out
 
-    # Short aliases mirroring the usual notation.
-    W = radial
-    V = angular
-    W0 = lowpass
-
 
 def build_windows(smooth_step_order: int, transition: float = 0.5) -> WindowFamily:
     """Build the admissible window family of the requested regularity.
@@ -107,37 +105,3 @@ def build_windows(smooth_step_order: int, transition: float = 0.5) -> WindowFami
     if not 0.0 < transition <= 0.5:
         raise ValueError(f"transition must lie in (0, 1/2], got {transition}")
     return WindowFamily(int(smooth_step_order), float(transition))
-
-
-def eval_wedge(
-    family: WindowFamily,
-    j: int,
-    ell: int,
-    xi,
-    angles_base: int = 8,
-    include_amplitude: bool = True,
-):
-    """Evaluate the scale-j, angle-ell polar frequency wedge at points xi.
-
-    The wedge is W(2^-j |xi|) V(L_j (theta - theta_{j,ell}) / 2pi) with
-    L_j = angles_base * 2^floor(j/2) equispaced orientations, optionally
-    carrying the 2^(-3j/4) amplitude.  Frequencies outside the wedge
-    evaluate to zero; squared wedges (without amplitude) tile the plane
-    together with the squared low-pass.
-    """
-    if j < 0:
-        raise ValueError("scale index must be nonnegative")
-    xi = np.asarray(xi, dtype=float)
-    x1, x2 = xi[..., 0], xi[..., 1]
-    r = np.hypot(x1, x2)
-    n_angles = angles_base * (1 << (j // 2))
-    if not 0 <= ell < n_angles:
-        raise ValueError(f"angle index {ell} outside [0, {n_angles})")
-    theta = np.arctan2(x2, x1)
-    dtheta = np.mod(theta - 2.0 * np.pi * ell / n_angles + np.pi, 2.0 * np.pi) - np.pi
-    with np.errstate(invalid="ignore"):
-        val = family.radial(r / 2.0**j) * family.angular(n_angles * dtheta / (2.0 * np.pi))
-    val = np.where(r > 0, val, 0.0)
-    if include_amplitude:
-        val = 2.0 ** (-0.75 * j) * val
-    return val

@@ -68,6 +68,10 @@ class TestManifest:
             ({"times": [0.25]}, "times"),
             ({"thresold": 1e-6}, "thresold"),
             ({"columns": {"count": 3, "scale": [3]}}, "scale"),
+            ({"operator": {"kind": "halfwave", "sgn": "-", "c_0": 3.0, "t": 0.25}}, "sgn"),
+            ({"model": {"kind": "sinusoidal", "amplitude": 0.2, "wave_vector": [1, 0]}}, "wave_vector"),
+            ({"operator": {"kind": "warp", "map": {"kind": "sinusoidal", "amplitude": 0.05, "wavevectr": [1, 1]}}},
+             "wavevectr"),
         ],
     )
     def test_unknown_key_exits_2(self, tmp_path, capsys, overrides, key):

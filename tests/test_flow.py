@@ -92,6 +92,19 @@ class TestIntegrator:
         assert back.x == pytest.approx(state.x, abs=1e-6)
         assert back.xi == pytest.approx(state.xi, abs=1e-5)
 
+    @pytest.mark.parametrize(
+        "model", [VelocityModel.sinusoidal(0.15, (3, 5)), VelocityModel.gaussian_bump((0.4, 0.6), 0.15, 0.2)]
+    )
+    @pytest.mark.parametrize("branch", ["+", "-"])
+    def test_stacked_flow_equals_single_rays(self, model, branch, rng):
+        x = rng.random((8, 2))
+        xi = rng.uniform(-40.0, 40.0, (8, 2))
+        stacked = flow(FlowState.initial(x, xi), model, branch, 0.1)
+        singles = [flow(FlowState.initial(a, b), model, branch, 0.1) for a, b in zip(x, xi)]
+        assert np.max(np.abs(stacked.x - np.stack([s.x for s in singles]))) == 0.0
+        assert np.max(np.abs(stacked.xi - np.stack([s.xi for s in singles]))) == 0.0
+        assert np.max(np.abs(stacked.rotation - np.stack([s.rotation for s in singles]))) == 0.0
+
     def test_step_requires_nonzero_frequency(self):
         with pytest.raises(ValueError):
             FlowState.initial((0.0, 0.0), (0.0, 0.0))
@@ -162,6 +175,28 @@ class TestPredictedCurvelet:
         phase /= abs(phase)
         rel = np.linalg.norm(true - pred * np.conj(phase)) / np.linalg.norm(true)
         assert rel <= pinned.PREDICTED_L2_MAX
+
+    @pytest.mark.parametrize("branch", ["+", "-"])
+    def test_equals_direct_sum(self, frame64, branch):
+        # phi_mu(U (x - x_mu(t)) + x_mu) summed term by term over the wedge support
+        mu = cw.CurveletIndex(3, 5, 2, 1)
+        model = VelocityModel.sinusoidal(0.2, (1, 1))
+        pred = cw.predicted_curvelet(frame64, mu, model, branch, 0.25)
+        point, _ = cw.flow_index(frame64, mu, model, branch, 0.25)
+        n0 = frame64.xi_center(mu) / np.hypot(*frame64.xi_center(mu))
+        nt = point.xi / np.hypot(*point.xi)
+        cos, sin = nt @ n0, nt[0] * n0[1] - nt[1] * n0[0]
+        n = frame64.n
+        grid = np.arange(n) / n
+        g = np.mod(np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1) - point.x + 0.5, 1.0) - 0.5
+        y1 = cos * g[..., 0] - sin * g[..., 1] + frame64.center(mu)[0]
+        y2 = sin * g[..., 0] + cos * g[..., 1] + frame64.center(mu)[1]
+        w = frame64.wedge(mu.j, mu.ell)
+        spec = np.fft.fft2(cw.waveform(frame64, mu))[w.q1 % n, w.q2 % n] / n**2
+        direct = np.zeros((n, n), dtype=np.complex128)
+        for c, q1, q2 in zip(spec, w.q1, w.q2):
+            direct += c * np.exp(2j * np.pi * (q1 * y1 + q2 * y2))
+        assert np.max(np.abs(pred - direct)) <= 1e-12 * np.max(np.abs(direct))
 
     def test_rejects_isotropic_index(self, frame128):
         with pytest.raises(ValueError):

@@ -283,6 +283,44 @@ class TestWarp:
         assert lhalf(warped) <= pinned.WARP_LHALF_FACTOR * lhalf(plain)
 
 
+class TestOperatorSpecJson:
+    SPECS = [
+        {"kind": "identity"},
+        {"kind": "halfwave", "t": 0.25, "sign": "-", "c0": 2.0},
+        {"kind": "cos-wave", "t": 0.25, "c0": 1.5},
+        {"kind": "acoustic", "t": 0.2},
+        {"kind": "variable-wave", "t": 0.25, "sign": "+", "dt": 1e-3,
+         "model": {"kind": "gaussian-bump", "c0": 1.0, "amplitude": 0.2, "center": [0.3, 0.6], "width": 0.1}},
+        {"kind": "gaussian-smooth", "width": 0.05},
+        {"kind": "psido", "symbol": "mixed"},
+        {"kind": "warp", "map": {"kind": "shear", "s": 0.3}},
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=[s["kind"] for s in SPECS])
+    def test_round_trip(self, spec):
+        assert cw.OperatorSpec.from_json(spec).to_json() == spec
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "halfwave", "sgn": "-", "t": 0.25},
+            {"kind": "identity", "t": 0.25},
+            {"kind": "variable-wave", "t": 0.25, "c0": 2.0},
+            {"kind": "variable-wave", "t": 0.25, "model": {"kind": "constant", "amplitude": 0.1}},
+            {"kind": "warp", "map": {"kind": "identity", "s": 0.3}},
+        ],
+    )
+    def test_unread_key_refused(self, spec):
+        with pytest.raises(ValueError, match="unknown key"):
+            cw.OperatorSpec.from_json(spec)
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError, match="unknown operator kind"):
+            cw.OperatorSpec.from_json({"kind": "halfwav"})
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            cw.WarpMap.from_json([0.3])
+
+
 class TestHyperCurvelets:
     def test_orthogonal_polarizations(self, frame128):
         mu = cw.CurveletIndex(4, 3, 4, 2)

@@ -205,6 +205,19 @@ class TestTruncation:
         with pytest.raises(ValueError):
             cw.truncation_error(matrix, matrix.columns[0].nnz + 1)
 
+    @pytest.mark.parametrize("spec", [{"kind": "halfwave", "sign": "+", "t": 0.25}, {"kind": "acoustic", "t": 0.2}])
+    def test_equals_dense_spectral_norm(self, frame64, rng, spec):
+        op = cw.OperatorSpec.from_json(spec)
+        cols = [frame64.random_index(rng, scales=[2, 3]) for _ in range(3)]
+        matrix = cw.build_matrix(frame64, op, cols)
+        for keep in (5, 40):
+            dense = np.zeros((4 * frame64.size, len(matrix.columns)), dtype=np.complex128)
+            for i, col in enumerate(matrix.columns):
+                drop = np.argsort(np.abs(col.values))[::-1][keep:]
+                dense[col.rows_flat[drop] * 4 + col.row_component[drop], i] = col.values[drop]
+            expected = np.linalg.norm(dense, 2)
+            assert abs(cw.truncation_error(matrix, keep) - expected) <= 1e-12 * expected
+
     def test_nearest_in_omega_mode(self, frame128, halfwave_op, rng):
         # keeping by pseudo-distance proximity tracks the magnitude ordering
         cols = [frame128.random_index(rng, scales=[4]) for _ in range(3)]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvewave.windows import build_windows, eval_wedge
+from curvewave.windows import build_windows
 
 
 @pytest.fixture(scope="module")
@@ -105,37 +105,3 @@ def test_smoothness_order(order):
         ratio = abs(kth_fd(k, 2e-2)) / max(abs(kth_fd(k, 1e-2)), 1e-300)
         expected = 2.0 ** (order - k)
         assert ratio == pytest.approx(expected, rel=0.5)
-
-
-def test_eval_wedge_center(fam):
-    for j in (2, 3, 5):
-        xi = np.array([2.0**j, 0.0])
-        val = eval_wedge(fam, j, 0, xi)
-        assert val == pytest.approx(2.0 ** (-0.75 * j), rel=1e-12)
-
-
-def test_eval_wedge_outside_radial_support(fam):
-    xi = np.array([2.0 ** (3 + 2), 0.0])
-    assert eval_wedge(fam, 3, 0, xi) == 0.0
-    assert eval_wedge(fam, 3, 0, np.array([0.0, 0.0])) == 0.0
-
-
-def test_eval_wedge_partition(fam, rng):
-    # Brute-force sum of squared wedges plus squared low-pass over all
-    # scales/angles at 100 random frequencies.
-    xi = rng.uniform(-40, 40, size=(100, 2))
-    xi = xi[np.hypot(xi[:, 0], xi[:, 1]) > 1e-3]
-    r = np.hypot(xi[:, 0], xi[:, 1])
-    total = fam.lowpass(r / 2.0**0) ** 2  # ladder cut at j = 0
-    for j in range(0, 10):
-        n_angles = 8 * (1 << (j // 2))
-        for ell in range(n_angles):
-            total = total + eval_wedge(fam, j, ell, xi, include_amplitude=False) ** 2
-    assert np.max(np.abs(total - 1.0)) <= 1e-10
-
-
-def test_eval_wedge_rejects_bad_indices(fam):
-    with pytest.raises(ValueError):
-        eval_wedge(fam, -1, 0, np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        eval_wedge(fam, 2, 99, np.array([1.0, 0.0]))
