@@ -5,7 +5,8 @@ The wrapping transform's inner loops (the wedge gather and scatter) live in
 ``analyze`` and ``synthesize`` call through it.  ``BACKEND`` names that
 implementation in benchmark provenance.  CURVEWAVE_THREADS caps the FFT
 worker pool and column-level parallelism.  ``checked`` and
-``checked_kind`` refuse JSON specs with keys their reader would ignore.
+``checked_kind`` refuse JSON specs with keys their reader would ignore;
+``required`` names a key a spec leaves out.
 """
 
 import os
@@ -51,3 +52,10 @@ def checked_kind(where: str, spec, keys_by_kind: dict, default: str | None = Non
         raise ValueError(f"unknown {where} kind {kind!r}")
     checked(f"{kind} {where}", spec, {"kind", *keys_by_kind[kind]})
     return kind
+
+
+def required(where: str, spec: dict, key: str):
+    """``spec[key]``, refusing a spec without it with a ValueError naming the key."""
+    if key not in spec:
+        raise ValueError(f"{where} needs key {key!r}")
+    return spec[key]

@@ -134,7 +134,6 @@ def cmd_transform(cfg: ExperimentConfig, input_path: str) -> int:
 def cmd_propagate(cfg: ExperimentConfig, input_path: str) -> int:
     op = cfg.operator
     f = formats.read_field(input_path)
-    op.resolve_symbol(f.shape[-1])
     out = op.apply(f)
     cfg.out.mkdir(parents=True, exist_ok=True)
     formats.write_field(cfg.out / "propagated.field", out)
@@ -153,7 +152,6 @@ def _sample_columns(cfg: ExperimentConfig, table) -> list[CurveletIndex]:
 def cmd_matrix(cfg: ExperimentConfig) -> int:
     table = build_frame(cfg.frame)
     op = cfg.operator
-    op.resolve_symbol(table.n)
     cols = _sample_columns(cfg, table)
     matrix = build_matrix(table, op, cols, threshold=cfg.threshold)
     cfg.out.mkdir(parents=True, exist_ok=True)
@@ -173,10 +171,10 @@ def cmd_sparsity(cfg: ExperimentConfig, matrix_path: str) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
     with open(cfg.out / "decay_report.json", "w") as fh:
         json.dump(report.to_json(), fh, indent=2)
-    with open(cfg.out / "decay_curve.csv", "w") as fh:
-        fh.write("radius,energy_fraction\n")
-        for r, c in zip(report.ball_radii, report.concentration):
-            fh.write(f"{r:.17g},{c:.17g}\n")
+    curve = np.column_stack([report.ball_radii, report.concentration])
+    np.savetxt(
+        cfg.out / "decay_curve.csv", curve, fmt="%.17g", delimiter=",", header="radius,energy_fraction", comments=""
+    )
     print(json.dumps({"median_slope": report.median_slope, "columns": len(report.columns)}))
     return 0
 
@@ -186,13 +184,8 @@ def cmd_flow(cfg: ExperimentConfig, x0, xi0, branch: str, t: float) -> int:
     times, states = flow_trajectory(state, cfg.model, branch, t)
     cfg.out.mkdir(parents=True, exist_ok=True)
     path = cfg.out / "trajectory.csv"
-    with open(path, "w") as fh:
-        fh.write("t,x1,x2,xi1,xi2,theta\n")
-        for tt, st in zip(times, states):
-            theta = float(np.arctan2(st.xi[1], st.xi[0]))
-            fh.write(
-                f"{tt:.17g},{st.x[0]:.17g},{st.x[1]:.17g},{st.xi[0]:.17g},{st.xi[1]:.17g},{theta:.17g}\n"
-            )
+    rows = [(tt, *st.x, *st.xi, np.arctan2(st.xi[1], st.xi[0])) for tt, st in zip(times, states)]
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header="t,x1,x2,xi1,xi2,theta", comments="")
     print(json.dumps({"steps": len(times) - 1, "path": str(path)}))
     return 0
 

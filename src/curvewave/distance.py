@@ -97,11 +97,3 @@ def omega(p, q, table=None):
     jp, jq = p.scale_log2, q.scale_log2
     return 2.0 ** np.abs(jp - jq) * (1.0 + 2.0 ** np.minimum(jp, jq) * d(p, q))
 
-
-def stack_points(points) -> PhasePoint:
-    """Combine scalar PhasePoints into one broadcasting PhasePoint."""
-    return PhasePoint(
-        x=np.stack([np.asarray(p.x, dtype=float) for p in points]),
-        xi=np.stack([np.asarray(p.xi, dtype=float) for p in points]),
-        directional=np.array([bool(np.asarray(p.directional)) for p in points]),
-    )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._core import checked_kind
+from ._core import checked_kind, required
 from .frame import CurveletIndex, FrameTable, frame_atom
 
 __all__ = [
@@ -162,7 +162,8 @@ class VelocityModel:
         if kind == "constant":
             return cls.constant(spec.get("c0", 1.0))
         if kind == "sinusoidal":
-            return cls.sinusoidal(spec["amplitude"], spec.get("wavevector", (1, 0)), spec.get("c0", 1.0))
+            amplitude = required("sinusoidal velocity model", spec, "amplitude")
+            return cls.sinusoidal(amplitude, spec.get("wavevector", (1, 0)), spec.get("c0", 1.0))
         return cls.gaussian_bump(
             spec.get("center", (0.5, 0.5)), spec.get("width", 0.1), spec.get("amplitude", 0.2), spec.get("c0", 1.0)
         )

@@ -1,22 +1,25 @@
-"""On-disk formats: field files, coefficient CSV, and PGM quick-looks.
+"""On-disk formats: field files, index-row CSVs, and PGM quick-looks.
 
 Field2D format: one JSON header line {"N": ..., "m": ..., "dtype": "c128le"}
 followed by raw little-endian interleaved re/im float64 samples, row-major,
-components contiguous.  Coefficient CSV columns: j,l,k1,k2,nu,re,im.
+components contiguous.  Index-row CSV: an exact header line (COEFF_HEADER or
+MATRIX_HEADER), then integer index cells and re,im as %.17g, CRLF line ends.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 
 import numpy as np
 
-from .frame import CoeffSet, CurveletIndex, FrameTable
+from .frame import CoeffSet, FrameTable
 
-__all__ = ["write_field", "read_field", "write_coeffs_csv", "read_coeffs_csv", "write_pgm"]
+__all__ = ["write_field", "read_field", "write_index_csv", "read_index_csv", "write_coeffs_csv",
+           "read_coeffs_csv", "write_pgm"]
 
 _MAGIC_DTYPE = "c128le"
+COEFF_HEADER = ("j", "l", "k1", "k2", "nu", "re", "im")
+MATRIX_HEADER = tuple(f"{side}_{c}" for side in ("row", "col") for c in COEFF_HEADER[:5]) + ("re", "im")
 
 
 class FormatError(ValueError):
@@ -59,27 +62,54 @@ def read_field(path) -> np.ndarray:
     return data.reshape((n, n) if m == 1 else (m, n, n))
 
 
-def write_coeffs_csv(path, coeffs: CoeffSet, tol: float = 0.0, component: int = 0) -> None:
-    """Write nonzero coefficients as rows j,l,k1,k2,nu,re,im."""
-    j, ell, k1, k2, vals = coeffs.nonzero_rows(tol)
+def write_index_csv(path, header, index, values) -> None:
+    """Write one row per entry: the integer ``index`` columns (one array per
+    header name before re,im), then the complex ``values``."""
+    values = np.asarray(values, dtype=np.complex128)
+    rows = np.column_stack([*index, values.real, values.imag])
+    fmt = ",".join(["%d"] * (len(header) - 2) + ["%.17g", "%.17g"])
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["j", "l", "k1", "k2", "nu", "re", "im"])
-        for i in range(len(vals)):
-            wr.writerow(
-                [j[i], ell[i], k1[i], k2[i], component,
-                 f"{vals[i].real:.17g}", f"{vals[i].imag:.17g}"]
-            )
+        np.savetxt(fh, rows, fmt=fmt, newline="\r\n", header=",".join(header), comments="")
+
+
+def read_index_csv(path, header):
+    """(index, values) of a :func:`write_index_csv` file, in file order; index
+    holds one int64 row per index column.  A header other than ``header``, a
+    non-integer index cell, a non-numeric cell or a wrong column count raise
+    FormatError."""
+    dtype = [(name, np.int64) for name in header[:-2]] + [("re", np.float64), ("im", np.float64)]
+    rows = np.zeros(0, dtype)
+    with open(path) as fh:
+        if fh.readline().rstrip("\n") != ",".join(header):
+            raise FormatError(f"{path}: the header is not {','.join(header)}")
+        start = fh.tell()
+        if fh.read(1):  # more than a header
+            fh.seek(start)
+            try:
+                rows = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, ndmin=1)
+            except ValueError as exc:
+                raise FormatError(f"{path}: {exc}") from None
+    values = np.empty(len(rows), dtype=np.complex128)
+    values.real, values.imag = rows["re"], rows["im"]
+    return np.stack([rows[name] for name in header[:-2]]), values
+
+
+def write_coeffs_csv(path, coeffs: CoeffSet) -> None:
+    """Write the nonzero coefficients as rows j,l,k1,k2,nu,re,im (nu = 0)."""
+    flat = coeffs.pack()
+    keep = np.flatnonzero(np.abs(flat) > 0.0)
+    j, ell, k1, k2 = coeffs.table.index_of_flat(keep)
+    write_index_csv(path, COEFF_HEADER, (j, ell, k1, k2, np.zeros_like(j)), flat[keep])
 
 
 def read_coeffs_csv(path, table: FrameTable) -> CoeffSet:
-    out = CoeffSet.zeros(table)
-    with open(path, newline="") as fh:
-        rd = csv.DictReader(fh)
-        for row in rd:
-            mu = CurveletIndex(int(row["j"]), int(row["l"]), int(row["k1"]), int(row["k2"]))
-            out[mu] = complex(float(row["re"]), float(row["im"]))
-    return out
+    """Coefficients of one scalar field (every nu must be 0)."""
+    (j, ell, k1, k2, nu), values = read_index_csv(path, COEFF_HEADER)
+    if np.any(nu != 0):
+        raise FormatError(f"{path}: nu must be 0 for the coefficients of one scalar field")
+    packed = np.zeros(table.size, dtype=np.complex128)
+    packed[table.flat_of_index((j, ell, k1, k2))] = values
+    return CoeffSet(table, [packed[w.offset : w.offset + w.size].reshape(w.rect) for w in table.wedges])
 
 
 def write_pgm(path, f: np.ndarray, floor_db: float = -80.0) -> None:

@@ -252,19 +252,34 @@ def build_frame(params: FrameParams) -> FrameTable:
 
 @dataclass
 class FrameTable:
-    """Immutable precomputed frame for one grid; share freely across threads."""
+    """Immutable precomputed frame for one grid; share freely across threads.
+
+    Per-wedge arrays built once (offset, j, ell, rectangle, xi center,
+    directional flag) hold the packed coefficient layout; every mapping
+    packed position <-> (j, ell, k1, k2) <-> phase-space center reads them.
+    """
 
     params: FrameParams
     windows: WindowFamily
     wedges: list[Wedge]
     size: int
     partition_defect: float
-    _by_key: dict[tuple[int, int], Wedge] = field(default_factory=dict, repr=False)
     _pos_by_key: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        self._by_key = {(w.j, w.ell): w for w in self.wedges}
-        self._pos_by_key = {(w.j, w.ell): i for i, w in enumerate(self.wedges)}
+        ws = self.wedges
+        self._pos_by_key = {(w.j, w.ell): i for i, w in enumerate(ws)}
+        self._offset, self._j, self._ell = (
+            np.array([getattr(w, a) for w in ws], dtype=np.int64) for a in ("offset", "j", "ell")
+        )
+        self._rect = np.array([w.rect for w in ws], dtype=np.int64)
+        self._directional = np.array([w.kind == "directional" for w in ws])
+        self._xi = np.array(
+            [(w.rho * math.cos(w.theta), w.rho * math.sin(w.theta)) if d else (max(w.rho, 1.0), 0.0)
+             for w, d in zip(ws, self._directional)]
+        )
+        self._stride = int(self._ell.max()) + 1  # wedges run in (j, ell) order: _keys is sorted
+        self._keys = self._j * self._stride + self._ell
 
     @property
     def n(self) -> int:
@@ -272,13 +287,13 @@ class FrameTable:
 
     def wedge(self, j: int, ell: int = 0) -> Wedge:
         try:
-            return self._by_key[(j, ell)]
+            return self.wedges[self._pos_by_key[(j, ell)]]
         except KeyError:
             raise UnknownIndexError(f"no wedge (j={j}, ell={ell}) in this frame") from None
 
     def angles(self, j: int) -> int:
         """Number of orientations L_j at scale j (1 on isotropic channels)."""
-        if (j, 0) not in self._by_key:
+        if (j, 0) not in self._pos_by_key:
             raise UnknownIndexError(f"no scale {j} in this frame")
         return sum(1 for w in self.wedges if w.j == j)
 
@@ -286,23 +301,16 @@ class FrameTable:
         return sorted({w.j for w in self.wedges if w.kind == "directional"})
 
     def validate_index(self, mu: CurveletIndex) -> Wedge:
-        w = self.wedge(mu.j, mu.ell)
-        r1, r2 = w.rect
-        if not (0 <= mu.k1 < r1 and 0 <= mu.k2 < r2):
-            raise UnknownIndexError(f"translation {(mu.k1, mu.k2)} outside lattice {w.rect}")
-        return w
+        self.flat_of_index(mu)
+        return self.wedge(mu.j, mu.ell)
 
     def center(self, mu: CurveletIndex) -> np.ndarray:
         """Spatial center x_mu in [0,1)^2."""
-        w = self.validate_index(mu)
-        return np.array([mu.k1 / w.rect[0], mu.k2 / w.rect[1]])
+        return self.phase_point(mu).x
 
     def xi_center(self, mu: CurveletIndex) -> np.ndarray:
         """Frequency center xi_mu in grid-frequency units."""
-        w = self.validate_index(mu)
-        if w.kind == "directional":
-            return w.rho * np.array([math.cos(w.theta), math.sin(w.theta)])
-        return np.array([max(w.rho, 1.0), 0.0])
+        return self.phase_point(mu).xi
 
     def codirection(self, mu: CurveletIndex) -> np.ndarray:
         w = self.validate_index(mu)
@@ -312,37 +320,47 @@ class FrameTable:
 
     def phase_point(self, mu: CurveletIndex):
         """Phase-space center of the index (isotropic channels are undirected)."""
+        return self.phase_points(self.flat_of_index(mu))
+
+    def phase_points(self, flat):
+        """Stacked phase-space centers of packed positions: x_mu = (k1/r1, k2/r2)
+        and the wedge's xi center (rho_j e_theta, or (max(rho, 1), 0) undirected)."""
         from .distance import PhasePoint
 
-        w = self.validate_index(mu)
-        return PhasePoint(
-            x=self.center(mu),
-            xi=self.xi_center(mu),
-            directional=(w.kind == "directional"),
-        )
+        which, k1, k2 = self._locate(flat)
+        x = np.stack([k1 / self._rect[which, 0], k2 / self._rect[which, 1]], axis=-1)
+        return PhasePoint(x=x, xi=np.take(self._xi, which, axis=0), directional=self._directional[which])
 
     def index_of_flat(self, flat: np.ndarray):
         """Decode packed coefficient positions to (j, ell, k1, k2) arrays."""
-        flat = np.asarray(flat, dtype=np.int64)
-        offs = np.array([w.offset for w in self.wedges], dtype=np.int64)
-        which = np.searchsorted(offs, flat, side="right") - 1
-        j = np.empty_like(flat)
-        ell = np.empty_like(flat)
-        k1 = np.empty_like(flat)
-        k2 = np.empty_like(flat)
-        for i, w in enumerate(self.wedges):
-            m = which == i
-            if not np.any(m):
-                continue
-            rel = flat[m] - w.offset
-            j[m] = w.j
-            ell[m] = w.ell
-            k1[m], k2[m] = np.divmod(rel, w.rect[1])
-        return j, ell, k1, k2
+        which, k1, k2 = self._locate(flat)
+        return self._j[which], self._ell[which], k1, k2
 
-    def flat_of_index(self, mu: CurveletIndex) -> int:
-        w = self.validate_index(mu)
-        return w.offset + mu.k1 * w.rect[1] + mu.k2
+    def _locate(self, flat):
+        flat = np.asarray(flat, dtype=np.int64)
+        if flat.size and (flat.min() < 0 or flat.max() >= self.size):
+            raise UnknownIndexError(f"packed position outside [0, {self.size})")
+        which = np.searchsorted(self._offset, flat, side="right") - 1
+        return (which, *np.divmod(flat - self._offset[which], self._rect[which, 1]))
+
+    def flat_of_index(self, mu):
+        """Packed position of a CurveletIndex (an int) or of arrays (j, ell, k1, k2).
+
+        Raises:
+            UnknownIndexError: naming the first index whose (j, ell) is not a
+                wedge or whose translation lies outside the wedge's lattice.
+        """
+        if isinstance(mu, CurveletIndex):
+            return int(self.flat_of_index((mu.j, mu.ell, mu.k1, mu.k2)))
+        j, ell, k1, k2 = idx = np.broadcast_arrays(*(np.asarray(a, dtype=np.int64) for a in mu))
+        which = np.minimum(np.searchsorted(self._keys, j * self._stride + ell), len(self._keys) - 1)
+        r1, r2 = self._rect[which, 0], self._rect[which, 1]
+        ok = (self._j[which] == j) & (self._ell[which] == ell) & (0 <= k1) & (k1 < r1) & (0 <= k2) & (k2 < r2)
+        if not np.all(ok):
+            i = np.argmin(np.ravel(ok))
+            bad = tuple(int(a.ravel()[i]) for a in idx)
+            raise UnknownIndexError(f"no index (j, ell, k1, k2) = {bad} in this frame (no such wedge, or k off its lattice)")
+        return self._offset[which] + k1 * r2 + k2
 
     def random_index(self, rng: np.random.Generator, scales=None) -> CurveletIndex:
         """Uniform random directional index, optionally restricted to given scales."""
@@ -381,15 +399,13 @@ class CoeffSet:
         return out
 
     def __getitem__(self, mu: CurveletIndex) -> complex:
-        self.table.validate_index(mu)
         return complex(self.blocks[self._pos(mu)][mu.k1, mu.k2])
 
     def __setitem__(self, mu: CurveletIndex, value) -> None:
-        self.table.validate_index(mu)
         self.blocks[self._pos(mu)][mu.k1, mu.k2] = value
 
     def _pos(self, mu: CurveletIndex) -> int:
-        self.table.wedge(mu.j, mu.ell)
+        self.table.validate_index(mu)
         return self.table._pos_by_key[(mu.j, mu.ell)]
 
     def pack(self) -> np.ndarray:
@@ -402,13 +418,6 @@ class CoeffSet:
             if kinds is None or w.kind in kinds:
                 total += float(np.vdot(b, b).real)
         return total
-
-    def nonzero_rows(self, tol: float = 0.0):
-        """Arrays (j, ell, k1, k2, values) of entries with |c| > tol."""
-        flat = self.pack()
-        keep = np.flatnonzero(np.abs(flat) > tol)
-        j, ell, k1, k2 = self.table.index_of_flat(keep)
-        return j, ell, k1, k2, flat[keep]
 
 
 def _check_field(table: FrameTable, f: np.ndarray) -> np.ndarray:

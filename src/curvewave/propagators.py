@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft as spfft
 
-from ._core import checked_kind, fft_workers
+from ._core import checked_kind, fft_workers, required
 from .flow import VelocityModel, normalize_branch
 from .frame import CurveletIndex, FrameTable, waveform
 
@@ -378,8 +378,8 @@ class WarpMap:
         if kind == "identity":
             return cls.identity()
         if kind == "shear":
-            return cls.shear(spec["s"])
-        return cls.sinusoidal(spec["amplitude"], spec.get("wavevector", (1, 0)))
+            return cls.shear(required("shear warp map", spec, "s"))
+        return cls.sinusoidal(required("sinusoidal warp map", spec, "amplitude"), spec.get("wavevector", (1, 0)))
 
 
 def apply_warp(f: np.ndarray, warp: WarpMap) -> np.ndarray:
@@ -472,7 +472,7 @@ class OperatorSpec:
     dt: float | None = None
     model: VelocityModel | None = None
     symbol: PsidoSymbol | None = None
-    symbol_id: str = ""
+    symbol_id: str = "one"
     warp: WarpMap | None = None
     conjugated: bool = False
 
@@ -513,7 +513,8 @@ class OperatorSpec:
         if k == "psido":
             if self.conjugated:
                 raise ValueError("adjoint of a generic psido spec is not provided")
-            return apply_psido(f, self.symbol)
+            symbol = self.symbol if self.symbol is not None else named_symbol(self.symbol_id, f.shape[-1])
+            return apply_psido(f, symbol)
         if k == "warp":
             return apply_warp(f, self.warp)
         raise ValueError(f"unknown operator kind {k!r}")
@@ -557,31 +558,31 @@ class OperatorSpec:
         if "sign" in spec:
             out.sign = normalize_branch(spec["sign"])
         if kind == "gaussian-smooth":
-            out.width = float(spec["width"])
+            out.width = float(required("gaussian-smooth operator", spec, "width"))
         if kind == "variable-wave":
             out.model = VelocityModel.from_json(spec.get("model", {"kind": "constant"}))
             out.dt = float(spec["dt"]) if "dt" in spec else None
         if kind == "psido":
             out.symbol_id = spec.get("symbol", "one")
-            out.symbol = None  # resolved against a grid by the caller
+            if out.symbol_id not in SYMBOL_IDS:
+                raise ValueError(f"unknown symbol id {out.symbol_id!r}; known: {', '.join(SYMBOL_IDS)}")
         if kind == "warp":
             out.warp = WarpMap.from_json(spec.get("map", {"kind": "identity"}))
         return out
 
-    def resolve_symbol(self, n: int) -> None:
-        """Instantiate a named separable symbol on an N x N grid."""
-        if self.kind != "psido" or self.symbol is not None:
-            return
-        self.symbol = named_symbol(self.symbol_id, n)
+
+SYMBOL_IDS = ("one", "space-sine", "freq-lowpass", "mixed")
 
 
+@lru_cache(maxsize=8)
 def named_symbol(symbol_id: str, n: int) -> PsidoSymbol:
-    """Built-in separable order-0 symbols for CLI experiments."""
+    """Built-in separable order-0 symbols (``SYMBOL_IDS``) on an N x N grid,
+    cached so a psido spec applied column by column builds its symbol once."""
     q1, q2, mag = _grids(n)
     grid = np.arange(n) / n
     x1 = np.broadcast_to(grid[:, None], (n, n))
     x2 = np.broadcast_to(grid[None, :], (n, n))
-    if symbol_id in {"one", ""}:
+    if symbol_id == "one":
         return PsidoSymbol.identity()
     if symbol_id == "space-sine":
         return PsidoSymbol.spatial(1.0 + 0.5 * np.sin(2 * np.pi * x1))

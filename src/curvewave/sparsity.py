@@ -9,7 +9,6 @@ organization of the curvelet matrix).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -17,9 +16,10 @@ import numpy as np
 from scipy.sparse import csc_array
 from scipy.stats import theilslopes
 
+from . import formats
 from .distance import PhasePoint, omega
 from .flow import VelocityModel, _flow_center, normalize_branch
-from .frame import CoeffSet, CurveletIndex, FrameTable, analyze, frame_atom
+from .frame import CurveletIndex, FrameTable, analyze, frame_atom
 from .propagators import BRANCHES, OperatorSpec, polarization_fractions, hyper_curvelet, apply_acoustic
 
 __all__ = [
@@ -69,12 +69,6 @@ class MatrixColumn:
         return float(np.sum(np.abs(self.values) ** 2))
 
 
-def _threshold_coeffs(cs: CoeffSet, thresh: float):
-    flat = cs.pack()
-    keep = np.flatnonzero(np.abs(flat) >= thresh)
-    return keep.astype(np.int64), flat[keep]
-
-
 def curvelet_column(
     table: FrameTable,
     op: OperatorSpec,
@@ -105,21 +99,10 @@ def curvelet_column(
 
     energy = sum(c.norm2() for c in comps)
     cut = threshold * math.sqrt(energy) if energy > 0 else threshold
-    rows, row_nu, vals = [], [], []
-    for nu, cs in enumerate(comps):
-        keep, kv = _threshold_coeffs(cs, cut)
-        rows.append(keep)
-        row_nu.append(np.full(len(keep), nu, dtype=np.int64))
-        vals.append(kv)
-    return MatrixColumn(
-        col_index=mu,
-        col_component=component,
-        rows_flat=np.concatenate(rows),
-        row_component=np.concatenate(row_nu),
-        values=np.concatenate(vals),
-        energy=float(energy),
-        threshold=float(cut),
-    )
+    flat = np.concatenate([b.ravel() for c in comps for b in c.blocks])  # the packed components in turn
+    keep = np.flatnonzero(np.abs(flat) >= cut)
+    row_nu, rows = np.divmod(keep, table.size)
+    return MatrixColumn(mu, component, rows, row_nu, flat[keep], float(energy), float(cut))
 
 
 @dataclass
@@ -138,40 +121,37 @@ class SparseOperatorMatrix:
         return sum(c.nnz for c in self.columns)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(
-                ["row_j", "row_l", "row_k1", "row_k2", "row_nu",
-                 "col_j", "col_l", "col_k1", "col_k2", "col_nu", "re", "im"]
-            )
-            for col in self.columns:
-                j, ell, k1, k2 = self.table.index_of_flat(col.rows_flat)
-                mu = col.col_index
-                for i in range(col.nnz):
-                    wr.writerow(
-                        [j[i], ell[i], k1[i], k2[i], col.row_component[i],
-                         mu.j, mu.ell, mu.k1, mu.k2, col.col_component,
-                         f"{col.values[i].real:.17g}", f"{col.values[i].imag:.17g}"]
-                    )
+        """One formats.MATRIX_HEADER row per entry, column by column."""
+        cols = self.columns  # "or [[]]" below: an empty matrix writes the header only
+        rows = self.table.index_of_flat(np.concatenate([c.rows_flat for c in cols] or [[]]))
+        keys = [(c.col_index.j, c.col_index.ell, c.col_index.k1, c.col_index.k2, c.col_component) for c in cols]
+        col = np.repeat(np.array(keys, dtype=np.int64).reshape(-1, 5), [c.nnz for c in cols], axis=0).T
+        nu = np.concatenate([c.row_component for c in cols] or [[]])
+        values = np.concatenate([c.values for c in cols] or [[]])
+        formats.write_index_csv(path, formats.MATRIX_HEADER, (*rows, nu, *col), values)
 
     @classmethod
     def read_csv(cls, table: FrameTable, op: OperatorSpec, path) -> SparseOperatorMatrix:
-        by_col: dict[tuple, list] = {}
-        with open(path, newline="") as fh:
-            rd = csv.DictReader(fh)
-            for row in rd:
-                key = (int(row["col_j"]), int(row["col_l"]), int(row["col_k1"]), int(row["col_k2"]), int(row["col_nu"]))
-                mu_row = CurveletIndex(int(row["row_j"]), int(row["row_l"]), int(row["row_k1"]), int(row["row_k2"]))
-                val = complex(float(row["re"]), float(row["im"]))
-                by_col.setdefault(key, []).append((table.flat_of_index(mu_row), int(row["row_nu"]), val))
+        """Matrix from a :meth:`write_csv` file: columns sorted by (j, ell, k1,
+        k2, nu), entries in file order, each column's energy its kept energy
+        and its threshold 0.  FormatError on a malformed file or a nu the
+        operator lacks (scalar: 0, acoustic: 0-2); UnknownIndexError on an
+        index outside the frame."""
+        index, values = formats.read_index_csv(path, formats.MATRIX_HEADER)
+        if np.any((index[[4, 9]] < 0) | (index[[4, 9]] >= (3 if op.is_vector else 1))):
+            raise formats.FormatError(f"{path}: nu must be {'0, 1 or 2' if op.is_vector else '0'} for {op.kind}")
+        rows_flat = table.flat_of_index(index[:4])
+        # packed positions sort like (j, ell, k1, k2), so this key sorts like (j, ell, k1, k2, nu)
+        col_key = table.flat_of_index(index[5:9]) * 3 + index[9]
+        order = np.argsort(col_key, kind="stable")
+        counts = np.unique(col_key, return_counts=True)[1]
         mat = cls(table=table, op=op)
-        for key, entries in sorted(by_col.items()):
-            rows = np.array([e[0] for e in entries], dtype=np.int64)
-            nus = np.array([e[1] for e in entries], dtype=np.int64)
-            vals = np.array([e[2] for e in entries], dtype=np.complex128)
+        for entries in np.split(order, np.cumsum(counts)[:-1])[: len(counts)]:  # no column in an empty file
+            j, ell, k1, k2, nu = index[5:, entries[0]].tolist()
+            vals = values[entries]
             energy = float(np.sum(np.abs(vals) ** 2))
             mat.columns.append(
-                MatrixColumn(CurveletIndex(*key[:4]), key[4], rows, nus, vals, energy, 0.0)
+                MatrixColumn(CurveletIndex(j, ell, k1, k2), nu, rows_flat[entries], index[4, entries], vals, energy, 0.0)
             )
         return mat
 
@@ -246,28 +226,9 @@ def _flowed_points(table: FrameTable, mu: CurveletIndex, model: VelocityModel, t
     return out
 
 
-def _row_points(table: FrameTable, flat: np.ndarray) -> PhasePoint:
-    j, ell, k1, k2 = table.index_of_flat(flat)
-    x = np.empty((len(flat), 2))
-    xi = np.empty((len(flat), 2))
-    directional = np.empty(len(flat), dtype=bool)
-    for key in {(int(a), int(b)) for a, b in zip(j, ell)}:
-        w = table.wedge(*key)
-        m = (j == key[0]) & (ell == key[1])
-        x[m, 0] = k1[m] / w.rect[0]
-        x[m, 1] = k2[m] / w.rect[1]
-        if w.kind == "directional":
-            xi[m] = w.rho * np.array([math.cos(w.theta), math.sin(w.theta)])
-            directional[m] = True
-        else:
-            xi[m] = np.array([max(w.rho, 1.0), 0.0])
-            directional[m] = False
-    return PhasePoint(x=x, xi=xi, directional=directional)
-
-
 def column_omegas(table: FrameTable, col: MatrixColumn, model: VelocityModel, t: float) -> np.ndarray:
     """omega between each row index and the flowed column index, min over branches."""
-    points = _row_points(table, col.rows_flat)
+    points = table.phase_points(col.rows_flat)
     flowed = _flowed_points(table, col.col_index, model, t)
     dists = [omega(points, target) for target in flowed.values()]
     return np.min(np.stack(dists), axis=0)

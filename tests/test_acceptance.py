@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 import curvewave as cw
-from curvewave.distance import PhasePoint, d as dist_d, omega, stack_points
+from curvewave.distance import PhasePoint, d as dist_d, omega
 from curvewave.sparsity import _core_size, _fit_sorted_decay, _guard_share, comoving_branch
 
 import pinned
@@ -82,16 +82,7 @@ def test_criterion_02_gram_near_orthogonality(frame128):
 
 
 def _directional_points(table):
-    xs, xis = [], []
-    for w in table.wedges:
-        if w.kind != "directional":
-            continue
-        r1, r2 = w.rect
-        k1, k2 = np.meshgrid(np.arange(r1), np.arange(r2), indexing="ij")
-        x = np.stack([k1.ravel() / r1, k2.ravel() / r2], axis=-1)
-        xs.append(x)
-        xis.append(np.broadcast_to(w.rho * np.array([math.cos(w.theta), math.sin(w.theta)]), x.shape))
-    return PhasePoint(x=np.concatenate(xs), xi=np.concatenate(xis), directional=True)
+    return table.phase_points(np.flatnonzero(table.phase_points(np.arange(table.size)).directional))
 
 
 def test_criterion_03_pseudo_distance_properties(frame64, frame128):
@@ -99,7 +90,7 @@ def test_criterion_03_pseudo_distance_properties(frame64, frame128):
     stats = {}
     for name, table in (("64", frame64), ("128", frame128)):
         rng = np.random.default_rng(7)
-        sample = lambda count: stack_points([table.phase_point(table.random_index(rng)) for _ in range(count)])
+        sample = lambda count: table.phase_points([table.flat_of_index(table.random_index(rng)) for _ in range(count)])
         p, q, r = sample(10000), sample(10000), sample(10000)
         sym = float(np.max(omega(p, q) / omega(q, p)))
         tri_ratio = dist_d(p, q) / np.maximum(dist_d(p, r) + dist_d(r, q), 1e-300)
@@ -109,7 +100,7 @@ def test_criterion_03_pseudo_distance_properties(frame64, frame128):
         everything = _directional_points(table)
         rng_c = np.random.default_rng(9)
         mus = [table.random_index(rng_c) for _ in range(200)]
-        s = stack_points([table.phase_point(m) for m in mus])
+        s = table.phase_points([table.flat_of_index(m) for m in mus])
         a = np.stack([omega(PhasePoint(s.x[i], s.xi[i], True), everything) ** -3.0 for i in range(200)])
         b = np.stack([omega(everything, PhasePoint(s.x[i], s.xi[i], True)) ** -3.0 for i in range(200)])
         comp_ratio = (a @ b.T) / np.stack(
@@ -121,8 +112,8 @@ def test_criterion_03_pseudo_distance_properties(frame64, frame128):
         model = cw.VelocityModel.sinusoidal(0.2, (1, 0))
         rng_f = np.random.default_rng(21)
         pairs = [(table.random_index(rng_f), table.random_index(rng_f)) for _ in range(100)]
-        p1 = stack_points([table.phase_point(m1) for m1, _ in pairs])
-        p2 = stack_points([table.phase_point(m2) for _, m2 in pairs])
+        p1 = table.phase_points([table.flat_of_index(m1) for m1, _ in pairs])
+        p2 = table.phase_points([table.flat_of_index(m2) for _, m2 in pairs])
         s1 = cw.flow(cw.FlowState.initial(p1.x, p1.xi), model, "+", 0.25)
         s2 = cw.flow(cw.FlowState.initial(p2.x, p2.xi), model, "+", 0.25)
         ratio = omega(PhasePoint(s1.x, s1.xi), PhasePoint(s2.x, s2.xi)) / omega(p1, p2)

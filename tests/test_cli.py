@@ -81,6 +81,23 @@ class TestManifest:
         assert "unknown key" in err and key in err
 
     @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"model": {"kind": "sinusoidal"}}, "amplitude"),
+            ({"operator": {"kind": "warp", "map": {"kind": "sinusoidal", "wavevector": [1, 1]}}}, "amplitude"),
+            ({"operator": {"kind": "warp", "map": {"kind": "shear"}}}, "'s'"),
+            ({"operator": {"kind": "gaussian-smooth"}}, "width"),
+            ({"operator": {"kind": "variable-wave", "t": 0.1, "model": {"kind": "sinusoidal", "c0": 2.0}}},
+             "amplitude"),
+        ],
+    )
+    def test_missing_required_key_exits_2(self, tmp_path, capsys, overrides, key):
+        rc = main(["--config", write_config(tmp_path, **overrides), "frame-check"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "needs key" in err and key in err
+
+    @pytest.mark.parametrize(
         "overrides, message",
         [
             ({"frame": [64, 4]}, "frame must be a JSON object"),
@@ -198,6 +215,41 @@ class TestPropagateMatrixSparsity:
         ha = hashlib.sha256((out_a / "matrix.csv").read_bytes()).hexdigest()
         hb = hashlib.sha256((out_b / "matrix.csv").read_bytes()).hexdigest()
         assert ha == hb
+
+
+MATRIX_HEADER = "row_j,row_l,row_k1,row_k2,row_nu,col_j,col_l,col_k1,col_k2,col_nu,re,im"
+
+
+class TestMalformedMatrixCsv:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("row_j,row_l,row_k1,row_k2,row_nu,col_l,col_k1,col_k2,col_nu,re,im\n3,0,0,0,0,0,0,0,0,1,0\n", "header"),
+            (MATRIX_HEADER + "\r\n3,0,0,0,0,3,0,0,0,0,one,0\r\n", "could not convert"),
+            (MATRIX_HEADER + "\r\n3,0,0,0,0,3,0,0,0,0,1\r\n", "columns"),
+            (MATRIX_HEADER + "\r\n3,99,0,0,0,3,0,0,0,0,1,0\r\n", "no index"),
+            (MATRIX_HEADER + "\r\n3,0,0,0,0,7,0,0,0,0,1,0\r\n", "no index"),
+            (MATRIX_HEADER + "\r\n3,0,999,0,0,3,0,0,0,0,1,0\r\n", "no index"),
+            (MATRIX_HEADER + "\r\n3,0,0,0,0,3,0,0,-1,0,1,0\r\n", "no index"),
+            (MATRIX_HEADER + "\r\n3,0,0,0,7,3,0,0,0,0,1,0\r\n", "nu must be 0"),
+            (MATRIX_HEADER + "\r\n3,0,0,0,0,3,0,0,0,1,1,0\r\n", "nu must be 0"),
+        ],
+        ids=["header", "non-numeric", "column-count", "unknown-row-wedge", "unknown-col-wedge",
+             "row-k-outside", "col-k-outside", "row-nu", "col-nu"],
+    )
+    def test_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "matrix.csv"
+        path.write_text(text)
+        rc = main(["--config", write_config(tmp_path), "--out", str(tmp_path / "out"), "sparsity", str(path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    def test_header_only_is_empty_matrix(self, tmp_path, capsys):
+        path = tmp_path / "matrix.csv"
+        path.write_text(MATRIX_HEADER + "\r\n")
+        rc = main(["--config", write_config(tmp_path), "--out", str(tmp_path / "out"), "sparsity", str(path)])
+        assert rc == 1
+        assert "sparsity: empty matrix" in capsys.readouterr().err
 
 
 class TestFlowCommand:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import curvewave as cw
-from curvewave.distance import PhasePoint, d, omega, stack_points
+from curvewave.distance import PhasePoint, d, omega
 
 import pinned
 
@@ -72,7 +72,7 @@ def test_basic_properties(a1, a2, f1, f2, b1, b2, g1, g2):
 
 class TestFrameProperties:
     def _sample(self, table, rng, count):
-        return stack_points([table.phase_point(table.random_index(rng)) for _ in range(count)])
+        return table.phase_points([table.flat_of_index(table.random_index(rng)) for _ in range(count)])
 
     def test_quasi_symmetry(self, frame64, frame128):
         stats = {}
@@ -99,16 +99,7 @@ class TestFrameProperties:
 
     @staticmethod
     def directional_points(table):
-        xs, xis = [], []
-        for w in table.wedges:
-            if w.kind != "directional":
-                continue
-            r1, r2 = w.rect
-            k1, k2 = np.meshgrid(np.arange(r1), np.arange(r2), indexing="ij")
-            x = np.stack([k1.ravel() / r1, k2.ravel() / r2], axis=-1)
-            xs.append(x)
-            xis.append(np.broadcast_to(w.rho * np.array([math.cos(w.theta), math.sin(w.theta)]), x.shape))
-        return PhasePoint(x=np.concatenate(xs), xi=np.concatenate(xis), directional=True)
+        return table.phase_points(np.flatnonzero(table.phase_points(np.arange(table.size)).directional))
 
     def test_composition(self, frame64, frame128):
         # sum over the full directional index set, exponent N = 3 against
@@ -118,7 +109,7 @@ class TestFrameProperties:
             everything = self.directional_points(table)
             rng = np.random.default_rng(9)
             mus = [table.random_index(rng) for _ in range(200)]
-            sample = stack_points([table.phase_point(m) for m in mus])
+            sample = table.phase_points([table.flat_of_index(m) for m in mus])
 
             def one(i):
                 p = PhasePoint(sample.x[i], sample.xi[i], True)
@@ -142,8 +133,8 @@ class TestFrameProperties:
         for name, table in (("64", frame64), ("128", frame128)):
             rng = np.random.default_rng(21)
             pairs = [(table.random_index(rng), table.random_index(rng)) for _ in range(100)]
-            p1 = stack_points([table.phase_point(mu1) for mu1, _ in pairs])
-            p2 = stack_points([table.phase_point(mu2) for _, mu2 in pairs])
+            p1 = table.phase_points([table.flat_of_index(mu1) for mu1, _ in pairs])
+            p2 = table.phase_points([table.flat_of_index(mu2) for _, mu2 in pairs])
             s1 = cw.flow(cw.FlowState.initial(p1.x, p1.xi), model, "+", 0.25)
             s2 = cw.flow(cw.FlowState.initial(p2.x, p2.xi), model, "+", 0.25)
             r = omega(PhasePoint(s1.x, s1.xi), PhasePoint(s2.x, s2.xi)) / omega(p1, p2)

@@ -3,6 +3,7 @@ import pytest
 
 import curvewave as cw
 from curvewave import formats
+from curvewave.frame import UnknownIndexError
 
 from conftest import random_field
 
@@ -58,7 +59,7 @@ class TestCoeffsCsv:
         path = tmp_path / "coeffs.csv"
         formats.write_coeffs_csv(path, coeffs)
         back = formats.read_coeffs_csv(path, frame64)
-        assert np.max(np.abs(back.pack() - coeffs.pack())) <= 1e-15 * np.max(np.abs(coeffs.pack()))
+        assert np.array_equal(back.pack().view(np.float64), coeffs.pack().view(np.float64))  # bit for bit
 
     def test_header_columns(self, frame64, tmp_path):
         path = tmp_path / "coeffs.csv"
@@ -69,6 +70,39 @@ class TestCoeffsCsv:
         path = tmp_path / "coeffs.csv"
         formats.write_coeffs_csv(path, cw.analyze(frame64, np.zeros((64, 64))))
         assert len(open(path).read().strip().splitlines()) == 1  # header only
+
+
+    def test_crlf_rows(self, frame64, rng, tmp_path):
+        coeffs = cw.analyze(frame64, random_field(rng, 64))
+        path = tmp_path / "coeffs.csv"
+        formats.write_coeffs_csv(path, coeffs)
+        lines = path.read_bytes().split(b"\r\n")
+        assert lines[-1] == b"" and len(lines) == frame64.size + 2  # header, one row each, final CRLF
+        j, ell, k1, k2 = frame64.index_of_flat([5])
+        c = coeffs.pack()[5]
+        assert lines[6].decode() == f"{j[0]},{ell[0]},{k1[0]},{k2[0]},0,{c.real:.17g},{c.imag:.17g}"
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("j,l,k1,k2,re,im\r\n1,0,0,0,1,0\r\n", "header"),
+            ("j,l,k1,k2,nu,re,im\r\n1,0,0,x,0,1,0\r\n", "could not convert"),
+            ("j,l,k1,k2,nu,re,im\r\n1,0,0,0.5,0,1,0\r\n", "could not convert"),
+            ("j,l,k1,k2,nu,re,im\r\n1,0,0,0,0,1\r\n", "columns"),
+            ("j,l,k1,k2,nu,re,im\r\n1,0,0,0,1,1,0\r\n", "nu must be 0"),
+        ],
+    )
+    def test_malformed_refused(self, frame64, tmp_path, body, message):
+        path = tmp_path / "coeffs.csv"
+        path.write_bytes(body.encode())
+        with pytest.raises(formats.FormatError, match=message):
+            formats.read_coeffs_csv(path, frame64)
+
+    def test_index_outside_frame_refused(self, frame64, tmp_path):
+        path = tmp_path / "coeffs.csv"
+        path.write_bytes(b"j,l,k1,k2,nu,re,im\r\n1,0,0,999,0,1,0\r\n")
+        with pytest.raises(UnknownIndexError):
+            formats.read_coeffs_csv(path, frame64)
 
 
 class TestPgm:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,45 @@ class TestTransform:
         mu = cw.CurveletIndex(2, 3, 1, 1)
         f1 = cw.synthesize(frame64, {mu: 2.0})
         assert np.allclose(f1, 2.0 * cw.frame_atom(frame64, mu), atol=1e-14)
+
+
+class TestLayout:
+    def test_flat_index_round_trip(self, frame64):
+        flat = np.arange(frame64.size)
+        j, ell, k1, k2 = frame64.index_of_flat(flat)
+        assert np.array_equal(frame64.flat_of_index((j, ell, k1, k2)), flat)
+        for p in (0, 1234, frame64.size - 1):
+            mu = cw.CurveletIndex(*(int(a[p]) for a in (j, ell, k1, k2)))
+            assert frame64.flat_of_index(mu) == p
+
+    @pytest.mark.parametrize(
+        "bad",
+        [(9, 0, 0, 0), (-1, 0, 0, 0), (1, 99, 0, 0), (1, -1, 0, 0), (2, 8, 0, 0), (2, 16, 0, 0),
+         (2**62, 0, 0, 0), (1, 0, 999, 0), (1, 0, 0, 999), (1, 0, -1, 0), (1, 0, 0, -1)],
+    )
+    def test_flat_of_index_refuses_arrays_outside(self, frame64, bad):
+        # two valid entries (1, 0, 0, 0), then the bad one, which the error names;
+        # (2, 8) and (2, 16) are not wedges: scale 2 has 8 orientations, scale 3 has 16;
+        # j = 2**62 wraps the int64 search key onto the coarse wedge's
+        cols = [np.array([good, good, v]) for good, v in zip((1, 0, 0, 0), bad)]
+        with pytest.raises(UnknownIndexError, match=re.escape(str(bad))):
+            frame64.flat_of_index(tuple(cols))
+
+    def test_index_of_flat_refuses_outside(self, frame64):
+        for flat in ([-1], [0, frame64.size]):
+            with pytest.raises(UnknownIndexError):
+                frame64.index_of_flat(np.array(flat))
+
+    def test_phase_points_match_phase_point(self, frame64):
+        mus = [cw.CurveletIndex(w.j, w.ell, w.rect[0] - 1, w.rect[1] // 2) for w in frame64.wedges]
+        stacked = frame64.phase_points([frame64.flat_of_index(mu) for mu in mus])
+        for i, mu in enumerate(mus):
+            one = frame64.phase_point(mu)
+            w = frame64.wedge(mu.j, mu.ell)
+            assert np.array_equal(stacked.x[i], one.x) and np.array_equal(one.x, [mu.k1 / w.rect[0], mu.k2 / w.rect[1]])
+            assert np.array_equal(stacked.xi[i], one.xi)
+            assert stacked.directional[i] == one.directional == (w.kind == "directional")
+        assert np.array_equal(one.xi, frame64.xi_center(mu)) and np.array_equal(one.x, frame64.center(mu))
 
 
 class TestWaveform:

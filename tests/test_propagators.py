@@ -215,6 +215,17 @@ class TestPsido:
         with pytest.raises(TypeError):
             cw.apply_psido(random_field(rng, N), lambda x, xi: 1.0)
 
+    def test_named_spec_applies_without_resolving(self, rng):
+        # the spec resolves its named symbol from the field's grid size
+        f = random_field(rng, N)
+        out = cw.OperatorSpec.from_json({"kind": "psido", "symbol": "mixed"}).apply(f)
+        assert np.array_equal(out, cw.apply_psido(f, named_symbol("mixed", N)))
+        assert named_symbol("mixed", N) is named_symbol("mixed", N)  # built once per (id, N)
+
+    def test_unknown_symbol_refused(self):
+        with pytest.raises(ValueError, match="unknown symbol id 'nope'"):
+            cw.OperatorSpec.from_json({"kind": "psido", "symbol": "nope"})
+
     def test_named_symbols_resolve(self):
         for name in ("one", "space-sine", "freq-lowpass", "mixed"):
             assert named_symbol(name, N).terms is not None

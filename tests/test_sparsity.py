@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import theilslopes
 
 import curvewave as cw
+from curvewave import formats
 from curvewave.sparsity import DEFAULT_THRESHOLD, _core_size, _fit_sorted_decay, comoving_branch
 
 import pinned
@@ -286,18 +287,36 @@ class TestThreading:
             assert np.array_equal(a.values, b.values)
 
 
+def _assert_same_after_csv(matrix, back):
+    # read_csv orders columns by (j, ell, k1, k2, nu) and keeps each column's entries in order
+    expect = sorted(matrix.columns, key=lambda c: (c.col_index, c.col_component))
+    assert [(c.col_index, c.col_component) for c in back.columns] == [(c.col_index, c.col_component) for c in expect]
+    for a, b in zip(expect, back.columns):
+        assert np.array_equal(a.rows_flat, b.rows_flat)
+        assert np.array_equal(a.row_component, b.row_component)
+        assert np.array_equal(a.values.view(np.float64), b.values.view(np.float64))  # bit-equal, signed zeros too
+        assert b.energy == b.kept_energy() and b.threshold == 0.0
+
+
 class TestMatrixCsv:
     def test_round_trip(self, frame64, halfwave_op, rng, tmp_path):
-        cols = [frame64.random_index(rng, scales=[3]) for _ in range(2)]
+        cols = [frame64.random_index(rng, scales=[3]) for _ in range(3)]
         matrix = cw.build_matrix(frame64, halfwave_op, cols)
         path = tmp_path / "matrix.csv"
         matrix.write_csv(path)
-        back = cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path)
-        assert back.total_entries() == matrix.total_entries()
-        a = sorted(
-            (c.col_index, c.col_component, round(c.kept_energy(), 12)) for c in matrix.columns
-        )
-        b = sorted(
-            (c.col_index, c.col_component, round(c.kept_energy(), 12)) for c in back.columns
-        )
-        assert a == b
+        _assert_same_after_csv(matrix, cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path))
+
+    def test_round_trip_vector(self, frame64, tmp_path):
+        op = cw.OperatorSpec.from_json({"kind": "acoustic", "t": 0.2})
+        matrix = cw.build_matrix(frame64, op, [cw.CurveletIndex(3, 5, 1, 2)], components=[2, 0])
+        path = tmp_path / "matrix.csv"
+        matrix.write_csv(path)
+        back = cw.SparseOperatorMatrix.read_csv(frame64, op, path)
+        assert set(np.concatenate([c.row_component for c in back.columns]).tolist()) == {0, 1, 2}
+        _assert_same_after_csv(matrix, back)
+
+    def test_empty_matrix_is_header_only(self, frame64, halfwave_op, tmp_path):
+        path = tmp_path / "matrix.csv"
+        cw.SparseOperatorMatrix(frame64, halfwave_op).write_csv(path)
+        assert path.read_bytes() == (",".join(formats.MATRIX_HEADER) + "\r\n").encode()
+        assert cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path).columns == []
