@@ -6,7 +6,8 @@ The wrapping transform's inner loops (the wedge gather and scatter) live in
 implementation in benchmark provenance.  CURVEWAVE_THREADS caps the FFT
 worker pool and column-level parallelism.  ``checked`` and
 ``checked_kind`` refuse JSON specs with keys their reader would ignore;
-``required`` names a key a spec leaves out.
+``required`` names a key a spec leaves out; ``spec_json`` writes a spec
+from its table of keys.
 """
 
 import os
@@ -59,3 +60,14 @@ def required(where: str, spec: dict, key: str):
     if key not in spec:
         raise ValueError(f"{where} needs key {key!r}")
     return spec[key]
+
+
+def spec_json(spec, keys, **given) -> dict:
+    """JSON of a spec: its "kind", then each of ``keys`` taken from ``given``
+    or else from the spec's field of that name.  Tuples become lists and
+    nested specs write their own JSON."""
+    out = {"kind": spec.kind}
+    for key in keys:
+        value = given[key] if key in given else getattr(spec, key)
+        out[key] = value.to_json() if hasattr(value, "to_json") else list(value) if isinstance(value, tuple) else value
+    return out

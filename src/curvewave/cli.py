@@ -41,7 +41,7 @@ class ExperimentConfig:
 
     frame: FrameParams
     operator: OperatorSpec = field(default_factory=lambda: OperatorSpec(kind="identity"))
-    model: VelocityModel = field(default_factory=VelocityModel.constant)
+    model: VelocityModel | None = None  # unset: the operator's speed
     columns: dict = field(default_factory=lambda: {"count": 8, "scales": None})
     seed: int = 0
     threshold: float = DEFAULT_THRESHOLD
@@ -181,7 +181,7 @@ def cmd_sparsity(cfg: ExperimentConfig, matrix_path: str) -> int:
 
 def cmd_flow(cfg: ExperimentConfig, x0, xi0, branch: str, t: float) -> int:
     state = FlowState.initial(x0, xi0)
-    times, states = flow_trajectory(state, cfg.model, branch, t)
+    times, states = flow_trajectory(state, cfg.model or VelocityModel.constant(), branch, t)
     cfg.out.mkdir(parents=True, exist_ok=True)
     path = cfg.out / "trajectory.csv"
     rows = [(tt, *st.x, *st.xi, np.arctan2(st.xi[1], st.xi[0])) for tt, st in zip(times, states)]

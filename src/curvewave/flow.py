@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._core import checked_kind, required
+from ._core import checked_kind, required, spec_json
 from .frame import CurveletIndex, FrameTable, frame_atom
 
 __all__ = [
@@ -56,7 +56,7 @@ class VelocityModel:
     center: tuple[float, float] = (0.5, 0.5)
     width: float = 0.1
 
-    # JSON keys each kind reads besides "kind"
+    # JSON keys each kind reads and writes besides "kind"
     _KEYS = {
         "constant": ("c0",),
         "sinusoidal": ("amplitude", "wavevector", "c0"),
@@ -149,12 +149,7 @@ class VelocityModel:
         return worst
 
     def to_json(self) -> dict:
-        out = {"kind": self.kind, "c0": self.c0}
-        if self.kind == "sinusoidal":
-            out.update(amplitude=self.amplitude, wavevector=list(self.wavevector))
-        elif self.kind == "gaussian-bump":
-            out.update(amplitude=self.amplitude, center=list(self.center), width=self.width)
-        return out
+        return spec_json(self, self._KEYS[self.kind])
 
     @classmethod
     def from_json(cls, spec: dict) -> VelocityModel:

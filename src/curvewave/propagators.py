@@ -13,13 +13,13 @@ physical wavenumber 2*pi*q; plane waves travel at speed c(x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 import scipy.fft as spfft
 
-from ._core import checked_kind, fft_workers, required
+from ._core import checked_kind, fft_workers, required, spec_json
 from .flow import VelocityModel, normalize_branch
 from .frame import CurveletIndex, FrameTable, waveform
 
@@ -176,7 +176,7 @@ def solve_variable_wave(
     """RK4 pseudospectral integration of u_tt = c(x)^2 Lap(u) to time t.
 
     Accepts stacked fields (..., N, N); returns (u, v).  dt defaults to
-    the CFL bound cfl/(N*c_max) and must not exceed it.
+    the CFL bound cfl/(N*c_max); it must be positive and not exceed it.
     """
     u = np.asarray(u0, dtype=np.complex128)
     v = np.asarray(v0, dtype=np.complex128)
@@ -186,8 +186,8 @@ def solve_variable_wave(
     limit = cfl / (n * model.c_max)
     if dt is None:
         dt = limit
-    if dt > limit * (1 + 1e-12):
-        raise ValueError(f"dt={dt} violates the CFL bound {limit:.3e}")
+    if not 0 < dt <= limit * (1 + 1e-12):
+        raise ValueError(f"dt={dt} must be positive and within the CFL bound {limit:.3e}")
     if t == 0:
         return u, v
     c2 = np.asarray(model.c(_grid_points(n))) ** 2
@@ -281,9 +281,10 @@ def apply_psido(f: np.ndarray, symbol: PsidoSymbol) -> np.ndarray:
 class WarpMap:
     """Smooth diffeomorphism of the torus with explicit inverse and Jacobian.
 
-    Kinds: identity; shear(s) (a localized horizontal shear whose Jacobian
-    at x2 = 1/2 is [[1, s], [0, 1]]); sinusoidal(eps, wavevector), the
-    volume-preserving wiggle x -> x + eps sin(2 pi k.x) k_perp/|k|.
+    Every kind is the volume-preserving wiggle x -> x + a sin(2 pi k.x) u
+    with u = k_perp/|k|: sinusoidal(amplitude, wavevector) sets a and k,
+    identity has a = 0, and shear(s) (a localized horizontal shear whose
+    Jacobian at x2 = 1/2 is [[1, s], [0, 1]]) has a = s/2pi along k = (0, 1).
     """
 
     kind: str
@@ -291,7 +292,7 @@ class WarpMap:
     amplitude: float = 0.0
     wavevector: tuple[int, int] = (1, 0)
 
-    # JSON keys each kind reads besides "kind"
+    # JSON keys each kind reads and writes besides "kind"
     _KEYS = {"identity": (), "shear": ("s",), "sinusoidal": ("amplitude", "wavevector")}
 
     @classmethod
@@ -313,46 +314,31 @@ class WarpMap:
         if self.kind not in self._KEYS:
             raise ValueError(f"unknown warp kind {self.kind!r}")
 
+    def _wiggle(self):
+        """(a, k, u) of the map x -> x + a sin(2 pi k.x) u."""
+        if self.kind == "sinusoidal":
+            a, k = self.amplitude, np.asarray(self.wavevector, dtype=float)
+        else:
+            a, k = (self.s if self.kind == "shear" else 0.0) / (2 * np.pi), np.array([0.0, 1.0])
+        return a, k, np.array([-k[1], k[0]]) / np.hypot(*k)
+
     def phi(self, x):
         x = np.asarray(x, dtype=float)
-        if self.kind == "identity":
-            return x.copy()
-        if self.kind == "shear":
-            out = x.copy()
-            out[..., 0] = x[..., 0] - self.s * np.sin(2 * np.pi * x[..., 1]) / (2 * np.pi)
-            return out
-        k = np.asarray(self.wavevector, dtype=float)
-        u = np.array([-k[1], k[0]]) / np.hypot(*k)
-        return x + self.amplitude * np.sin(2 * np.pi * (x @ k))[..., None] * u
+        a, k, u = self._wiggle()
+        return x + a * np.sin(2 * np.pi * (x @ k))[..., None] * u
 
     def phi_inv(self, y):
-        y = np.asarray(y, dtype=float)
-        if self.kind == "identity":
-            return y.copy()
-        if self.kind == "shear":
-            out = y.copy()
-            out[..., 0] = y[..., 0] + self.s * np.sin(2 * np.pi * y[..., 1]) / (2 * np.pi)
-            return out
         # k.phi(x) = k.x, so the sine factor is known from y alone
-        k = np.asarray(self.wavevector, dtype=float)
-        u = np.array([-k[1], k[0]]) / np.hypot(*k)
-        return y - self.amplitude * np.sin(2 * np.pi * (y @ k))[..., None] * u
+        y = np.asarray(y, dtype=float)
+        a, k, u = self._wiggle()
+        return y - a * np.sin(2 * np.pi * (y @ k))[..., None] * u
 
     def jacobian(self, x):
         """grad phi at x, shape (..., 2, 2)."""
         x = np.asarray(x, dtype=float)
-        eye = np.zeros(x.shape[:-1] + (2, 2))
-        eye[..., 0, 0] = 1.0
-        eye[..., 1, 1] = 1.0
-        if self.kind == "identity":
-            return eye
-        if self.kind == "shear":
-            eye[..., 0, 1] = -self.s * np.cos(2 * np.pi * x[..., 1])
-            return eye
-        k = np.asarray(self.wavevector, dtype=float)
-        u = np.array([-k[1], k[0]]) / np.hypot(*k)
-        factor = 2 * np.pi * self.amplitude * np.cos(2 * np.pi * (x @ k))
-        return eye + factor[..., None, None] * np.einsum("i,j->ij", u, k)
+        a, k, u = self._wiggle()
+        factor = 2 * np.pi * a * np.cos(2 * np.pi * (x @ k))
+        return np.eye(2) + factor[..., None, None] * np.einsum("i,j->ij", u, k)
 
     def validate(self, n: int = 64) -> None:
         """Check round-trip inversion and Jacobian-determinant bounds on a grid."""
@@ -365,12 +351,7 @@ class WarpMap:
             raise ValueError(f"warp determinant out of [0.5, 2]: [{det.min():.3f}, {det.max():.3f}]")
 
     def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "shear":
-            out["s"] = self.s
-        elif self.kind == "sinusoidal":
-            out.update(amplitude=self.amplitude, wavevector=list(self.wavevector))
-        return out
+        return spec_json(self, self._KEYS[self.kind])
 
     @classmethod
     def from_json(cls, spec: dict) -> WarpMap:
@@ -455,13 +436,16 @@ def _center_polarization(xi, branch) -> np.ndarray:
     return np.array([s * e[0], s * e[1], 1.0]) / math.sqrt(2.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorSpec:
-    """Declarative operator description (JSON-friendly) with an ``apply``.
+    """Declarative operator description with an ``apply``; its fields are
+    its JSON keys.
 
     Kinds: identity, halfwave, cos-wave, acoustic, variable-wave,
     gaussian-smooth, psido, warp.  ``variable-wave`` propagates one-way
     initial data (v0 = sign i c |D| u0) through the pseudospectral solver.
+    A psido spec names one of ``SYMBOL_IDS``; ``apply_psido`` takes any
+    other symbol.
     """
 
     kind: str
@@ -471,12 +455,10 @@ class OperatorSpec:
     width: float = 0.0
     dt: float | None = None
     model: VelocityModel | None = None
-    symbol: PsidoSymbol | None = None
-    symbol_id: str = "one"
-    warp: WarpMap | None = None
-    conjugated: bool = False
+    symbol: str = "one"
+    map: WarpMap = field(default_factory=WarpMap.identity)
 
-    # JSON keys each kind reads (and ``to_json`` writes) besides "kind"
+    # JSON keys each kind reads and writes besides "kind"
     _KEYS = {
         "identity": (),
         "halfwave": ("t", "sign", "c0"),
@@ -487,112 +469,92 @@ class OperatorSpec:
         "psido": ("symbol",),
         "warp": ("map",),
     }
+    # how ``from_json`` reads each key that is not a float
+    _READ = {"sign": normalize_branch, "symbol": str, "model": VelocityModel.from_json, "map": WarpMap.from_json}
+
+    def __post_init__(self):
+        if self.kind not in self._KEYS:
+            raise ValueError(f"unknown operator kind {self.kind!r}")
+        if self.sign not in (1, -1):
+            raise ValueError(f"operator sign must be + or -; got {self.sign!r}")
+        if self.dt is not None and not self.dt > 0:
+            raise ValueError(f"time step dt must be positive; got {self.dt!r}")
+        if self.symbol not in SYMBOL_IDS:
+            raise ValueError(f"unknown symbol id {self.symbol!r}; known: {', '.join(SYMBOL_IDS)}")
 
     @property
     def is_vector(self) -> bool:
         return self.kind == "acoustic"
+
+    @property
+    def speed(self) -> VelocityModel:
+        """The wave speed: ``model``, or the constant c0 when it is unset."""
+        return self.model or VelocityModel.constant(self.c0)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         k = self.kind
         if k == "identity":
             return np.array(f, dtype=np.complex128, copy=True)
         if k == "halfwave":
-            s = -self.sign if self.conjugated else self.sign
-            return apply_halfwave(f, self.t, s, self.c0)
+            return apply_halfwave(f, self.t, self.sign, self.c0)
         if k == "cos-wave":
             return apply_cos_wave(f, np.zeros_like(f), self.t, self.c0)
         if k == "acoustic":
-            return apply_acoustic(f, -self.t if self.conjugated else self.t)
+            return apply_acoustic(f, self.t)
         if k == "variable-wave":
-            model = self.model or VelocityModel.constant(self.c0)
-            v0 = oneway_velocity(f, model, self.sign)
-            u, _ = solve_variable_wave(f, v0, model, self.t, dt=self.dt)
-            return u
+            return solve_variable_wave(f, oneway_velocity(f, self.speed, self.sign), self.speed, self.t, dt=self.dt)[0]
         if k == "gaussian-smooth":
             return apply_gaussian_smooth(f, self.width)
         if k == "psido":
-            if self.conjugated:
-                raise ValueError("adjoint of a generic psido spec is not provided")
-            symbol = self.symbol if self.symbol is not None else named_symbol(self.symbol_id, f.shape[-1])
-            return apply_psido(f, symbol)
-        if k == "warp":
-            return apply_warp(f, self.warp)
-        raise ValueError(f"unknown operator kind {k!r}")
+            return apply_psido(f, named_symbol(self.symbol, f.shape[-1]))
+        return apply_warp(f, self.map)
 
     def adjoint(self) -> OperatorSpec:
-        """Adjoint operator, available for the multiplier-type kinds."""
+        """Adjoint operator, available for the multiplier-type kinds: the
+        real multipliers are self-adjoint, and the unitary groups run
+        backwards, T(t)* = T(-t)."""
         if self.kind in {"identity", "gaussian-smooth", "cos-wave"}:
-            return self  # self-adjoint real multipliers
+            return self
         if self.kind in {"halfwave", "acoustic"}:
-            out = OperatorSpec(**{**self.__dict__})
-            out.conjugated = not self.conjugated
-            return out
+            return replace(self, t=-self.t)
         raise ValueError(f"adjoint not available for operator kind {self.kind!r}")
 
     def to_json(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind in {"halfwave", "cos-wave", "acoustic", "variable-wave"}:
-            out["t"] = self.t
-        if self.kind in {"halfwave", "variable-wave"}:
-            out["sign"] = "+" if self.sign >= 0 else "-"
-        if self.kind in {"halfwave", "cos-wave"}:
-            out["c0"] = self.c0
-        if self.kind == "gaussian-smooth":
-            out["width"] = self.width
-        if self.kind == "variable-wave":
-            out["model"] = (self.model or VelocityModel.constant(self.c0)).to_json()
-            if self.dt:
-                out["dt"] = self.dt
-        if self.kind == "psido":
-            out["symbol"] = self.symbol_id
-        if self.kind == "warp":
-            out["map"] = (self.warp or WarpMap.identity()).to_json()
+        out = spec_json(self, self._KEYS[self.kind], sign="+" if self.sign > 0 else "-", model=self.speed)
+        if self.dt is None:
+            out.pop("dt", None)
         return out
 
     @classmethod
     def from_json(cls, spec: dict) -> OperatorSpec:
         kind = checked_kind("operator", spec, cls._KEYS)
-        out = cls(kind=kind)
-        out.t = float(spec.get("t", 0.0))
-        out.c0 = float(spec.get("c0", 1.0))
-        if "sign" in spec:
-            out.sign = normalize_branch(spec["sign"])
         if kind == "gaussian-smooth":
-            out.width = float(required("gaussian-smooth operator", spec, "width"))
-        if kind == "variable-wave":
-            out.model = VelocityModel.from_json(spec.get("model", {"kind": "constant"}))
-            out.dt = float(spec["dt"]) if "dt" in spec else None
-        if kind == "psido":
-            out.symbol_id = spec.get("symbol", "one")
-            if out.symbol_id not in SYMBOL_IDS:
-                raise ValueError(f"unknown symbol id {out.symbol_id!r}; known: {', '.join(SYMBOL_IDS)}")
-        if kind == "warp":
-            out.warp = WarpMap.from_json(spec.get("map", {"kind": "identity"}))
-        return out
+            required("gaussian-smooth operator", spec, "width")
+        return cls(kind=kind, **{key: cls._READ.get(key, float)(spec[key]) for key in cls._KEYS[kind] if key in spec})
 
 
 SYMBOL_IDS = ("one", "space-sine", "freq-lowpass", "mixed")
 
 
 @lru_cache(maxsize=8)
-def named_symbol(symbol_id: str, n: int) -> PsidoSymbol:
+def named_symbol(name: str, n: int) -> PsidoSymbol:
     """Built-in separable order-0 symbols (``SYMBOL_IDS``) on an N x N grid,
     cached so a psido spec applied column by column builds its symbol once."""
     q1, q2, mag = _grids(n)
     grid = np.arange(n) / n
     x1 = np.broadcast_to(grid[:, None], (n, n))
     x2 = np.broadcast_to(grid[None, :], (n, n))
-    if symbol_id == "one":
+    if name == "one":
         return PsidoSymbol.identity()
-    if symbol_id == "space-sine":
+    if name == "space-sine":
         return PsidoSymbol.spatial(1.0 + 0.5 * np.sin(2 * np.pi * x1))
-    if symbol_id == "freq-lowpass":
+    if name == "freq-lowpass":
         return PsidoSymbol.multiplier(np.exp(-((mag / (2 * np.pi)) / (n / 8.0)) ** 2))
-    if symbol_id == "mixed":
+    if name == "mixed":
         return PsidoSymbol(
             [
                 (1.0 + 0.3 * np.sin(2 * np.pi * x1), None),
                 (0.2 * np.cos(2 * np.pi * x2), np.exp(-((mag / (2 * np.pi)) / (n / 8.0)) ** 2)),
             ]
         )
-    raise ValueError(f"unknown symbol id {symbol_id!r}")
+    raise ValueError(f"unknown symbol id {name!r}")

@@ -283,7 +283,7 @@ def decay_report(
     """
     if not matrix.columns:
         raise ValueError("decay report of an empty matrix")
-    model = model or matrix.op.model or VelocityModel.constant(matrix.op.c0)
+    model = model or matrix.op.speed
     radii = np.asarray(ball_radii if ball_radii is not None else np.geomspace(1.0, 64.0, 25))
     t = matrix.t
     table = matrix.table
@@ -376,7 +376,7 @@ def truncation_error(
     if mode == "largest":
         orders = [np.argsort(np.abs(c.values))[::-1] for c in cols]
     elif mode == "nearest":
-        model = model or matrix.op.model or VelocityModel.constant(matrix.op.c0)
+        model = model or matrix.op.speed
         orders = [np.argsort(column_omegas(matrix.table, c, model, matrix.t)) for c in cols]
     else:
         raise ValueError(f"unknown truncation mode {mode!r}")

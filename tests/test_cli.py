@@ -109,6 +109,20 @@ class TestManifest:
         assert main(["--config", write_config(tmp_path, **overrides), "frame-check"]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "operator, message",
+        [
+            ({"kind": "variable-wave", "t": 0.1, "dt": 0}, "dt must be positive"),
+            ({"kind": "variable-wave", "t": 0.1, "dt": -0.001}, "dt must be positive"),
+            ({"kind": "variable-wave", "t": 0.1, "sign": "0"}, "sign must be + or -"),
+            ({"kind": "halfwave", "t": 0.1, "sign": "0"}, "sign must be + or -"),
+        ],
+    )
+    def test_unrunnable_value_exits_2(self, tmp_path, capsys, operator, message):
+        assert main(["--config", write_config(tmp_path, operator=operator), "propagate", "unread.field"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+
     @pytest.mark.parametrize("name", ["halfwave_n128.json", "variable_wave_n128.json"])
     def test_shipped_configs_load(self, name):
         path = CONFIGS / name
@@ -206,6 +220,23 @@ class TestPropagateMatrixSparsity:
         curve = (out_dir / "decay_curve.csv").read_text().splitlines()
         assert curve[0] == "radius,energy_fraction"
         assert len(curve) > 10
+
+    def test_sparsity_flows_with_operator_speed(self, tmp_path, capsys):
+        # a manifest without a top-level model measures omega along the operator's own flow
+        model = {"kind": "sinusoidal", "amplitude": 0.2, "wavevector": [1, 0]}
+        operator = {"kind": "variable-wave", "sign": "+", "t": 0.1, "model": model}
+        with_model = write_config(tmp_path, operator=operator, model=model, columns={"count": 2, "scales": [3]})
+        out_dir = tmp_path / "out"
+        assert main(["--config", with_model, "--out", str(out_dir), "matrix"]) == 0
+        matrix = str(out_dir / "matrix.csv")
+        assert main(["--config", with_model, "--out", str(tmp_path / "with"), "sparsity", matrix]) == 0
+        raw = json.loads(Path(with_model).read_text())
+        del raw["model"]
+        without_model = tmp_path / "without_model.json"
+        without_model.write_text(json.dumps(raw))
+        assert main(["--config", str(without_model), "--out", str(tmp_path / "without"), "sparsity", matrix]) == 0
+        report = (tmp_path / "with" / "decay_report.json").read_bytes()
+        assert (tmp_path / "without" / "decay_report.json").read_bytes() == report
 
     def test_matrix_determinism(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -131,6 +132,12 @@ class TestVariableWave:
         model = cw.VelocityModel.constant(1.0)
         with pytest.raises(ValueError):
             cw.solve_variable_wave(np.zeros((N, N)), np.zeros((N, N)), model, 0.1, dt=0.1)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3])
+    def test_nonpositive_dt_rejected(self, dt):
+        model = cw.VelocityModel.constant(1.0)
+        with pytest.raises(ValueError, match="must be positive"):
+            cw.solve_variable_wave(np.zeros((N, N)), np.zeros((N, N)), model, 0.1, dt=dt)
 
     def test_richardson_order(self, frame64):
         u0 = cw.waveform(frame64, cw.CurveletIndex(2, 3, 1, 1))
@@ -288,7 +295,7 @@ class TestWarp:
         mu = frame128.random_index(rng, scales=[4])
         plain = cw.curvelet_column(frame128, cw.OperatorSpec.from_json({"kind": "identity"}), mu)
         warped = cw.curvelet_column(
-            frame128, cw.OperatorSpec(kind="warp", warp=cw.WarpMap.sinusoidal(0.05, (1, 0))), mu
+            frame128, cw.OperatorSpec(kind="warp", map=cw.WarpMap.sinusoidal(0.05, (1, 0))), mu
         )
         lhalf = lambda col: float(np.sum(np.sqrt(np.abs(col.values))))
         assert lhalf(warped) <= pinned.WARP_LHALF_FACTOR * lhalf(plain)
@@ -330,6 +337,52 @@ class TestOperatorSpecJson:
             cw.OperatorSpec.from_json({"kind": "halfwav"})
         with pytest.raises(ValueError, match="must be a JSON object"):
             cw.WarpMap.from_json([0.3])
+
+    HALFWAVE = cw.OperatorSpec(kind="halfwave", t=0.25, sign=-1, c0=2.0)
+    ACOUSTIC = cw.OperatorSpec(kind="acoustic", t=0.2)
+    OBJECTS = [
+        cw.OperatorSpec(kind="identity"),
+        HALFWAVE,
+        HALFWAVE.adjoint(),
+        cw.OperatorSpec(kind="cos-wave", t=0.25, c0=1.5),
+        ACOUSTIC,
+        ACOUSTIC.adjoint(),
+        cw.OperatorSpec(kind="variable-wave", t=0.25, sign=-1, model=cw.VelocityModel.sinusoidal(0.2, (1, 0))),
+        cw.OperatorSpec(
+            kind="variable-wave", t=0.25, dt=1e-3, model=cw.VelocityModel.gaussian_bump((0.3, 0.6), 0.12, 0.25)
+        ),
+        cw.OperatorSpec(kind="gaussian-smooth", width=0.05),
+        cw.OperatorSpec(kind="psido", symbol="mixed"),
+        cw.OperatorSpec(kind="warp"),
+        cw.OperatorSpec(kind="warp", map=cw.WarpMap.shear(0.3)),
+        cw.OperatorSpec(kind="warp", map=cw.WarpMap.sinusoidal(0.05, (1, 1))),
+        cw.VelocityModel.constant(1.3),
+        cw.VelocityModel.sinusoidal(0.1, (2, 3), c0=2.0),
+        cw.VelocityModel.gaussian_bump((0.3, 0.6), 0.12, 0.25),
+        cw.WarpMap.identity(),
+        cw.WarpMap.shear(0.3),
+        cw.WarpMap.sinusoidal(0.03, (2, 1)),
+    ]
+
+    @pytest.mark.parametrize("obj", OBJECTS, ids=lambda obj: f"{type(obj).__name__}-{obj.kind}")
+    def test_object_round_trip(self, obj):
+        # through text, as a manifest or report carries it
+        assert type(obj).from_json(json.loads(json.dumps(obj.to_json()))) == obj
+
+    def test_variable_wave_without_model_reloads(self, rng):
+        op = cw.OperatorSpec(kind="variable-wave", t=0.05, sign=-1, c0=1.5)
+        again = cw.OperatorSpec.from_json(op.to_json())
+        assert again.speed == op.speed == cw.VelocityModel.constant(1.5)
+        f = random_field(rng, 32)
+        assert np.array_equal(again.apply(f), op.apply(f))
+
+    def test_adjoint_is_time_reversal(self, rng):
+        f = random_field(rng, 32)
+        assert np.array_equal(self.HALFWAVE.adjoint().apply(f), cw.apply_halfwave(f, 0.25, "+", 2.0))
+        u = np.stack([random_field(rng, 32) for _ in range(3)])
+        assert np.array_equal(self.ACOUSTIC.adjoint().apply(u), cw.apply_acoustic(u, -0.2))
+        with pytest.raises(ValueError, match="adjoint not available"):
+            cw.OperatorSpec(kind="psido", symbol="mixed").adjoint()
 
 
 class TestHyperCurvelets:
