@@ -1,13 +1,14 @@
 """Kernel module and shared runtime knobs.
 
-The wrapping transform's inner loops (the wedge gather and scatter) live in
-``_kernels_py`` as NumPy fancy-indexing, imported here as ``kernels``;
-``analyze`` and ``synthesize`` call through it.  ``BACKEND`` names that
-implementation in benchmark provenance.  CURVEWAVE_THREADS caps the FFT
-worker pool and column-level parallelism.  ``checked`` and
-``checked_kind`` refuse JSON specs with keys their reader would ignore;
-``required`` names a key a spec leaves out; ``spec_json`` writes a spec
-from its table of keys.
+The wrapping transform's gather and scatter (the frame's sparse wrapping
+matrix applied to stacks of spectra and of packed coefficients) live in
+``_kernels_py``, imported here as ``kernels``; ``analyze`` and
+``synthesize`` call through it.  ``BACKEND`` names that implementation in
+benchmark provenance.  ``FFT_WORKERS``, the CPUs this process may run on
+(its affinity mask), is the one parallel level: every grid-sized FFT uses
+it.  ``checked`` and ``checked_kind`` refuse JSON specs with keys their
+reader would ignore; ``required`` names a key a spec leaves out;
+``spec_json`` writes a spec from its table of keys.
 """
 
 import os
@@ -16,21 +17,7 @@ from . import _kernels_py as kernels
 
 BACKEND = kernels.BACKEND
 
-
-def thread_count() -> int:
-    raw = os.environ.get("CURVEWAVE_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return n
-
-
-def fft_workers() -> int | None:
-    n = thread_count()
-    return n if n > 1 else None
+FFT_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def checked(where: str, section, allowed) -> dict:

@@ -53,7 +53,7 @@ class ExperimentConfig:
         raw: dict = {}
         if args.config:
             with open(args.config) as fh:
-                raw = json.load(fh)
+                raw = json.load(fh, parse_constant=_finite, parse_float=_finite)
         checked("manifest", raw, _TOP_KEYS)
         fr = {k: _FRAME_CASTS[k](v) for k, v in checked("frame", raw.get("frame", {}), _FRAME_CASTS).items()}
         if args.grid is not None:
@@ -71,6 +71,13 @@ class ExperimentConfig:
         cfg.out = Path(raw.get("out", ".") if args.out is None else args.out)
         cfg.n_fields = int(raw.get("n_fields", cfg.n_fields))
         return cfg
+
+
+def _finite(text: str) -> float:
+    """A manifest number; NaN, Infinity and overflowing literals such as 1e400 raise ValueError."""
+    if not np.isfinite(value := float(text)):
+        raise ValueError(f"manifest number {text} is not finite")
+    return value
 
 
 def _random_field(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -224,7 +231,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.load(args)
-    except (OSError, ValueError, TypeError, FrameError) as exc:
+    except (OSError, ValueError, TypeError, OverflowError, FrameError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

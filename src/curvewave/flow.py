@@ -329,10 +329,11 @@ def predicted_curvelet(table: FrameTable, mu: CurveletIndex, model: VelocityMode
     g2 = np.mod(grid - state.x[1] + 0.5, 1.0) - 0.5
     # q.(U g + x_mu) = (U^T q).g + q.x_mu: the grid offsets g1 (row) and g2
     # (column) meet the rotated frequencies p = U^T q separately
-    p1 = rot[0, 0] * w.q1 + rot[1, 0] * w.q2
-    p2 = rot[0, 1] * w.q1 + rot[1, 1] * w.q2
+    q1, q2 = w.freqs
+    p1 = rot[0, 0] * q1 + rot[1, 0] * q2
+    p2 = rot[0, 1] * q1 + rot[1, 1] * q2
     rect1, rect2 = np.divmod(w.wrapped, w.rect[1])
-    phase = w.q1 * x_mu[0] + w.q2 * x_mu[1] - rect1 * mu.k1 / w.rect[0] - rect2 * mu.k2 / w.rect[1]
+    phase = q1 * x_mu[0] + q2 * x_mu[1] - rect1 * mu.k1 / w.rect[0] - rect2 * mu.k2 / w.rect[1]
     coeff = w.weights * np.exp(2j * np.pi * phase) / (math.sqrt(w.size) * n * norm)
     return _scattered_trig_sum(coeff, p1, p2, g1, g2)
 

@@ -109,7 +109,7 @@ def read_coeffs_csv(path, table: FrameTable) -> CoeffSet:
         raise FormatError(f"{path}: nu must be 0 for the coefficients of one scalar field")
     packed = np.zeros(table.size, dtype=np.complex128)
     packed[table.flat_of_index((j, ell, k1, k2))] = values
-    return CoeffSet(table, [packed[w.offset : w.offset + w.size].reshape(w.rect) for w in table.wedges])
+    return CoeffSet(table, packed)
 
 
 def write_pgm(path, f: np.ndarray, floor_db: float = -80.0) -> None:

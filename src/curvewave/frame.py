@@ -27,8 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as spfft
+from scipy.sparse import csr_array
 
-from ._core import fft_workers, kernels
+from ._core import FFT_WORKERS, kernels
 from .windows import WindowFamily, build_windows
 
 __all__ = [
@@ -108,7 +109,12 @@ class CurveletIndex:
 
 @dataclass
 class Wedge:
-    """One (scale, angle) channel: window values on the grid plus wrapping geometry."""
+    """One (scale, angle) channel: its rectangle, its place in the packed
+    coefficients, and rows offset .. offset + size of the table's wrapping
+    matrix ``wrap``, which alone holds its window and wrapping: ``support``
+    (flat (N, N) spectrum indices) and ``weights`` (window values there) are
+    views of its arrays, in wrapped order, and ``wrapped`` (flat rectangle
+    indices) and ``freqs`` (signed integer frequencies) are derived from it."""
 
     j: int
     ell: int
@@ -116,17 +122,29 @@ class Wedge:
     rho: float  # peak radius in grid frequencies (0 for coarse)
     theta: float  # orientation (nan for isotropic channels)
     rect: tuple[int, int]
-    support: np.ndarray  # int64, flat indices into the (N, N) spectrum
-    weights: np.ndarray  # float64 window values on the support
-    wrapped: np.ndarray  # int64, flat indices into the rectangle
-    q1: np.ndarray  # signed integer frequencies of the support
-    q2: np.ndarray
     offset: int  # start of this channel in the packed coefficient vector
     atom_norm2: float
+    wrap: csr_array | None = field(default=None, repr=False)
+    support: np.ndarray | None = field(default=None, repr=False)
+    weights: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
         return self.rect[0] * self.rect[1]
+
+    @property
+    def wrapped(self) -> np.ndarray:
+        return np.flatnonzero(np.diff(self.wrap.indptr[self.offset : self.offset + self.size + 1]))
+
+    @property
+    def freqs(self) -> tuple[np.ndarray, np.ndarray]:
+        n = math.isqrt(self.wrap.shape[1])
+        return tuple(_signed(i, n) for i in np.divmod(self.support, n))
+
+
+def _signed(i: np.ndarray, n: int) -> np.ndarray:
+    """Signed integer frequencies of fft-layout indices; wedges stay clear of Nyquist."""
+    return (i + n // 2) % n - n // 2
 
 
 def _fast_len(want: int, n: int) -> int:
@@ -193,34 +211,18 @@ def build_frame(params: FrameParams) -> FrameTable:
     angle = np.arctan2(q2, q1)
 
     wedges: list[Wedge] = []
+    entries = []  # per wedge: rows (packed positions), columns (spectrum positions), window values
     accum = np.zeros((n, n))
 
     def add_channel(vals: np.ndarray, j: int, ell: int, kind: str, rho: float, theta: float) -> None:
-        sup = np.flatnonzero(vals.ravel() > 0.0).astype(np.int64)
+        sup = np.flatnonzero(vals.ravel() > 0.0)
         if sup.size == 0:
             return
         w = vals.ravel()[sup]
-        i1, i2 = np.divmod(sup, n)
-        sq1 = np.where(i1 >= n // 2, i1 - n, i1)  # wedges stay clear of Nyquist
-        sq2 = np.where(i2 >= n // 2, i2 - n, i2)
-        rect, wrapped = _wrap_geometry(sq1, sq2, (params.delta1, params.delta2), n)
-        wedges.append(
-            Wedge(
-                j=j,
-                ell=ell,
-                kind=kind,
-                rho=rho,
-                theta=theta,
-                rect=rect,
-                support=sup,
-                weights=w,
-                wrapped=wrapped,
-                q1=sq1,
-                q2=sq2,
-                offset=0,
-                atom_norm2=float(w @ w) / (rect[0] * rect[1]),
-            )
-        )
+        rect, wrapped = _wrap_geometry(*(_signed(i, n) for i in np.divmod(sup, n)), (params.delta1, params.delta2), n)
+        offset = wedges[-1].offset + wedges[-1].size if wedges else 0
+        wedges.append(Wedge(j, ell, kind, rho, theta, rect, offset, float(w @ w) / (rect[0] * rect[1])))
+        entries.append(((offset + wrapped).astype(np.int32), sup.astype(np.int32), w))
         np.add.at(accum.ravel(), sup, w * w)
 
     if s_total == 1:
@@ -243,32 +245,37 @@ def build_frame(params: FrameParams) -> FrameTable:
     if defect > 1e-12:
         raise FrameError(f"window partition of unity defect {defect:.3e}")
 
-    offset = 0
+    size = wedges[-1].offset + wedges[-1].size
+    rows, cols, weights = (np.concatenate(a) for a in zip(*entries))
+    wrap = csr_array((weights, (rows, cols)), shape=(size, n * n))
     for w in wedges:
-        w.offset = offset
-        offset += w.size
-    return FrameTable(params=params, windows=fam, wedges=wedges, size=offset, partition_defect=defect)
+        span = slice(*wrap.indptr[[w.offset, w.offset + w.size]])
+        w.wrap, w.support, w.weights = wrap, wrap.indices[span], wrap.data[span]
+    return FrameTable(params=params, windows=fam, wedges=wedges, wrap=wrap, size=size, partition_defect=defect)
 
 
 @dataclass
 class FrameTable:
     """Immutable precomputed frame for one grid; share freely across threads.
 
-    Per-wedge arrays built once (offset, j, ell, rectangle, xi center,
-    directional flag) hold the packed coefficient layout; every mapping
-    packed position <-> (j, ell, k1, k2) <-> phase-space center reads them.
+    ``wrap``, the frame as one map from fft2 spectra to packed rectangles, is
+    a sparse (size, N*N) matrix: row = packed position (wedge offset +
+    wrapped position), column = spectrum position, value = window weight.
+    Each row holds one entry at most and the squared windows sum to one, so
+    wrap.T @ wrap = I.  Per-wedge arrays (offset, j, ell, rectangle, xi
+    center, directional flag) hold the packed layout; every mapping packed
+    position <-> (j, ell, k1, k2) <-> phase-space center reads them.
     """
 
     params: FrameParams
     windows: WindowFamily
     wedges: list[Wedge]
+    wrap: csr_array
     size: int
     partition_defect: float
-    _pos_by_key: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         ws = self.wedges
-        self._pos_by_key = {(w.j, w.ell): i for i, w in enumerate(ws)}
         self._offset, self._j, self._ell = (
             np.array([getattr(w, a) for w in ws], dtype=np.int64) for a in ("offset", "j", "ell")
         )
@@ -286,23 +293,19 @@ class FrameTable:
         return self.params.n
 
     def wedge(self, j: int, ell: int = 0) -> Wedge:
-        try:
-            return self.wedges[self._pos_by_key[(j, ell)]]
-        except KeyError:
-            raise UnknownIndexError(f"no wedge (j={j}, ell={ell}) in this frame") from None
+        """The (j, ell) channel; UnknownIndexError if the frame has none."""
+        return self.validate_index(CurveletIndex(j, ell, 0, 0))
 
     def angles(self, j: int) -> int:
         """Number of orientations L_j at scale j (1 on isotropic channels)."""
-        if (j, 0) not in self._pos_by_key:
-            raise UnknownIndexError(f"no scale {j} in this frame")
-        return sum(1 for w in self.wedges if w.j == j)
+        self.wedge(j)
+        return int(np.count_nonzero(self._j == j))
 
     def directional_scales(self) -> list[int]:
         return sorted({w.j for w in self.wedges if w.kind == "directional"})
 
     def validate_index(self, mu: CurveletIndex) -> Wedge:
-        self.flat_of_index(mu)
-        return self.wedge(mu.j, mu.ell)
+        return self.wedges[int(self._locate(self.flat_of_index(mu))[0])]
 
     def center(self, mu: CurveletIndex) -> np.ndarray:
         """Spatial center x_mu in [0,1)^2."""
@@ -353,6 +356,7 @@ class FrameTable:
         if isinstance(mu, CurveletIndex):
             return int(self.flat_of_index((mu.j, mu.ell, mu.k1, mu.k2)))
         j, ell, k1, k2 = idx = np.broadcast_arrays(*(np.asarray(a, dtype=np.int64) for a in mu))
+        # a key search alone would let ell >= stride alias the next scale: check j and ell too
         which = np.minimum(np.searchsorted(self._keys, j * self._stride + ell), len(self._keys) - 1)
         r1, r2 = self._rect[which, 0], self._rect[which, 1]
         ok = (self._j[which] == j) & (self._ell[which] == ell) & (0 <= k1) & (k1 < r1) & (0 <= k2) & (k2 < r2)
@@ -374,50 +378,43 @@ class FrameTable:
 
 
 class CoeffSet:
-    """Curvelet coefficients of one scalar field: per-channel complex arrays.
+    """Curvelet coefficients of a field, or of a stack of fields: one packed
+    complex array of shape (..., size) in the frame's layout.
 
     Supports mapping-style access by CurveletIndex and exact l2 accounting;
     produced by :func:`analyze`, consumed by :func:`synthesize`.
     """
 
-    def __init__(self, table: FrameTable, blocks: list[np.ndarray]):
-        if len(blocks) != len(table.wedges):
-            raise FrameError("coefficient blocks do not match the frame channels")
+    def __init__(self, table: FrameTable, packed: np.ndarray):
+        if packed.shape[-1:] != (table.size,):
+            raise FrameError(f"packed coefficients of shape {packed.shape} do not match the frame size {table.size}")
         self.table = table
-        self.blocks = blocks
+        self.packed = packed
 
     @classmethod
     def zeros(cls, table: FrameTable) -> CoeffSet:
-        return cls(table, [np.zeros(w.rect, dtype=np.complex128) for w in table.wedges])
+        return cls(table, np.zeros(table.size, dtype=np.complex128))
 
-    @classmethod
-    def from_pairs(cls, table: FrameTable, pairs) -> CoeffSet:
-        out = cls.zeros(table)
-        items = pairs.items() if hasattr(pairs, "items") else pairs
-        for mu, val in items:
-            out[mu] = val
-        return out
+    @property
+    def blocks(self) -> list[np.ndarray]:
+        """Per-wedge (..., R1, R2) views of the packed array."""
+        lead = self.packed.shape[:-1]
+        return [self.packed[..., w.offset : w.offset + w.size].reshape(lead + w.rect) for w in self.table.wedges]
 
     def __getitem__(self, mu: CurveletIndex) -> complex:
-        return complex(self.blocks[self._pos(mu)][mu.k1, mu.k2])
+        return complex(self.packed[..., self.table.flat_of_index(mu)])
 
     def __setitem__(self, mu: CurveletIndex, value) -> None:
-        self.blocks[self._pos(mu)][mu.k1, mu.k2] = value
-
-    def _pos(self, mu: CurveletIndex) -> int:
-        self.table.validate_index(mu)
-        return self.table._pos_by_key[(mu.j, mu.ell)]
+        self.packed[..., self.table.flat_of_index(mu)] = value
 
     def pack(self) -> np.ndarray:
-        return np.concatenate([b.ravel() for b in self.blocks])
+        return self.packed
 
     def norm2(self, kinds=None) -> float:
-        """Sum of squared moduli, optionally over channels of the given kinds."""
-        total = 0.0
-        for w, b in zip(self.table.wedges, self.blocks):
-            if kinds is None or w.kind in kinds:
-                total += float(np.vdot(b, b).real)
-        return total
+        """Sum of squared moduli over the whole stack, optionally over channels of the given kinds."""
+        if kinds is None:
+            return float(np.vdot(self.packed, self.packed).real)
+        return sum(float(np.vdot(b, b).real) for w, b in zip(self.table.wedges, self.blocks) if w.kind in kinds)
 
 
 def _check_field(table: FrameTable, f: np.ndarray) -> np.ndarray:
@@ -428,29 +425,31 @@ def _check_field(table: FrameTable, f: np.ndarray) -> np.ndarray:
 
 
 def analyze(table: FrameTable, f: np.ndarray) -> CoeffSet:
-    """Frame coefficients of a field; exact Parseval: sum |c|^2 = sum |f|^2."""
+    """Frame coefficients of an (N, N) field or a (..., N, N) stack; exact
+    Parseval per field: sum |c|^2 = sum |f|^2."""
     f = _check_field(table, f)
-    if f.ndim != 2:
-        raise FrameError("analyze expects a single N x N field")
-    spectrum = np.ascontiguousarray(spfft.fft2(f, norm="ortho", workers=fft_workers())).ravel()
-    blocks = []
-    for w in table.wedges:
-        buf = np.zeros(w.size, dtype=np.complex128)
-        kernels.wedge_gather(spectrum, w.support, w.weights, w.wrapped, buf)
-        blocks.append(spfft.ifft2(buf.reshape(w.rect), norm="ortho"))
-    return CoeffSet(table, blocks)
+    lead, n = f.shape[:-2], table.n
+    spectra = spfft.fft2(f, norm="ortho", workers=FFT_WORKERS).reshape(-1, n * n)
+    coeffs = CoeffSet(table, kernels.wedge_gather(table.wrap, spectra).reshape(lead + (table.size,)))
+    for block in coeffs.blocks:
+        block[...] = spfft.ifft2(block, norm="ortho")
+    return coeffs
 
 
 def synthesize(table: FrameTable, coeffs) -> np.ndarray:
-    """Adjoint of :func:`analyze`; synthesize(analyze(f)) reproduces f exactly."""
+    """Adjoint of :func:`analyze`; synthesize(analyze(f)) reproduces f exactly.
+    Coefficients of a frame with other parameters raise FrameError."""
     if not isinstance(coeffs, CoeffSet):
-        coeffs = CoeffSet.from_pairs(table, coeffs)
-    n = table.n
-    spectrum = np.zeros(n * n, dtype=np.complex128)
-    for w, block in zip(table.wedges, coeffs.blocks):
-        rect = np.ascontiguousarray(spfft.fft2(block, norm="ortho")).ravel()
-        kernels.wedge_scatter(spectrum, w.support, w.weights, w.wrapped, rect)
-    return spfft.ifft2(spectrum.reshape(n, n), norm="ortho", workers=fft_workers())
+        pairs, coeffs = dict(coeffs), CoeffSet.zeros(table)
+        coeffs.packed[[table.flat_of_index(mu) for mu in pairs]] = list(pairs.values())
+    if coeffs.table.params != table.params:
+        raise FrameError(f"coefficients of the frame {coeffs.table.params} do not fit the frame {table.params}")
+    lead, n = coeffs.packed.shape[:-1], table.n
+    rects = CoeffSet(table, np.empty(coeffs.packed.shape, dtype=np.complex128))
+    for rect, block in zip(rects.blocks, coeffs.blocks):
+        rect[...] = spfft.fft2(block, norm="ortho")
+    spectra = kernels.wedge_scatter(table.wrap, rects.packed.reshape(-1, table.size))
+    return spfft.ifft2(spectra.reshape(lead + (n, n)), norm="ortho", workers=FFT_WORKERS)
 
 
 def frame_atom(table: FrameTable, mu: CurveletIndex) -> np.ndarray:
@@ -461,7 +460,7 @@ def frame_atom(table: FrameTable, mu: CurveletIndex) -> np.ndarray:
     phase = np.exp(-2j * np.pi * (i1 * mu.k1 / w.rect[0] + i2 * mu.k2 / w.rect[1]))
     spectrum = np.zeros(n * n, dtype=np.complex128)
     spectrum[w.support] = w.weights * phase / math.sqrt(w.size)
-    return spfft.ifft2(spectrum.reshape(n, n), norm="ortho", workers=fft_workers())
+    return spfft.ifft2(spectrum.reshape(n, n), norm="ortho", workers=FFT_WORKERS)
 
 
 def waveform(table: FrameTable, mu: CurveletIndex) -> np.ndarray:

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft as spfft
 
-from ._core import checked_kind, fft_workers, required, spec_json
+from ._core import FFT_WORKERS, checked_kind, required, spec_json
 from .flow import VelocityModel, normalize_branch
 from .frame import CurveletIndex, FrameTable, waveform
 
@@ -63,11 +63,11 @@ def _grid_points(n: int) -> np.ndarray:
 
 
 def _fft2(f):
-    return spfft.fft2(f, norm="ortho", workers=fft_workers())
+    return spfft.fft2(f, norm="ortho", workers=FFT_WORKERS)
 
 
 def _ifft2(F):
-    return spfft.ifft2(F, norm="ortho", workers=fft_workers())
+    return spfft.ifft2(F, norm="ortho", workers=FFT_WORKERS)
 
 
 def apply_halfwave(f: np.ndarray, t: float, sign, c0: float = 1.0) -> np.ndarray:
@@ -305,14 +305,13 @@ class WarpMap:
 
     @classmethod
     def sinusoidal(cls, amplitude: float, wavevector=(1, 0)) -> WarpMap:
-        k = tuple(int(v) for v in wavevector)
-        if k == (0, 0):
-            raise ValueError("wavevector must be nonzero")
-        return cls(kind="sinusoidal", amplitude=float(amplitude), wavevector=k)
+        return cls(kind="sinusoidal", amplitude=float(amplitude), wavevector=tuple(int(v) for v in wavevector))
 
     def __post_init__(self):
         if self.kind not in self._KEYS:
             raise ValueError(f"unknown warp kind {self.kind!r}")
+        if tuple(self.wavevector) == (0, 0):
+            raise ValueError("wavevector must be nonzero")
 
     def _wiggle(self):
         """(a, k, u) of the map x -> x + a sin(2 pi k.x) u."""
@@ -344,10 +343,10 @@ class WarpMap:
         """Check round-trip inversion and Jacobian-determinant bounds on a grid."""
         x = _grid_points(n)
         err = np.max(np.abs(self.phi(self.phi_inv(x)) - x))
-        if err > 1e-8:
+        if not err <= 1e-8:  # NaN fails too
             raise ValueError(f"warp inverse defect {err:.3e}")
         det = np.linalg.det(self.jacobian(x))
-        if det.min() < 0.5 or det.max() > 2.0:
+        if not 0.5 <= det.min() <= det.max() <= 2.0:
             raise ValueError(f"warp determinant out of [0.5, 2]: [{det.min():.3f}, {det.max():.3f}]")
 
     def to_json(self) -> dict:

@@ -84,22 +84,17 @@ def curvelet_column(
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
+    if component != 0 and not op.is_vector:
+        raise ValueError("scalar operators have a single component 0")
     table.validate_index(mu)
-    atom = frame_atom(table, mu)
+    u = atom = frame_atom(table, mu)
     if op.is_vector:
         u = np.zeros((3,) + atom.shape, dtype=np.complex128)
         u[component] = atom
-        out = op.apply(u)
-        comps = [analyze(table, out[c]) for c in range(3)]
-    else:
-        if component != 0:
-            raise ValueError("scalar operators have a single component 0")
-        out = op.apply(atom)
-        comps = [analyze(table, out)]
-
-    energy = sum(c.norm2() for c in comps)
+    coeffs = analyze(table, op.apply(u))
+    energy = coeffs.norm2()
     cut = threshold * math.sqrt(energy) if energy > 0 else threshold
-    flat = np.concatenate([b.ravel() for c in comps for b in c.blocks])  # the packed components in turn
+    flat = coeffs.packed.ravel()  # the packed components in turn
     keep = np.flatnonzero(np.abs(flat) >= cut)
     row_nu, rows = np.divmod(keep, table.size)
     return MatrixColumn(mu, component, rows, row_nu, flat[keep], float(energy), float(cut))
@@ -326,25 +321,11 @@ def build_matrix(
     components=None,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> SparseOperatorMatrix:
-    """Compute the sampled columns of the operator's curvelet matrix.
-
-    Columns are independent; with CURVEWAVE_THREADS > 1 they are computed
-    on a thread pool and merged in request order.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    from ._core import thread_count
-
+    """Compute the sampled columns of the operator's curvelet matrix, one per
+    (mu, nu) pair in request order; the FFTs are the one parallel level."""
     comps = list(components) if components is not None else ([0, 1, 2] if op.is_vector else [0])
-    jobs = [(mu, nu) for mu in columns for nu in comps]
-    mat = SparseOperatorMatrix(table=table, op=op)
-    workers = min(thread_count(), len(jobs)) or 1
-    if workers > 1 and op.kind != "variable-wave":  # the stepped solver batches poorly
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            mat.columns = list(pool.map(lambda job: curvelet_column(table, op, *job, threshold), jobs))
-    else:
-        mat.columns = [curvelet_column(table, op, mu, nu, threshold) for mu, nu in jobs]
-    return mat
+    cols = [curvelet_column(table, op, mu, nu, threshold) for mu in columns for nu in comps]
+    return SparseOperatorMatrix(table, op, cols)
 
 
 def truncation_error(

@@ -98,6 +98,22 @@ class TestManifest:
         assert "needs key" in err and key in err
 
     @pytest.mark.parametrize(
+        "number, message",
+        [("NaN", "not finite"), ("Infinity", "not finite"), ("-Infinity", "not finite"), ("1e400", "not finite"),
+         ("1" + "0" * 400, "too large")],
+    )
+    @pytest.mark.parametrize(
+        "operator",
+        [{"kind": "halfwave", "t": "NUMBER"}, {"kind": "warp", "map": {"kind": "sinusoidal", "amplitude": "NUMBER"}}],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, operator, number, message):
+        path = Path(write_config(tmp_path, operator=operator))
+        path.write_text(path.read_text().replace('"NUMBER"', number))
+        assert main(["--config", str(path), "propagate", "unread.field"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+
+    @pytest.mark.parametrize(
         "overrides, message",
         [
             ({"frame": [64, 4]}, "frame must be a JSON object"),

@@ -192,9 +192,10 @@ class TestPredictedCurvelet:
         y1 = cos * g[..., 0] - sin * g[..., 1] + frame64.center(mu)[0]
         y2 = sin * g[..., 0] + cos * g[..., 1] + frame64.center(mu)[1]
         w = frame64.wedge(mu.j, mu.ell)
-        spec = np.fft.fft2(cw.waveform(frame64, mu))[w.q1 % n, w.q2 % n] / n**2
+        freqs = w.freqs
+        spec = np.fft.fft2(cw.waveform(frame64, mu))[freqs[0] % n, freqs[1] % n] / n**2
         direct = np.zeros((n, n), dtype=np.complex128)
-        for c, q1, q2 in zip(spec, w.q1, w.q2):
+        for c, q1, q2 in zip(spec, *freqs):
             direct += c * np.exp(2j * np.pi * (q1 * y1 + q2 * y2))
         assert np.max(np.abs(pred - direct)) <= 1e-12 * np.max(np.abs(direct))
 

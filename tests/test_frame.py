@@ -50,6 +50,17 @@ class TestBuild:
         with pytest.raises(FrameError):
             cw.build_frame(cw.FrameParams(n=64, scales=3, angles_base=6))
 
+    def test_wrap_is_an_isometry(self, frame64):
+        # one entry at most per row and squared windows summing to one make
+        # wrap.T @ wrap = I; the wedges' support and weights are views of wrap
+        wrap = frame64.wrap
+        assert wrap.shape == (frame64.size, frame64.n**2) and np.max(np.diff(wrap.indptr)) <= 1
+        gram = (wrap.T @ wrap).tocoo()
+        assert gram.nnz == frame64.n**2 and np.array_equal(gram.row, gram.col)
+        assert np.max(np.abs(gram.data - 1.0)) <= 1e-12
+        for w in frame64.wedges:
+            assert np.shares_memory(w.support, wrap.indices) and np.shares_memory(w.weights, wrap.data)
+
     def test_wrapping_is_injective(self, frame128):
         for w in frame128.wedges:
             assert len(np.unique(w.wrapped)) == len(w.wrapped)
@@ -58,7 +69,7 @@ class TestBuild:
     def test_guard_band_leaves_octave(self, frame128):
         finest = max(frame128.directional_scales())
         w = frame128.wedge(finest)
-        r = np.hypot(w.q1, w.q2)
+        r = np.hypot(*w.freqs)
         assert r.max() <= frame128.n / 4 + 1e-9
 
     def test_oversampled_lattice(self, rng):
@@ -83,6 +94,22 @@ class TestTransform:
             assert abs(coeffs.norm2() - nf) <= 1e-10 * nf
             rec = cw.synthesize(frame64, coeffs)
             assert np.linalg.norm(rec - f) <= 1e-10 * math.sqrt(nf)
+
+    def test_stack_matches_fields(self, frame64, rng):
+        # a (3, N, N) stack transforms bit for bit like its fields one at a time
+        fields = np.stack([random_field(rng, frame64.n) for _ in range(3)])
+        coeffs = cw.analyze(frame64, fields)
+        assert coeffs.packed.shape == (3, frame64.size)
+        assert all(np.shares_memory(b, coeffs.packed) for b in coeffs.blocks)
+        rec = cw.synthesize(frame64, coeffs)
+        for f, packed, r in zip(fields, coeffs.packed, rec):
+            one = cw.analyze(frame64, f)
+            assert np.array_equal(one.packed, packed) and np.array_equal(cw.synthesize(frame64, one), r)
+
+    def test_synthesize_refuses_another_frame(self, frame64, rng):
+        coeffs = cw.analyze(cw.build_frame(cw.FrameParams(n=64, scales=3)), random_field(rng, 64))
+        with pytest.raises(FrameError, match="do not fit"):
+            cw.synthesize(frame64, coeffs)
 
     def test_zero_field(self, frame64):
         coeffs = cw.analyze(frame64, np.zeros((64, 64)))
@@ -191,9 +218,8 @@ class TestWaveform:
         wedge = frame128.wedge(4, 5)
         s0 = spfft.fft2(cw.frame_atom(frame128, mu0), norm="ortho").ravel()[wedge.support]
         s1 = spfft.fft2(cw.frame_atom(frame128, mu1), norm="ortho").ravel()[wedge.support]
-        ramp = np.exp(
-            2j * np.pi * (wedge.q1 * mu1.k1 / wedge.rect[0] + wedge.q2 * mu1.k2 / wedge.rect[1])
-        )
+        q1, q2 = wedge.freqs
+        ramp = np.exp(2j * np.pi * (q1 * mu1.k1 / wedge.rect[0] + q2 * mu1.k2 / wedge.rect[1]))
         pivot = np.argmax(np.abs(s0))
         const = s1[pivot] * ramp[pivot] / s0[pivot]
         assert abs(abs(const) - 1.0) <= 1e-12

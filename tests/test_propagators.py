@@ -264,6 +264,15 @@ class TestWarp:
             det = np.linalg.det(warp.jacobian(x))
             assert det.min() >= 0.5 and det.max() <= 2.0
 
+    def test_zero_wavevector_refused(self):
+        # the constructor itself refuses it: phi would divide by |k| = 0
+        with pytest.raises(ValueError, match="wavevector must be nonzero"):
+            cw.WarpMap(kind="sinusoidal", amplitude=0.1, wavevector=(0, 0))
+
+    def test_validate_fails_on_nan(self):
+        with pytest.raises(ValueError, match="inverse defect"):
+            cw.WarpMap.sinusoidal(math.nan, (1, 0)).validate()
+
     def test_shear_rotates_orientation(self, frame128):
         # dominant frequency of the warped curvelet aligns with (grad phi)^T xi
         warp = cw.WarpMap.shear(0.3)

@@ -274,19 +274,6 @@ class TestColumnQuasiNorms:
         assert abs(b / a - 1.0) <= pinned.GRAM_LHALF_STABILITY
 
 
-class TestThreading:
-    def test_build_matrix_matches_serial(self, frame64, halfwave_op, rng, monkeypatch):
-        cols = [frame64.random_index(rng, scales=[3]) for _ in range(4)]
-        monkeypatch.setenv("CURVEWAVE_THREADS", "1")
-        serial = cw.build_matrix(frame64, halfwave_op, cols)
-        monkeypatch.setenv("CURVEWAVE_THREADS", "4")
-        threaded = cw.build_matrix(frame64, halfwave_op, cols)
-        for a, b in zip(serial.columns, threaded.columns):
-            assert a.col_index == b.col_index
-            assert np.array_equal(a.rows_flat, b.rows_flat)
-            assert np.array_equal(a.values, b.values)
-
-
 def _assert_same_after_csv(matrix, back):
     # read_csv orders columns by (j, ell, k1, k2, nu) and keeps each column's entries in order
     expect = sorted(matrix.columns, key=lambda c: (c.col_index, c.col_component))
