@@ -36,6 +36,7 @@ from .propagators import (
     apply_halfwave,
     apply_psido,
     apply_warp,
+    chebyshev_wave,
     hyper_curvelet,
     oneway_velocity,
     polarization_fractions,

@@ -164,7 +164,9 @@ def cmd_matrix(cfg: ExperimentConfig) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
     path = cfg.out / "matrix.csv"
     matrix.write_csv(path)
-    print(json.dumps({"columns": len(matrix.columns), "entries": matrix.total_entries(), "path": str(path)}))
+    error = max((c.solver_error for c in matrix.columns), default=0.0)
+    print(json.dumps({"columns": len(matrix.columns), "entries": matrix.total_entries(), "path": str(path),
+                      "solver_error": error}))
     return 0
 
 

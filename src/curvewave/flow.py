@@ -89,7 +89,7 @@ class VelocityModel:
             return self.c0
         if self.kind == "sinusoidal":
             return self.c0 - abs(self.amplitude)
-        return self.c0 + min(0.0, self.amplitude)
+        return min(self._bump_extremes())
 
     @property
     def c_max(self) -> float:
@@ -97,7 +97,14 @@ class VelocityModel:
             return self.c0
         if self.kind == "sinusoidal":
             return self.c0 + abs(self.amplitude)
-        return self.c0 + max(0.0, self.amplitude)
+        return max(self._bump_extremes())
+
+    def _bump_extremes(self) -> tuple[float, float]:
+        # The 3x3 image sum is g(y1) g(y2), g(y) = sum_m exp(-(y+m)^2/2w^2)
+        # over m in {-1, 0, 1} and |y| <= 1/2; g falls from y = 0 to 1/2, so
+        # c takes its extremes at the center and at the antipode.
+        g = [sum(math.exp(-0.5 * (y + m) ** 2 / self.width**2) for m in (-1, 0, 1)) for y in (0.0, 0.5)]
+        return self.c0 + self.amplitude * g[0] ** 2, self.c0 + self.amplitude * g[1] ** 2
 
     def c(self, x):
         x = np.asarray(x, dtype=float)

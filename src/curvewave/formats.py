@@ -20,6 +20,7 @@ __all__ = ["write_field", "read_field", "write_index_csv", "read_index_csv", "wr
 _MAGIC_DTYPE = "c128le"
 COEFF_HEADER = ("j", "l", "k1", "k2", "nu", "re", "im")
 MATRIX_HEADER = tuple(f"{side}_{c}" for side in ("row", "col") for c in COEFF_HEADER[:5]) + ("re", "im")
+_CSV_BLOCK = 1024  # rows formatted per write: the Python objects of one block are alive at a time
 
 
 class FormatError(ValueError):
@@ -66,10 +67,13 @@ def write_index_csv(path, header, index, values) -> None:
     """Write one row per entry: the integer ``index`` columns (one array per
     header name before re,im), then the complex ``values``."""
     values = np.asarray(values, dtype=np.complex128)
-    rows = np.column_stack([*index, values.real, values.imag])
-    fmt = ",".join(["%d"] * (len(header) - 2) + ["%.17g", "%.17g"])
+    columns = [np.asarray(i, dtype=np.int64) for i in index] + [values.real, values.imag]
+    line = ",".join(["%d"] * (len(header) - 2) + ["%.17g", "%.17g"]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, rows, fmt=fmt, newline="\r\n", header=",".join(header), comments="")
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(values), _CSV_BLOCK):
+            cells = [column[start : start + _CSV_BLOCK].tolist() for column in columns]
+            fh.write("".join([line % row for row in zip(*cells)]))
 
 
 def read_index_csv(path, header):

@@ -1,10 +1,11 @@
 """Reference solution operators on the periodic grid.
 
 Exact Fourier-multiplier propagators for constant coefficients (scalar
-half-wave, second-order wave, and the 3-component acoustic system), an
-RK4 pseudospectral solver for variable c(x), Gaussian smoothing,
-separable pseudodifferential multipliers, smooth warpings, and
-vector-valued (hyper) curvelets.
+half-wave, second-order wave, and the 3-component acoustic system), a
+Chebyshev (rapid-expansion) propagator for variable c(x) with a stated
+error bound, the RK4 pseudospectral solver it is checked against,
+Gaussian smoothing, separable pseudodifferential multipliers, smooth
+warpings, and vector-valued (hyper) curvelets.
 
 Fields are sampled on [0,1)^2, so a grid frequency q corresponds to the
 physical wavenumber 2*pi*q; plane waves travel at speed c(x).
@@ -31,6 +32,7 @@ __all__ = [
     "apply_acoustic",
     "polarization_fractions",
     "solve_variable_wave",
+    "chebyshev_wave",
     "oneway_velocity",
     "apply_gaussian_smooth",
     "PsidoSymbol",
@@ -42,6 +44,11 @@ __all__ = [
 ]
 
 BRANCHES = (1, -1, 0)
+
+# A Chebyshev expansion keeps every degree up to the last coefficient at or
+# above this size; the coefficients of sin(t sqrt(lam))/sqrt(lam) are
+# compared after scaling by sqrt(lam_max), the size of L^(1/2) on the grid.
+CHEBYSHEV_TAIL = 1e-12
 
 
 @lru_cache(maxsize=8)
@@ -173,7 +180,8 @@ def solve_variable_wave(
     dt: float | None = None,
     cfl: float = 0.25,
 ):
-    """RK4 pseudospectral integration of u_tt = c(x)^2 Lap(u) to time t.
+    """RK4 pseudospectral integration of u_tt = c(x)^2 Lap(u) to time t,
+    the reference ``chebyshev_wave`` is checked against.
 
     Accepts stacked fields (..., N, N); returns (u, v).  dt defaults to
     the CFL bound cfl/(N*c_max); it must be positive and not exceed it.
@@ -201,6 +209,73 @@ def solve_variable_wave(
         u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
         v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
     return u, v
+
+
+@lru_cache(maxsize=32)
+def _chebyshev_coefficients(t: float, lam_max: float):
+    """Chebyshev coefficients (a, b) of cos(t sqrt(lam)) and
+    sin(t sqrt(lam))/sqrt(lam) on [0, lam_max], cut after the last degree
+    with |a_k| or sqrt(lam_max) |b_k| at or above CHEBYSHEV_TAIL, and the
+    sums of the discarded |a_k| and |b_k|.
+
+    The cosine's coefficients are 2 (-1)^k J_2k(R), R = |t| sqrt(lam_max),
+    and both sets decay fast past k = R/2; one DCT-II on 2R + 32 Chebyshev
+    nodes computes each, aliased only by degrees past 3R.
+    """
+    m = int(2 * abs(t) * math.sqrt(lam_max)) + 32
+    root = np.sqrt(0.5 * lam_max * (1.0 + np.cos(np.pi * (np.arange(m) + 0.5) / m)))
+    a = spfft.dct(np.cos(t * root), type=2) / m
+    b = spfft.dct(t * np.sinc(t * root / np.pi), type=2) / m
+    a[0] *= 0.5
+    b[0] *= 0.5
+    above = np.flatnonzero(np.maximum(np.abs(a), math.sqrt(lam_max) * np.abs(b)) >= CHEBYSHEV_TAIL)
+    keep = int(above[-1]) + 1  # cos(t sqrt(lam)) = 1 at lam = 0, so some |a_k| is large
+    a.flags.writeable = b.flags.writeable = False
+    return a[:keep], b[:keep], float(np.abs(a[keep:]).sum()), float(np.abs(b[keep:]).sum())
+
+
+def _wave_expansion(model: VelocityModel, n: int, t: float):
+    """c^2 on the N-grid, lam_max = max c^2 * max |xi|^2 over the grid, and
+    the Chebyshev coefficients of the wave group at time t on [0, lam_max]."""
+    _, _, mag = _grids(n)
+    c2 = np.asarray(model.c(_grid_points(n))) ** 2
+    lam_max = float(c2.max()) * float(mag.max()) ** 2
+    return c2, lam_max, _chebyshev_coefficients(float(t), lam_max)
+
+
+def chebyshev_wave(u0: np.ndarray, v0: np.ndarray, model: VelocityModel, t: float):
+    """u(t) = cos(t sqrt(L)) u0 + (sin(t sqrt(L))/sqrt(L)) v0 for the
+    pseudospectral L = -c(x)^2 Lap, by one Chebyshev expansion in L
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 1984; Kosloff et al.,
+    Geophysics 54, 1989).
+
+    Accepts stacked fields (..., N, N); returns (u, bound).  L is
+    self-adjoint and nonnegative in the c^-2-weighted norm ||.||_w, with
+    norm at most lam_max = max c^2 * max |xi|^2 over the grid, so
+    X = 2L/lam_max - 1 has ||T_k(X)||_w <= 1.  One Clenshaw recurrence sums
+    T_k(X) (a_k u0 + b_k v0): one application of L per degree.  ``bound``
+    is the discarded tail, sum_k>K |a_k| ||u0||_w + |b_k| ||v0||_w, taken
+    to the grid l2 norm by the factor max c: it bounds the distance to the
+    exact solution with this L, rounding aside.
+    """
+    u0 = np.asarray(u0, dtype=np.complex128)
+    v0 = np.asarray(v0, dtype=np.complex128)
+    if u0.shape != v0.shape:
+        raise ValueError("u0 and v0 must have matching shapes")
+    c2, lam_max, (a, b, _, _) = _wave_expansion(model, u0.shape[-1], t)
+    two_x_scale = -4.0 / lam_max * c2  # 2X s = two_x_scale * Lap(s) - 2s
+    s1 = s2 = np.zeros_like(u0)
+    for k in range(len(a) - 1, 0, -1):
+        s1, s2 = a[k] * u0 + b[k] * v0 + two_x_scale * _laplacian(s1) - 2.0 * s1 - s2, s1
+    u = a[0] * u0 + b[0] * v0 + 0.5 * two_x_scale * _laplacian(s1) - s1 - s2
+    return u, _chebyshev_bound(u0, v0, model, t)
+
+
+def _chebyshev_bound(u0: np.ndarray, v0: np.ndarray, model: VelocityModel, t: float) -> float:
+    """The ``bound`` of ``chebyshev_wave(u0, v0, model, t)``, without propagating."""
+    c2, _, (_, _, tail_a, tail_b) = _wave_expansion(model, np.shape(u0)[-1], t)
+    weighted = [math.sqrt(float(np.sum(np.abs(f) ** 2 / c2))) for f in (u0, v0)]
+    return math.sqrt(c2.max()) * (tail_a * weighted[0] + tail_b * weighted[1])
 
 
 def oneway_velocity(u0: np.ndarray, model: VelocityModel, sign) -> np.ndarray:
@@ -442,7 +517,7 @@ class OperatorSpec:
 
     Kinds: identity, halfwave, cos-wave, acoustic, variable-wave,
     gaussian-smooth, psido, warp.  ``variable-wave`` propagates one-way
-    initial data (v0 = sign i c |D| u0) through the pseudospectral solver.
+    initial data (v0 = sign i c |D| u0) by ``chebyshev_wave``.
     A psido spec names one of ``SYMBOL_IDS``; ``apply_psido`` takes any
     other symbol.
     """
@@ -452,7 +527,6 @@ class OperatorSpec:
     sign: int = 1
     c0: float = 1.0
     width: float = 0.0
-    dt: float | None = None
     model: VelocityModel | None = None
     symbol: str = "one"
     map: WarpMap = field(default_factory=WarpMap.identity)
@@ -463,7 +537,7 @@ class OperatorSpec:
         "halfwave": ("t", "sign", "c0"),
         "cos-wave": ("t", "c0"),
         "acoustic": ("t",),
-        "variable-wave": ("t", "sign", "model", "dt"),
+        "variable-wave": ("t", "sign", "model"),
         "gaussian-smooth": ("width",),
         "psido": ("symbol",),
         "warp": ("map",),
@@ -476,8 +550,6 @@ class OperatorSpec:
             raise ValueError(f"unknown operator kind {self.kind!r}")
         if self.sign not in (1, -1):
             raise ValueError(f"operator sign must be + or -; got {self.sign!r}")
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError(f"time step dt must be positive; got {self.dt!r}")
         if self.symbol not in SYMBOL_IDS:
             raise ValueError(f"unknown symbol id {self.symbol!r}; known: {', '.join(SYMBOL_IDS)}")
 
@@ -501,12 +573,20 @@ class OperatorSpec:
         if k == "acoustic":
             return apply_acoustic(f, self.t)
         if k == "variable-wave":
-            return solve_variable_wave(f, oneway_velocity(f, self.speed, self.sign), self.speed, self.t, dt=self.dt)[0]
+            return chebyshev_wave(f, oneway_velocity(f, self.speed, self.sign), self.speed, self.t)[0]
         if k == "gaussian-smooth":
             return apply_gaussian_smooth(f, self.width)
         if k == "psido":
             return apply_psido(f, named_symbol(self.symbol, f.shape[-1]))
         return apply_warp(f, self.map)
+
+    def solver_error(self, f: np.ndarray) -> float:
+        """Bound on the grid l2 distance from ``apply(f)`` to the exact
+        operator's output: the discarded Chebyshev tail of ``variable-wave``,
+        0 for the kinds applied exactly (to rounding)."""
+        if self.kind != "variable-wave":
+            return 0.0
+        return _chebyshev_bound(f, oneway_velocity(f, self.speed, self.sign), self.speed, self.t)
 
     def adjoint(self) -> OperatorSpec:
         """Adjoint operator, available for the multiplier-type kinds: the
@@ -519,10 +599,7 @@ class OperatorSpec:
         raise ValueError(f"adjoint not available for operator kind {self.kind!r}")
 
     def to_json(self) -> dict:
-        out = spec_json(self, self._KEYS[self.kind], sign="+" if self.sign > 0 else "-", model=self.speed)
-        if self.dt is None:
-            out.pop("dt", None)
-        return out
+        return spec_json(self, self._KEYS[self.kind], sign="+" if self.sign > 0 else "-", model=self.speed)
 
     @classmethod
     def from_json(cls, spec: dict) -> OperatorSpec:

@@ -60,6 +60,7 @@ class MatrixColumn:
     values: np.ndarray
     energy: float  # pre-threshold column energy
     threshold: float
+    solver_error: float = 0.0  # OperatorSpec.solver_error of the input over the column norm
 
     @property
     def nnz(self) -> int:
@@ -80,7 +81,8 @@ def curvelet_column(
 
     For vector operators the input is the vector curvelet e_component *
     phi_mu and every output component is analyzed.  ``threshold`` is
-    relative to the column norm; entries below it are dropped.
+    relative to the column norm; entries below it are dropped.  The
+    operator's stated error bound is recorded on the same scale.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
@@ -97,7 +99,8 @@ def curvelet_column(
     flat = coeffs.packed.ravel()  # the packed components in turn
     keep = np.flatnonzero(np.abs(flat) >= cut)
     row_nu, rows = np.divmod(keep, table.size)
-    return MatrixColumn(mu, component, rows, row_nu, flat[keep], float(energy), float(cut))
+    error = op.solver_error(u) / math.sqrt(energy) if energy > 0 else 0.0
+    return MatrixColumn(mu, component, rows, row_nu, flat[keep], float(energy), float(cut), error)
 
 
 @dataclass
@@ -129,9 +132,9 @@ class SparseOperatorMatrix:
     def read_csv(cls, table: FrameTable, op: OperatorSpec, path) -> SparseOperatorMatrix:
         """Matrix from a :meth:`write_csv` file: columns sorted by (j, ell, k1,
         k2, nu), entries in file order, each column's energy its kept energy
-        and its threshold 0.  FormatError on a malformed file or a nu the
-        operator lacks (scalar: 0, acoustic: 0-2); UnknownIndexError on an
-        index outside the frame."""
+        and its threshold and solver error 0.  FormatError on a malformed
+        file or a nu the operator lacks (scalar: 0, acoustic: 0-2);
+        UnknownIndexError on an index outside the frame."""
         index, values = formats.read_index_csv(path, formats.MATRIX_HEADER)
         if np.any((index[[4, 9]] < 0) | (index[[4, 9]] >= (3 if op.is_vector else 1))):
             raise formats.FormatError(f"{path}: nu must be {'0, 1 or 2' if op.is_vector else '0'} for {op.kind}")

@@ -128,8 +128,9 @@ class TestManifest:
     @pytest.mark.parametrize(
         "operator, message",
         [
-            ({"kind": "variable-wave", "t": 0.1, "dt": 0}, "dt must be positive"),
-            ({"kind": "variable-wave", "t": 0.1, "dt": -0.001}, "dt must be positive"),
+            # an expansion has no time step: dt is refused as an unknown key
+            ({"kind": "variable-wave", "t": 0.1, "dt": 0}, "variable-wave operator: dt"),
+            ({"kind": "variable-wave", "t": 0.1, "dt": 1e-3}, "variable-wave operator: dt"),
             ({"kind": "variable-wave", "t": 0.1, "sign": "0"}, "sign must be + or -"),
             ({"kind": "halfwave", "t": 0.1, "sign": "0"}, "sign must be + or -"),
         ],
@@ -253,6 +254,15 @@ class TestPropagateMatrixSparsity:
         assert main(["--config", str(without_model), "--out", str(tmp_path / "without"), "sparsity", matrix]) == 0
         report = (tmp_path / "with" / "decay_report.json").read_bytes()
         assert (tmp_path / "without" / "decay_report.json").read_bytes() == report
+
+    @pytest.mark.parametrize("operator", [{"kind": "halfwave", "sign": "+", "t": 0.25},
+                                          {"kind": "variable-wave", "sign": "+", "t": 0.25}])
+    def test_matrix_states_solver_error(self, tmp_path, capsys, operator):
+        # the largest stated error over the columns, relative to the column norm
+        cfg = write_config(tmp_path, operator=operator, columns={"count": 2, "scales": [3]})
+        assert main(["--config", cfg, "--out", str(tmp_path / "out"), "matrix"]) == 0
+        error = json.loads(capsys.readouterr().out)["solver_error"]
+        assert error == 0.0 if operator["kind"] == "halfwave" else 0.0 < error <= 1e-10
 
     def test_matrix_determinism(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -27,6 +27,23 @@ class TestVelocityModel:
         with pytest.raises(ValueError):
             VelocityModel.gaussian_bump((0.5, 0.5), 0.1, -2.0)
 
+    @pytest.mark.parametrize("width", [0.05, 0.1, 0.2, 0.3, 0.4])
+    @pytest.mark.parametrize("amplitude", [0.2, -0.3, -0.5])
+    def test_bump_bounds_bracket_sampled_speed(self, width, amplitude):
+        # the periodic images lift the peak above c0 + amplitude once the
+        # bump is wide (1.2367 at width 0.4, amplitude 0.2); the bounds are
+        # attained at the center and the antipode, both on this grid
+        model = VelocityModel.gaussian_bump((0.5, 0.5), width, amplitude)
+        grid = np.arange(256) / 256
+        c = model.c(np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1))
+        assert model.c_min == pytest.approx(c.min(), abs=1e-12)
+        assert model.c_max == pytest.approx(c.max(), abs=1e-12)
+
+    def test_bump_below_zero_refused(self):
+        # true minimum 1 - 0.85 * 1.1835 < 0, where c0 + amplitude reads 0.15
+        with pytest.raises(ValueError, match="c_min > 0"):
+            VelocityModel.gaussian_bump((0.5, 0.5), 0.4, -0.85)
+
     def test_json_round_trip(self):
         model = VelocityModel.sinusoidal(0.2, (1, 0))
         assert VelocityModel.from_json(model.to_json()) == model

@@ -82,6 +82,27 @@ class TestCoeffsCsv:
         c = coeffs.pack()[5]
         assert lines[6].decode() == f"{j[0]},{ell[0]},{k1[0]},{k2[0]},0,{c.real:.17g},{c.imag:.17g}"
 
+    def test_exact_bytes(self, tmp_path):
+        # %d index cells, %.17g values (negative zero and subnormal-range
+        # magnitudes included), CRLF after every line
+        path = tmp_path / "coeffs.csv"
+        index = ([3, 4], [-7, 0], [2**62, -(2**40)], [0, 5], [0, 0])
+        formats.write_index_csv(path, formats.COEFF_HEADER, index, [complex(-0.0, 1e-300), complex(0.1, -1e-300)])
+        assert path.read_bytes() == (
+            b"j,l,k1,k2,nu,re,im\r\n"
+            b"3,-7,4611686018427387904,0,0,-0,1e-300\r\n"
+            b"4,0,-1099511627776,5,0,0.10000000000000001,-1e-300\r\n"
+        )
+        path = tmp_path / "matrix.csv"
+        index = ([2], [1], [0], [-3], [0], [4], [12], [2**53 + 1], [7], [2])
+        formats.write_index_csv(path, formats.MATRIX_HEADER, index, [complex(-2.5e17, 0.0)])
+        assert path.read_bytes() == (
+            b"row_j,row_l,row_k1,row_k2,row_nu,col_j,col_l,col_k1,col_k2,col_nu,re,im\r\n"
+            b"2,1,0,-3,0,4,12,9007199254740993,7,2,-2.5e+17,0\r\n"
+        )
+        formats.write_index_csv(path, formats.MATRIX_HEADER, [[]] * 10, [])
+        assert path.read_bytes() == b",".join(name.encode() for name in formats.MATRIX_HEADER) + b"\r\n"
+
     @pytest.mark.parametrize(
         "body, message",
         [

@@ -1,17 +1,19 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.fft as spfft
 
 import curvewave as cw
-from curvewave.propagators import named_symbol
+from curvewave.propagators import _grid_points, _laplacian, named_symbol
 
 import pinned
 from conftest import random_field
 
 N = 64
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def plane_wave(n, q1, q2):
@@ -169,6 +171,62 @@ class TestVariableWave:
         assert np.linalg.norm(u - expected) <= 1e-6 * np.linalg.norm(expected)
 
 
+class TestChebyshevWave:
+    def test_constant_speed_matches_halfwave(self, frame64):
+        # RK4 at dt = 2.5e-4 agrees to 1e-6 (TestVariableWave); the expansion to rounding
+        model = cw.VelocityModel.constant(1.0)
+        u0 = cw.waveform(frame64, cw.CurveletIndex(3, 2, 1, 1))
+        u, bound = cw.chebyshev_wave(u0, cw.oneway_velocity(u0, model, "+"), model, 0.25)
+        expected = cw.apply_halfwave(u0, 0.25, "+")
+        assert np.linalg.norm(u - expected) <= 1e-10 * np.linalg.norm(expected)
+        assert 0.0 < bound <= 1e-10
+
+    def test_limit_of_rk4(self, frame64):
+        # RK4's gap to the expansion falls about 2^4-fold per halving of dt
+        model = cw.VelocityModel.sinusoidal(0.2, (1, 0))
+        u0 = cw.waveform(frame64, cw.CurveletIndex(2, 5, 1, 2))
+        v0 = cw.oneway_velocity(u0, model, "+")
+        u, _ = cw.chebyshev_wave(u0, v0, model, 0.25)
+        gaps = [np.linalg.norm(cw.solve_variable_wave(u0, v0, model, 0.25, dt=dt)[0] - u) for dt in (2e-3, 1e-3, 5e-4)]
+        assert all(12.0 <= a / b <= 20.0 for a, b in zip(gaps, gaps[1:]))
+
+    def test_energy_conserved_wide_bump(self, frame64):
+        # v(t) is the same expansion applied to (v0, -L u0); a width-0.4 bump
+        # peaks at c = 1.2367, above c0 + amplitude
+        model = cw.VelocityModel.gaussian_bump((0.4, 0.55), 0.4, 0.2)
+        u0 = cw.waveform(frame64, cw.CurveletIndex(2, 5, 1, 2))
+        v0 = cw.oneway_velocity(u0, model, "+")
+        minus_lu0 = np.asarray(model.c(_grid_points(64))) ** 2 * _laplacian(u0)
+        (u, v), _ = cw.chebyshev_wave(np.stack([u0, v0]), np.stack([v0, minus_lu0]), model, 0.5)
+        e0 = cw.wave_energy(u0, v0, model)
+        assert abs(cw.wave_energy(u, v, model) - e0) <= 1e-10 * e0
+
+    def test_stack_equals_single_fields(self, frame64, rng):
+        model = cw.VelocityModel.sinusoidal(0.2, (1, 0))
+        u0 = np.stack([random_field(rng, N) for _ in range(3)])
+        v0 = np.stack([random_field(rng, N) for _ in range(3)])
+        u, bound = cw.chebyshev_wave(u0, v0, model, 0.1)
+        singles = [cw.chebyshev_wave(a, b, model, 0.1) for a, b in zip(u0, v0)]
+        assert np.array_equal(u, np.stack([one[0] for one in singles]))
+        assert bound <= sum(one[1] for one in singles) * (1 + 1e-12)
+
+    def test_time_zero_and_shapes(self, rng):
+        model = cw.VelocityModel.sinusoidal(0.2, (1, 0))
+        u0 = random_field(rng, N)
+        u, bound = cw.chebyshev_wave(u0, random_field(rng, N), model, 0.0)
+        assert np.array_equal(u, u0) and bound == 0.0
+        with pytest.raises(ValueError, match="matching shapes"):
+            cw.chebyshev_wave(u0, np.zeros((2, N, N)), model, 0.1)
+
+    def test_stated_bound_of_benchmark_columns(self, frame128):
+        # the columns of configs/variable_wave_n128.json: N = 128, sinusoidal speed, j = 4
+        op = cw.OperatorSpec.from_json(json.loads((CONFIGS / "variable_wave_n128.json").read_text())["operator"])
+        rng = np.random.default_rng(11)
+        for _ in range(2):
+            col = cw.curvelet_column(frame128, op, frame128.random_index(rng, scales=[4]))
+            assert 0.0 < col.solver_error <= 1e-7
+
+
 class TestGaussianSmooth:
     def test_small_width_is_identity(self, rng):
         # frequencies are physical (2 pi q on the unit torus), so the
@@ -316,7 +374,7 @@ class TestOperatorSpecJson:
         {"kind": "halfwave", "t": 0.25, "sign": "-", "c0": 2.0},
         {"kind": "cos-wave", "t": 0.25, "c0": 1.5},
         {"kind": "acoustic", "t": 0.2},
-        {"kind": "variable-wave", "t": 0.25, "sign": "+", "dt": 1e-3,
+        {"kind": "variable-wave", "t": 0.25, "sign": "+",
          "model": {"kind": "gaussian-bump", "c0": 1.0, "amplitude": 0.2, "center": [0.3, 0.6], "width": 0.1}},
         {"kind": "gaussian-smooth", "width": 0.05},
         {"kind": "psido", "symbol": "mixed"},
@@ -335,6 +393,7 @@ class TestOperatorSpecJson:
             {"kind": "variable-wave", "t": 0.25, "c0": 2.0},
             {"kind": "variable-wave", "t": 0.25, "model": {"kind": "constant", "amplitude": 0.1}},
             {"kind": "warp", "map": {"kind": "identity", "s": 0.3}},
+            {"kind": "variable-wave", "t": 0.25, "dt": 1e-3},
         ],
     )
     def test_unread_key_refused(self, spec):
@@ -357,9 +416,7 @@ class TestOperatorSpecJson:
         ACOUSTIC,
         ACOUSTIC.adjoint(),
         cw.OperatorSpec(kind="variable-wave", t=0.25, sign=-1, model=cw.VelocityModel.sinusoidal(0.2, (1, 0))),
-        cw.OperatorSpec(
-            kind="variable-wave", t=0.25, dt=1e-3, model=cw.VelocityModel.gaussian_bump((0.3, 0.6), 0.12, 0.25)
-        ),
+        cw.OperatorSpec(kind="variable-wave", t=0.25, model=cw.VelocityModel.gaussian_bump((0.3, 0.6), 0.12, 0.25)),
         cw.OperatorSpec(kind="gaussian-smooth", width=0.05),
         cw.OperatorSpec(kind="psido", symbol="mixed"),
         cw.OperatorSpec(kind="warp"),
