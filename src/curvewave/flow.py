@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._core import checked_kind, required, spec_json
-from .frame import CurveletIndex, FrameTable, frame_atom
+from .frame import CurveletIndex, FrameTable, atom_spectrum, frame_atom
 
 __all__ = [
     "VelocityModel",
@@ -100,11 +100,10 @@ class VelocityModel:
         return max(self._bump_extremes())
 
     def _bump_extremes(self) -> tuple[float, float]:
-        # The 3x3 image sum is g(y1) g(y2), g(y) = sum_m exp(-(y+m)^2/2w^2)
-        # over m in {-1, 0, 1} and |y| <= 1/2; g falls from y = 0 to 1/2, so
-        # c takes its extremes at the center and at the antipode.
-        g = [sum(math.exp(-0.5 * (y + m) ** 2 / self.width**2) for m in (-1, 0, 1)) for y in (0.0, 0.5)]
-        return self.c0 + self.amplitude * g[0] ** 2, self.c0 + self.amplitude * g[1] ** 2
+        # g falls from y = 0 to 1/2, so c = c0 + a g(y1) g(y2) takes its
+        # extremes at the center and at the antipode
+        g0, g1 = self._bump_factor(np.array([0.0, 0.5]))[0].tolist()
+        return self.c0 + self.amplitude * g0**2, self.c0 + self.amplitude * g1**2
 
     def c(self, x):
         x = np.asarray(x, dtype=float)
@@ -112,10 +111,8 @@ class VelocityModel:
             return np.broadcast_to(np.float64(self.c0), x.shape[:-1]).copy()
         if self.kind == "sinusoidal":
             return self.c0 + self.amplitude * np.sin(self._phase(x))
-        out = np.broadcast_to(np.float64(self.c0), x.shape[:-1]).copy()
-        for rel in self._bump_images(x):
-            out = out + self.amplitude * np.exp(-0.5 * np.sum(rel * rel, axis=-1) / self.width**2)
-        return out
+        g = self._bump_factor(x - np.asarray(self.center))[0]
+        return self.c0 + self.amplitude * g[..., 0] * g[..., 1]
 
     def grad_c(self, x):
         x = np.asarray(x, dtype=float)
@@ -124,11 +121,8 @@ class VelocityModel:
         if self.kind == "sinusoidal":
             k = np.asarray(self.wavevector, dtype=float)
             return 2.0 * np.pi * self.amplitude * np.cos(self._phase(x))[..., None] * k
-        out = np.zeros_like(x)
-        for rel in self._bump_images(x):
-            g = np.exp(-0.5 * np.sum(rel * rel, axis=-1) / self.width**2)
-            out = out - (self.amplitude / self.width**2) * g[..., None] * rel
-        return out
+        g, dg = self._bump_factor(x - np.asarray(self.center))
+        return self.amplitude * dg * g[..., ::-1]
 
     def _phase(self, x):
         # written out, not x @ k: a matrix-vector product may round one
@@ -136,12 +130,18 @@ class VelocityModel:
         k1, k2 = self.wavevector
         return 2.0 * np.pi * (x[..., 0] * k1 + x[..., 1] * k2)
 
-    def _bump_images(self, x):
-        # periodize over the 3x3 nearest images so c is smooth on the torus
-        base = np.mod(x - np.asarray(self.center) + 0.5, 1.0) - 0.5
-        for m1 in (-1.0, 0.0, 1.0):
-            for m2 in (-1.0, 0.0, 1.0):
-                yield base + np.array([m1, m2])
+    def _bump_factor(self, y):
+        """The periodic factor g(y) = sum_{|m| <= M} exp(-(y+m)^2/2w^2) of the
+        bump and its derivative g'(y), per coordinate of y.  y is reduced to
+        [-1/2, 1/2) first and M = ceil(1/2 + w sqrt(2 ln 1e17)), so every
+        image left out weighs below 1e-17 and c is smooth on the torus."""
+        reach = math.ceil(0.5 + self.width * math.sqrt(2.0 * math.log(1e17)))
+        y = np.mod(y + 0.5, 1.0) - 0.5
+        g = dg = 0.0
+        for m in range(-reach, reach + 1):  # one image at a time: memory stays that of y
+            e = np.exp(-0.5 * (y + m) ** 2 / self.width**2)
+            g, dg = g + e, dg - (y + m) * e
+        return g, dg / self.width**2
 
     def gradient_defect(self, n_check: int = 64, h: float = 1e-6) -> float:
         """Max |analytic - central-difference| gradient over a probe grid."""
@@ -339,9 +339,7 @@ def predicted_curvelet(table: FrameTable, mu: CurveletIndex, model: VelocityMode
     q1, q2 = w.freqs
     p1 = rot[0, 0] * q1 + rot[1, 0] * q2
     p2 = rot[0, 1] * q1 + rot[1, 1] * q2
-    rect1, rect2 = np.divmod(w.wrapped, w.rect[1])
-    phase = q1 * x_mu[0] + q2 * x_mu[1] - rect1 * mu.k1 / w.rect[0] - rect2 * mu.k2 / w.rect[1]
-    coeff = w.weights * np.exp(2j * np.pi * phase) / (math.sqrt(w.size) * n * norm)
+    coeff = atom_spectrum(table, mu)[1] * np.exp(2j * np.pi * (q1 * x_mu[0] + q2 * x_mu[1])) / (n * norm)
     return _scattered_trig_sum(coeff, p1, p2, g1, g2)
 
 

@@ -6,6 +6,12 @@ axis-aligned rectangle, and that rectangle is inverse-FFT'd.  Squared
 windows tile the full frequency grid and the re-indexing is one-to-one,
 so Parseval and reconstruction are exact up to float rounding.
 
+Each rectangle follows from its wedge's support alone: its long side is
+next_fast_len of the support's extent along the longer axis, its short
+side next_fast_len of the widest fiber across it (capped at that axis's
+extent).  The translation lattice is the rectangle's, so it is parabolic
+(width ~ length^2) like the support.
+
 Scale channels of an S-scale frame:
 
     j = 0        isotropic low-pass (coarse), square lattice
@@ -43,6 +49,7 @@ __all__ = [
     "analyze",
     "synthesize",
     "waveform",
+    "atom_spectrum",
     "frame_atom",
     "molecule_profile",
 ]
@@ -67,8 +74,6 @@ class FrameParams:
         angles_base: orientation count at the first directional scale,
             divisible by 4 (full-circle count; antipodal wedges are kept
             separate, the transform is complex-valued).
-        delta1, delta2: lattice density factors >= 1 applied to the
-            wrapping rectangle (1 = critically sampled support box).
         smooth_step_order: window regularity parameter (C^(order-1)).
         transition: window crossover half-width in (0, 1/2].
     """
@@ -76,8 +81,6 @@ class FrameParams:
     n: int
     scales: int
     angles_base: int = 8
-    delta1: float = 1.0
-    delta2: float = 1.0
     smooth_step_order: int = 4
     transition: float = 0.5
 
@@ -89,8 +92,6 @@ class FrameParams:
             raise FrameError(f"scales must satisfy 1 <= S <= log2(N)-2, got S={s} for N={n}")
         if self.angles_base < 4 or self.angles_base % 4 != 0:
             raise FrameError(f"angles_base must be a positive multiple of 4, got {self.angles_base}")
-        if self.delta1 < 1.0 or self.delta2 < 1.0:
-            raise FrameError("lattice density factors must be >= 1")
         if self.smooth_step_order < 2:
             raise FrameError("smooth_step_order must be >= 2")
         if not 0.0 < self.transition <= 0.5:
@@ -147,12 +148,6 @@ def _signed(i: np.ndarray, n: int) -> np.ndarray:
     return (i + n // 2) % n - n // 2
 
 
-def _fast_len(want: int, n: int) -> int:
-    want = max(int(want), 1)
-    side = spfft.next_fast_len(want)
-    return min(side, n)
-
-
 def _column_extent(primary: np.ndarray, secondary: np.ndarray) -> int:
     """Largest secondary-coordinate spread over fibers of the primary coordinate."""
     order = np.lexsort((secondary, primary))
@@ -162,15 +157,17 @@ def _column_extent(primary: np.ndarray, secondary: np.ndarray) -> int:
     return int(np.max(s[ends - 1] - s[starts])) + 1
 
 
-def _wrap_geometry(q1: np.ndarray, q2: np.ndarray, deltas: tuple[float, float], n: int):
-    """Rectangle dims and injective wrapped positions for a wedge support.
+def _wrap_geometry(q1: np.ndarray, q2: np.ndarray):
+    """Rectangle dims and wrapped positions for a wedge support.
 
     The support is a (possibly curved, sheared) strip of signed frequencies.
-    Along its long axis the rectangle covers the full extent; across it the
-    support is wrapped modulo a side just large enough to keep the map
-    one-to-one, which keeps the translation lattice parabolic for tilted
-    wedges.  Wrapping by construction preserves w == q - min (mod side), so
-    the atoms of one channel are exact lattice translates of each other.
+    Along its long axis the rectangle covers the full extent, so that
+    coordinate is kept as is; across it the support is wrapped modulo a side
+    at least as wide as its widest fiber, so two frequencies of one fiber
+    never meet.  The map is therefore one-to-one by construction.  The long
+    side needs no cap: N is a power of two, so next_fast_len(extent) <= N.
+    Wrapping preserves w == q - min (mod side), so the atoms of one channel
+    are exact lattice translates of each other.
     """
     lo = (int(q1.min()), int(q2.min()))
     ext = (int(q1.max()) - lo[0] + 1, int(q2.max()) - lo[1] + 1)
@@ -178,27 +175,18 @@ def _wrap_geometry(q1: np.ndarray, q2: np.ndarray, deltas: tuple[float, float], 
     prim = 1 - sec
     coords = (q1 - lo[0], q2 - lo[1])
     sides = [0, 0]
-    sides[prim] = _fast_len(math.ceil(ext[prim] * deltas[prim]), n)
-    want = _column_extent(coords[prim], coords[sec])
-    side = _fast_len(math.ceil(want * deltas[sec]), n)
-    while True:
-        sides[sec] = min(side, ext[sec])
-        w1 = coords[0] % sides[0]
-        w2 = coords[1] % sides[1]
-        flat = w1 * sides[1] + w2
-        if len(np.unique(flat)) == len(flat):
-            return (sides[0], sides[1]), flat.astype(np.int64)
-        if sides[sec] >= ext[sec]:  # bounding interval is always injective
-            raise AssertionError("wrapping failed on the full bounding box")
-        side = spfft.next_fast_len(side + 1)
+    sides[prim] = spfft.next_fast_len(ext[prim])
+    sides[sec] = min(spfft.next_fast_len(_column_extent(coords[prim], coords[sec])), ext[sec])
+    return (sides[0], sides[1]), coords[0] % sides[0] * sides[1] + coords[1] % sides[1]
 
 
 def build_frame(params: FrameParams) -> FrameTable:
     """Precompute windows and wrapping geometry for a fixed grid.
 
     Raises:
-        FrameError: on invalid parameters or (never in practice) a
-            partition-of-unity defect above 1e-12.
+        FrameError: on invalid parameters or (never in practice) a wrapping
+            matrix with two entries in a row or a partition-of-unity
+            defect above 1e-12.
     """
     params.validate()
     n, s_total = params.n, params.scales
@@ -212,18 +200,16 @@ def build_frame(params: FrameParams) -> FrameTable:
 
     wedges: list[Wedge] = []
     entries = []  # per wedge: rows (packed positions), columns (spectrum positions), window values
-    accum = np.zeros((n, n))
 
     def add_channel(vals: np.ndarray, j: int, ell: int, kind: str, rho: float, theta: float) -> None:
         sup = np.flatnonzero(vals.ravel() > 0.0)
         if sup.size == 0:
             return
         w = vals.ravel()[sup]
-        rect, wrapped = _wrap_geometry(*(_signed(i, n) for i in np.divmod(sup, n)), (params.delta1, params.delta2), n)
+        rect, wrapped = _wrap_geometry(*(_signed(i, n) for i in np.divmod(sup, n)))
         offset = wedges[-1].offset + wedges[-1].size if wedges else 0
         wedges.append(Wedge(j, ell, kind, rho, theta, rect, offset, float(w @ w) / (rect[0] * rect[1])))
         entries.append(((offset + wrapped).astype(np.int32), sup.astype(np.int32), w))
-        np.add.at(accum.ravel(), sup, w * w)
 
     if s_total == 1:
         # Degenerate single-scale frame: one all-pass isotropic channel.
@@ -241,13 +227,14 @@ def build_frame(params: FrameParams) -> FrameTable:
                 add_channel(vals, j, ell, "directional", rho[j], theta0)
         add_channel(fam.highpass(radius / rho[s_total - 1]), s_total, 0, "guard", n / 4.0, math.nan)
 
-    defect = float(np.max(np.abs(accum - 1.0)))
-    if defect > 1e-12:
-        raise FrameError(f"window partition of unity defect {defect:.3e}")
-
     size = wedges[-1].offset + wedges[-1].size
     rows, cols, weights = (np.concatenate(a) for a in zip(*entries))
     wrap = csr_array((weights, (rows, cols)), shape=(size, n * n))
+    if np.max(np.diff(wrap.indptr)) > 1:
+        raise FrameError("wrapping is not one-to-one")
+    defect = float(np.max(np.abs(np.bincount(wrap.indices, wrap.data**2, minlength=n * n) - 1.0)))
+    if defect > 1e-12:
+        raise FrameError(f"window partition of unity defect {defect:.3e}")
     for w in wedges:
         span = slice(*wrap.indptr[[w.offset, w.offset + w.size]])
         w.wrap, w.support, w.weights = wrap, wrap.indices[span], wrap.data[span]
@@ -452,15 +439,21 @@ def synthesize(table: FrameTable, coeffs) -> np.ndarray:
     return spfft.ifft2(spectra.reshape(lead + (n, n)), norm="ortho", workers=FFT_WORKERS)
 
 
-def frame_atom(table: FrameTable, mu: CurveletIndex) -> np.ndarray:
-    """The (unnormalized) frame element phi_mu = synthesize of a unit coefficient."""
+def atom_spectrum(table: FrameTable, mu: CurveletIndex) -> tuple[Wedge, np.ndarray]:
+    """The wedge of mu and the ortho fft2 of phi_mu on ``wedge.support``
+    (zero elsewhere): the window times the lattice phase of (k1, k2)."""
     w = table.validate_index(mu)
-    n = table.n
     i1, i2 = np.divmod(w.wrapped, w.rect[1])
     phase = np.exp(-2j * np.pi * (i1 * mu.k1 / w.rect[0] + i2 * mu.k2 / w.rect[1]))
-    spectrum = np.zeros(n * n, dtype=np.complex128)
-    spectrum[w.support] = w.weights * phase / math.sqrt(w.size)
-    return spfft.ifft2(spectrum.reshape(n, n), norm="ortho", workers=FFT_WORKERS)
+    return w, w.weights * phase / math.sqrt(w.size)
+
+
+def frame_atom(table: FrameTable, mu: CurveletIndex) -> np.ndarray:
+    """The (unnormalized) frame element phi_mu = synthesize of a unit coefficient."""
+    w, values = atom_spectrum(table, mu)
+    spectrum = np.zeros((table.n, table.n), dtype=np.complex128)
+    spectrum.flat[w.support] = values
+    return spfft.ifft2(spectrum, norm="ortho", workers=FFT_WORKERS)
 
 
 def waveform(table: FrameTable, mu: CurveletIndex) -> np.ndarray:

@@ -22,7 +22,7 @@ import scipy.fft as spfft
 
 from ._core import FFT_WORKERS, checked_kind, required, spec_json
 from .flow import VelocityModel, normalize_branch
-from .frame import CurveletIndex, FrameTable, waveform
+from .frame import CurveletIndex, FrameTable, atom_spectrum
 
 __all__ = [
     "apply_halfwave",
@@ -486,10 +486,11 @@ def hyper_curvelet(table: FrameTable, mu: CurveletIndex, branch, mode: str = "po
     Raises:
         ValueError: for isotropic mu (r_branch undefined at xi = 0).
     """
-    w = table.validate_index(mu)
+    w, values = atom_spectrum(table, mu)
     if w.kind != "directional":
         raise ValueError("hyper curvelets require a directional index")
-    spec = _fft2(waveform(table, mu))
+    spec = np.zeros((table.n, table.n), dtype=np.complex128)
+    spec.flat[w.support] = values / math.sqrt(w.atom_norm2)
     if mode == "pointwise":
         r = acoustic_polarization(table.n, branch)
     elif mode == "center":

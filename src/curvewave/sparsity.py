@@ -17,8 +17,8 @@ from scipy.sparse import csc_array
 from scipy.stats import theilslopes
 
 from . import formats
-from .distance import PhasePoint, omega
-from .flow import VelocityModel, _flow_center, normalize_branch
+from .distance import omega
+from .flow import VelocityModel, flow_index
 from .frame import CurveletIndex, FrameTable, analyze, frame_atom
 from .propagators import BRANCHES, OperatorSpec, polarization_fractions, hyper_curvelet, apply_acoustic
 
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 DEFAULT_THRESHOLD = 1e-7
+BALL_RADII = np.geomspace(1.0, 64.0, 25)  # omega-ball radii of decay_report's concentration curve
 
 
 def comoving_branch(op: OperatorSpec) -> int:
@@ -211,24 +212,10 @@ def _guard_share(table: FrameTable, columns, budget: int) -> float:
     return guard / total
 
 
-def _flowed_points(table: FrameTable, mu: CurveletIndex, model: VelocityModel, t: float, branches=BRANCHES):
-    """Unsnapped flow images of the index center, one per branch."""
-    out = {}
-    for b in branches:
-        s = normalize_branch(b)
-        if s == 0 or t == 0:
-            out[s] = table.phase_point(mu)
-            continue
-        st = _flow_center(table, mu, model, s, t)
-        out[s] = PhasePoint(x=st.x, xi=st.xi, directional=True)
-    return out
-
-
 def column_omegas(table: FrameTable, col: MatrixColumn, model: VelocityModel, t: float) -> np.ndarray:
     """omega between each row index and the flowed column index, min over branches."""
     points = table.phase_points(col.rows_flat)
-    flowed = _flowed_points(table, col.col_index, model, t)
-    dists = [omega(points, target) for target in flowed.values()]
+    dists = [omega(points, flow_index(table, col.col_index, model, b, t)[0]) for b in BRANCHES]
     return np.min(np.stack(dists), axis=0)
 
 
@@ -269,11 +256,7 @@ class DecayReport:
         }
 
 
-def decay_report(
-    matrix: SparseOperatorMatrix,
-    model: VelocityModel | None = None,
-    ball_radii=None,
-) -> DecayReport:
+def decay_report(matrix: SparseOperatorMatrix, model: VelocityModel | None = None) -> DecayReport:
     """Sorted-entry decay fits and omega-ball concentration for each column.
 
     Raises:
@@ -282,7 +265,6 @@ def decay_report(
     if not matrix.columns:
         raise ValueError("decay report of an empty matrix")
     model = model or matrix.op.speed
-    radii = np.asarray(ball_radii if ball_radii is not None else np.geomspace(1.0, 64.0, 25))
     t = matrix.t
     table = matrix.table
     reports = []
@@ -292,7 +274,7 @@ def decay_report(
         omegas = column_omegas(table, col, model, t)
         kept = col.kept_energy()
         e2 = mags**2
-        inside = np.array([float(e2[omegas <= r].sum()) for r in radii])
+        inside = np.array([float(e2[omegas <= r].sum()) for r in BALL_RADII])
         frac = inside / col.energy if col.energy > 0 else inside
         curves.append(frac)
         idx95 = int(np.searchsorted(frac, 0.95))
@@ -307,12 +289,12 @@ def decay_report(
                 lp_half=float(np.sum(np.sqrt(mags))),
                 lp_one=float(np.sum(mags)),
                 largest_omega=largest,
-                radius_95=float(radii[idx95]) if idx95 < len(radii) else math.inf,
+                radius_95=float(BALL_RADII[idx95]) if idx95 < len(BALL_RADII) else math.inf,
             )
         )
     return DecayReport(
         columns=reports,
-        ball_radii=[float(r) for r in radii],
+        ball_radii=BALL_RADII.tolist(),
         concentration=[float(v) for v in np.mean(np.stack(curves), axis=0)],
     )
 

@@ -72,6 +72,7 @@ class TestManifest:
             ({"model": {"kind": "sinusoidal", "amplitude": 0.2, "wave_vector": [1, 0]}}, "wave_vector"),
             ({"operator": {"kind": "warp", "map": {"kind": "sinusoidal", "amplitude": 0.05, "wavevectr": [1, 1]}}},
              "wavevectr"),
+            ({"frame": {"n": 64, "scales": 4, "delta1": 1.5}}, "delta1"),
         ],
     )
     def test_unknown_key_exits_2(self, tmp_path, capsys, overrides, key):

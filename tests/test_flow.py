@@ -44,6 +44,12 @@ class TestVelocityModel:
         with pytest.raises(ValueError, match="c_min > 0"):
             VelocityModel.gaussian_bump((0.5, 0.5), 0.4, -0.85)
 
+    def test_wide_bump_smooth_across_antipode(self):
+        # every image above 1e-17 is summed, so dc/dx1 does not jump where x1 wraps
+        model = VelocityModel.gaussian_bump((0.5, 0.5), 0.4, 0.2)
+        grad = model.grad_c(np.array([[1e-7, 0.3], [1.0 - 1e-7, 0.3]]))
+        assert abs(grad[0, 0] - grad[1, 0]) <= 1e-6
+
     def test_json_round_trip(self):
         model = VelocityModel.sinusoidal(0.2, (1, 0))
         assert VelocityModel.from_json(model.to_json()) == model

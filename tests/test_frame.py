@@ -6,6 +6,7 @@ import pytest
 import scipy.fft as spfft
 
 import curvewave as cw
+import curvewave.frame as frame_module
 from curvewave.frame import FrameError, UnknownIndexError
 
 import pinned
@@ -72,17 +73,23 @@ class TestBuild:
         r = np.hypot(*w.freqs)
         assert r.max() <= frame128.n / 4 + 1e-9
 
-    def test_oversampled_lattice(self, rng):
-        # delta > 1 densifies the translation lattice; exactness is kept
-        table = cw.build_frame(cw.FrameParams(n=64, scales=4, delta1=1.5, delta2=1.5))
-        base = cw.build_frame(cw.FrameParams(n=64, scales=4))
-        assert table.size > base.size
-        f = random_field(rng, 64)
-        coeffs = cw.analyze(table, f)
-        nf = float(np.vdot(f, f).real)
-        assert abs(coeffs.norm2() - nf) <= 1e-10 * nf
-        rec = cw.synthesize(table, coeffs)
-        assert np.linalg.norm(rec - f) <= 1e-10 * math.sqrt(nf)
+    @pytest.mark.parametrize("n, size", [(32, 1569), (64, 6903), (128, 28715), (256, 117523), (512, 472771)])
+    def test_default_layout_size(self, n, size):
+        # each rectangle is a closed-form function of its support; these
+        # counts pin that rule at the command line's default scales
+        assert cw.build_frame(cw.FrameParams(n=n, scales=n.bit_length() - 3)).size == size
+
+    def test_non_injective_wrapping_refused(self, monkeypatch):
+        # the one-to-one check reads the assembled wrapping matrix
+        def collide(q1, q2):
+            rect, wrapped = wrap_geometry(q1, q2)
+            wrapped[1:2] = wrapped[:1]  # the second frequency lands on the first
+            return rect, wrapped
+
+        wrap_geometry = frame_module._wrap_geometry
+        monkeypatch.setattr(frame_module, "_wrap_geometry", collide)
+        with pytest.raises(FrameError, match="not one-to-one"):
+            cw.build_frame(cw.FrameParams(n=32, scales=3))
 
 
 class TestTransform:
@@ -209,6 +216,12 @@ class TestWaveform:
             frame256, mu, f, half_major=0.5 * c / math.sqrt(wedge.rho), half_minor=0.5 * c / wedge.rho
         )
         assert frac >= pinned.ENVELOPE_BOX_MIN
+
+    def test_atom_spectrum_is_the_atom_fft(self, frame128):
+        mu = cw.CurveletIndex(4, 3, 5, 1)
+        w, values = frame_module.atom_spectrum(frame128, mu)
+        spec = spfft.fft2(cw.frame_atom(frame128, mu), norm="ortho").ravel()
+        assert np.max(np.abs(spec[w.support] - values)) <= 1e-14
 
     def test_translates_of_one_mother(self, frame128):
         # atoms of one channel are exact translates: spectra agree up to the

@@ -124,6 +124,13 @@ class TestDecayReport:
                 hits += 1
         assert hits >= 18  # >= 90% of fine-scale columns
 
+    def test_isotropic_column_stays_put(self, frame64, halfwave_op):
+        # flow_index maps isotropic indices to themselves, so their omegas do not move with t
+        model = cw.VelocityModel.constant(1.0)
+        for j in (0, frame64.params.scales):
+            col = cw.curvelet_column(frame64, halfwave_op, cw.CurveletIndex(j, 0, 1, 2))
+            assert np.array_equal(cw.column_omegas(frame64, col, model, 0.25), cw.column_omegas(frame64, col, model, 0.0))
+
     def test_concentration_radius_single_digits(self, frame256, halfwave_op, rng):
         mu = frame256.random_index(rng, scales=[5])
         col = cw.curvelet_column(frame256, halfwave_op, mu)
