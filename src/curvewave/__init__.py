@@ -3,13 +3,13 @@
 from ._core import BACKEND
 from .distance import PhasePoint, d, omega
 from .flow import (
-    FlowState,
     VelocityModel,
     flow,
     flow_index,
     flow_step,
     flow_trajectory,
     predicted_curvelet,
+    rotation,
 )
 from .frame import (
     CoeffSet,

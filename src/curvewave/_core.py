@@ -8,9 +8,12 @@ benchmark provenance.  ``FFT_WORKERS``, the CPUs this process may run on
 (its affinity mask), is the one parallel level: every grid-sized FFT uses
 it.  ``checked`` and ``checked_kind`` refuse JSON specs with keys their
 reader would ignore; ``required`` names a key a spec leaves out;
-``spec_json`` writes a spec from its table of keys.
+``number`` and ``pair`` read JSON numbers; ``spec_json`` writes a spec
+from its table of keys.
 """
 
+import math
+import numbers
 import os
 
 from . import _kernels_py as kernels
@@ -47,6 +50,27 @@ def required(where: str, spec: dict, key: str):
     if key not in spec:
         raise ValueError(f"{where} needs key {key!r}")
     return spec[key]
+
+
+def number(where: str, value, kind: type = float, least=None):
+    """A JSON number read as ``kind`` (float or int).  A ValueError naming ``where``
+    refuses a bool, a string, a non-integer where an int is read, a non-finite
+    value and a value below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if kind is int else numbers.Real):
+        raise ValueError(f"{where} must be a JSON {'integer' if kind is int else 'number'}; got {value!r}")
+    value = kind(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{where} {value} is not finite")
+    if least is not None and value < least:
+        raise ValueError(f"{where} must be at least {least}; got {value!r}")
+    return value
+
+
+def pair(where: str, value, kind: type = float) -> tuple:
+    """A JSON list of two numbers, each read by ``number``."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{where} must be a list of two numbers; got {value!r}")
+    return tuple(number(where, v, kind) for v in value)
 
 
 def spec_json(spec, keys, **given) -> dict:

@@ -19,9 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from ._core import checked
-from .flow import FlowState, VelocityModel, flow_trajectory
-from .frame import CurveletIndex, FrameError, FrameParams, analyze, build_frame, synthesize
+from ._core import checked, number
+from .distance import PhasePoint
+from .flow import VelocityModel, flow_trajectory
+from .frame import FrameError, FrameParams, analyze, build_frame, synthesize
 from .propagators import OperatorSpec
 from .sparsity import DEFAULT_THRESHOLD, SparseOperatorMatrix, build_matrix, decay_report
 
@@ -29,9 +30,9 @@ __all__ = ["ExperimentConfig", "main"]
 
 
 # Accepted manifest keys.  "frame" takes exactly the FrameParams fields, each
-# cast to its annotated type.
+# a JSON number of its annotated type.
 _TOP_KEYS = {"frame", "operator", "model", "columns", "seed", "threshold", "out", "n_fields"}
-_FRAME_CASTS = {f.name: {"int": int, "float": float}[f.type] for f in fields(FrameParams)}
+_FRAME_TYPES = {f.name: {"int": int, "float": float}[f.type] for f in fields(FrameParams)}
 _COLUMN_KEYS = {"count", "scales"}
 
 
@@ -53,9 +54,10 @@ class ExperimentConfig:
         raw: dict = {}
         if args.config:
             with open(args.config) as fh:
-                raw = json.load(fh, parse_constant=_finite, parse_float=_finite)
+                raw = json.load(fh)
         checked("manifest", raw, _TOP_KEYS)
-        fr = {k: _FRAME_CASTS[k](v) for k, v in checked("frame", raw.get("frame", {}), _FRAME_CASTS).items()}
+        frame = checked("frame", raw.get("frame", {}), _FRAME_TYPES)
+        fr = {k: number(f"frame {k}", v, _FRAME_TYPES[k]) for k, v in frame.items()}
         if args.grid is not None:
             fr["n"] = args.grid
         fr.setdefault("n", 128)
@@ -65,19 +67,16 @@ class ExperimentConfig:
             cfg.operator = OperatorSpec.from_json(raw["operator"])
         if "model" in raw:
             cfg.model = VelocityModel.from_json(raw["model"])
-        cfg.columns = {**cfg.columns, **checked("columns", raw.get("columns", {}), _COLUMN_KEYS)}
-        cfg.seed = int(raw.get("seed", 0) if args.seed is None else args.seed)
-        cfg.threshold = float(raw.get("threshold", DEFAULT_THRESHOLD) if args.threshold is None else args.threshold)
+        columns = {**cfg.columns, **checked("columns", raw.get("columns", {}), _COLUMN_KEYS)}
+        if columns["scales"] is not None:
+            columns["scales"] = [number("columns scales", j, int) for j in columns["scales"]]
+        cfg.columns = {**columns, "count": number("columns count", columns["count"], int, least=1)}
+        cfg.seed = number("seed", raw.get("seed", 0) if args.seed is None else args.seed, int)
+        threshold = raw.get("threshold", DEFAULT_THRESHOLD) if args.threshold is None else args.threshold
+        cfg.threshold = number("threshold", threshold)
         cfg.out = Path(raw.get("out", ".") if args.out is None else args.out)
-        cfg.n_fields = int(raw.get("n_fields", cfg.n_fields))
+        cfg.n_fields = number("n_fields", raw.get("n_fields", cfg.n_fields), int, least=1)
         return cfg
-
-
-def _finite(text: str) -> float:
-    """A manifest number; NaN, Infinity and overflowing literals such as 1e400 raise ValueError."""
-    if not np.isfinite(value := float(text)):
-        raise ValueError(f"manifest number {text} is not finite")
-    return value
 
 
 def _random_field(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -149,17 +148,11 @@ def cmd_propagate(cfg: ExperimentConfig, input_path: str) -> int:
     return 0
 
 
-def _sample_columns(cfg: ExperimentConfig, table) -> list[CurveletIndex]:
-    rng = np.random.default_rng(cfg.seed)
-    count = int(cfg.columns.get("count", 8))
-    scales = cfg.columns.get("scales")
-    return [table.random_index(rng, scales) for _ in range(count)]
-
-
 def cmd_matrix(cfg: ExperimentConfig) -> int:
     table = build_frame(cfg.frame)
     op = cfg.operator
-    cols = _sample_columns(cfg, table)
+    rng = np.random.default_rng(cfg.seed)
+    cols = [table.random_index(rng, cfg.columns["scales"]) for _ in range(cfg.columns["count"])]
     matrix = build_matrix(table, op, cols, threshold=cfg.threshold)
     cfg.out.mkdir(parents=True, exist_ok=True)
     path = cfg.out / "matrix.csv"
@@ -189,11 +182,10 @@ def cmd_sparsity(cfg: ExperimentConfig, matrix_path: str) -> int:
 
 
 def cmd_flow(cfg: ExperimentConfig, x0, xi0, branch: str, t: float) -> int:
-    state = FlowState.initial(x0, xi0)
-    times, states = flow_trajectory(state, cfg.model or VelocityModel.constant(), branch, t)
+    times, points = flow_trajectory(PhasePoint(x0, xi0), cfg.model or VelocityModel.constant(), branch, t)
     cfg.out.mkdir(parents=True, exist_ok=True)
     path = cfg.out / "trajectory.csv"
-    rows = [(tt, *st.x, *st.xi, np.arctan2(st.xi[1], st.xi[0])) for tt, st in zip(times, states)]
+    rows = [(tt, *p.x, *p.xi, p.theta) for tt, p in zip(times, points)]
     np.savetxt(path, rows, fmt="%.17g", delimiter=",", header="t,x1,x2,xi1,xi2,theta", comments="")
     print(json.dumps({"steps": len(times) - 1, "path": str(path)}))
     return 0

@@ -1,9 +1,9 @@
 """Bicharacteristic flow for the eigenvalue Hamiltonians lambda = s*c(x)|xi|.
 
-Fixed-step RK4 on the torus phase space (one ray or a stack of rays per
-call), the orientation-tracking rotation U(t) (defined directly by
-U(t) n(t) = n(0)), and the induced curvelet index map mu -> mu_nu(t)
-with deterministic snapping.
+Fixed-step RK4 on the torus phase space, moving ``distance.PhasePoint``
+stacks (one ray or many per call), the orientation-tracking rotation
+U(t) (defined directly by U(t) e(t) = e(0)), and the induced curvelet
+index map mu -> mu_nu(t) with deterministic snapping.
 """
 
 from __future__ import annotations
@@ -13,13 +13,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._core import checked_kind, required, spec_json
+from ._core import checked_kind, number, pair, required, spec_json
+from .distance import PhasePoint
 from .frame import CurveletIndex, FrameTable, atom_spectrum, frame_atom
 
 __all__ = [
     "VelocityModel",
-    "FlowState",
     "normalize_branch",
+    "rotation",
     "flow_step",
     "flow",
     "flow_trajectory",
@@ -28,21 +29,16 @@ __all__ = [
 ]
 
 
+_BRANCHES = {"+": 1, "plus": 1, "-": -1, "minus": -1, "0": 0, "zero": 0}
+
+
 def normalize_branch(branch) -> int:
     """Map branch labels {+, -, 0} (str or int) to the sign in {+1, -1, 0}."""
     if branch in (1, -1, 0):
         return int(branch)
-    try:
-        text = str(branch).strip()
-        if text in {"+", "plus"}:
-            return 1
-        if text in {"-", "minus"}:
-            return -1
-        if text in {"0", "zero"}:
-            return 0
-    except Exception:
-        pass
-    raise ValueError(f"branch must be one of +, -, 0; got {branch!r}")
+    if (sign := _BRANCHES.get(str(branch).strip())) is None:
+        raise ValueError(f"branch must be one of +, -, 0; got {branch!r}")
+    return sign
 
 
 @dataclass(frozen=True)
@@ -161,121 +157,66 @@ class VelocityModel:
     @classmethod
     def from_json(cls, spec: dict) -> VelocityModel:
         kind = checked_kind("velocity model", spec, cls._KEYS, default="constant")
+        where = f"{kind} velocity model"
+        c0 = number(f"{where} c0", spec.get("c0", 1.0))
         if kind == "constant":
-            return cls.constant(spec.get("c0", 1.0))
+            return cls.constant(c0)
         if kind == "sinusoidal":
-            amplitude = required("sinusoidal velocity model", spec, "amplitude")
-            return cls.sinusoidal(amplitude, spec.get("wavevector", (1, 0)), spec.get("c0", 1.0))
-        return cls.gaussian_bump(
-            spec.get("center", (0.5, 0.5)), spec.get("width", 0.1), spec.get("amplitude", 0.2), spec.get("c0", 1.0)
-        )
+            amplitude = number(f"{where} amplitude", required(where, spec, "amplitude"))
+            return cls.sinusoidal(amplitude, pair(f"{where} wavevector", spec.get("wavevector", (1, 0)), int), c0)
+        center = pair(f"{where} center", spec.get("center", (0.5, 0.5)))
+        width = number(f"{where} width", spec.get("width", 0.1))
+        return cls.gaussian_bump(center, width, number(f"{where} amplitude", spec.get("amplitude", 0.2)), c0)
 
 
-def _norm(xi):
-    return np.hypot(xi[..., 0], xi[..., 1])
-
-
-@dataclass(frozen=True)
-class FlowState:
-    """Phase-space points plus the rotations tracking the orientation drift.
-
-    x, xi and n0 have shape (..., 2): one state may carry a stack of rays,
-    which every function below advances together.
-    """
-
-    x: np.ndarray
-    xi: np.ndarray
-    n0: np.ndarray  # initial direction xi(0)/|xi(0)|
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
-        object.__setattr__(self, "n0", np.asarray(self.n0, dtype=float))
-        if np.any(_norm(self.xi) == 0.0):
-            raise ValueError("flow state requires |xi| > 0")
-
-    @classmethod
-    def initial(cls, x, xi) -> FlowState:
-        xi = np.asarray(xi, dtype=float)
-        mag = _norm(xi)
-        if np.any(mag == 0.0):
-            raise ValueError("flow state requires |xi| > 0")
-        return cls(x=np.asarray(x, dtype=float), xi=xi, n0=xi / mag[..., None])
-
-    @property
-    def n(self) -> np.ndarray:
-        return self.xi / _norm(self.xi)[..., None]
-
-    @property
-    def rotation(self) -> np.ndarray:
-        """U(t), shape (..., 2, 2): the rotation with U(t) n(t) = n(0)."""
-        nt, n0 = self.n, self.n0
-        cos = nt[..., 0] * n0[..., 0] + nt[..., 1] * n0[..., 1]
-        sin = nt[..., 0] * n0[..., 1] - nt[..., 1] * n0[..., 0]
-        return np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
+def rotation(start: PhasePoint, end: PhasePoint) -> np.ndarray:
+    """U, shape (..., 2, 2): the rotation with U e(end) = e(start), which
+    undoes the orientation drift of rays flowed from start to end."""
+    nt, n0 = end.e, start.e
+    cos = nt[..., 0] * n0[..., 0] + nt[..., 1] * n0[..., 1]
+    sin = nt[..., 0] * n0[..., 1] - nt[..., 1] * n0[..., 0]
+    return np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
 
 
 def _rhs(x, xi, model: VelocityModel, sign: int):
-    mag = _norm(xi)[..., None]
+    mag = np.hypot(xi[..., 0], xi[..., 1])[..., None]
     dx = sign * model.c(x)[..., None] * xi / mag
     dxi = -sign * mag * model.grad_c(x)
     return dx, dxi
 
 
-def flow_step(state: FlowState, model: VelocityModel, branch, dt: float) -> FlowState:
+def flow_step(point: PhasePoint, model: VelocityModel, branch, dt: float) -> PhasePoint:
     """One RK4 step of the bicharacteristic system (branch 0: identity)."""
     sign = normalize_branch(branch)
     if sign == 0:
-        return state
-    x, xi = state.x, state.xi
+        return point
+    x, xi = point.x, point.xi
     k1x, k1s = _rhs(x, xi, model, sign)
     k2x, k2s = _rhs(x + 0.5 * dt * k1x, xi + 0.5 * dt * k1s, model, sign)
     k3x, k3s = _rhs(x + 0.5 * dt * k2x, xi + 0.5 * dt * k2s, model, sign)
     k4x, k4s = _rhs(x + dt * k3x, xi + dt * k3s, model, sign)
     x_new = np.mod(x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x), 1.0)
     xi_new = xi + dt / 6.0 * (k1s + 2 * k2s + 2 * k3s + k4s)
-    if np.any(_norm(xi_new) == 0.0):  # impossible for c > 0; guards integrator misuse
-        raise ArithmeticError("frequency collapsed to zero along the flow")
-    return replace(state, x=x_new, xi=xi_new)
+    return replace(point, x=x_new, xi=xi_new)
 
 
-def _step_count(t: float, dt: float) -> int:
-    return max(1, int(math.ceil(abs(t) / dt - 1e-12)))
-
-
-def flow(state: FlowState, model: VelocityModel, branch, t: float, dt: float = 1e-3) -> FlowState:
+def flow(point: PhasePoint, model: VelocityModel, branch, t: float, dt: float = 1e-3) -> PhasePoint:
     """Integrate the flow for time t (t may be negative) with steps <= dt."""
-    if t == 0 or normalize_branch(branch) == 0:
-        return state
-    steps = _step_count(t, dt)
-    h = t / steps
-    for _ in range(steps):
-        state = flow_step(state, model, branch, h)
-    return state
+    if normalize_branch(branch) == 0:
+        return point
+    return flow_trajectory(point, model, branch, t, dt)[1][-1]
 
 
-def flow_trajectory(state: FlowState, model: VelocityModel, branch, t: float, dt: float = 1e-3):
-    """States sampled at every integrator step; returns (times, states)."""
-    steps = _step_count(t, dt) if t != 0 else 0
+def flow_trajectory(point: PhasePoint, model: VelocityModel, branch, t: float, dt: float = 1e-3):
+    """Points after every integrator step, |t| / dt steps rounded up;
+    returns (times, points), both starting at time 0 with ``point``."""
+    steps = max(1, math.ceil(abs(t) / dt - 1e-12)) if t else 0
     h = t / steps if steps else 0.0
-    times = [0.0]
-    states = [state]
+    times, points = [0.0], [point]
     for i in range(steps):
-        state = flow_step(state, model, branch, h)
+        points.append(flow_step(points[-1], model, branch, h))
         times.append((i + 1) * h)
-        states.append(state)
-    return np.array(times), states
-
-
-def _index_dt(table: FrameTable, mu: CurveletIndex) -> float:
-    rho = max(table.wedge(mu.j, mu.ell).rho, 1.0)
-    return min(1e-3, 1.0 / (4.0 * rho))
-
-
-def _flow_center(table: FrameTable, mu: CurveletIndex, model: VelocityModel, branch, t: float) -> FlowState:
-    """The phase-space center of mu flowed for time t."""
-    state = FlowState.initial(table.center(mu), table.xi_center(mu))
-    return flow(state, model, branch, t, dt=_index_dt(table, mu))
+    return np.array(times), points
 
 
 def _snap_int(value: float) -> int:
@@ -290,15 +231,10 @@ def flow_index(table: FrameTable, mu: CurveletIndex, model: VelocityModel, branc
     distance evaluations) and the nearest frame index.  Isotropic indices
     map to themselves.
     """
-    from .distance import PhasePoint
-
     w = table.validate_index(mu)
     if w.kind != "directional" or normalize_branch(branch) == 0 or t == 0:
         return table.phase_point(mu), mu
-
-    state = _flow_center(table, mu, model, branch, t)
-    point = PhasePoint(x=state.x, xi=state.xi, directional=True)
-
+    point = flow(table.phase_point(mu), model, branch, t)
     scales = table.directional_scales()
     log_rho = np.log2([table.wedge(j).rho for j in scales])
     j_new = scales[int(np.argmin(np.abs(log_rho - point.scale_log2)))]
@@ -306,8 +242,8 @@ def flow_index(table: FrameTable, mu: CurveletIndex, model: VelocityModel, branc
     theta = float(np.mod(point.theta, 2.0 * np.pi))
     ell_new = _snap_int(theta * n_ang / (2.0 * np.pi)) % n_ang
     rect = table.wedge(j_new, ell_new).rect
-    k1 = _snap_int(state.x[0] * rect[0]) % rect[0]
-    k2 = _snap_int(state.x[1] * rect[1]) % rect[1]
+    k1 = _snap_int(point.x[0] * rect[0]) % rect[0]
+    k2 = _snap_int(point.x[1] * rect[1]) % rect[1]
     return point, CurveletIndex(j_new, ell_new, k1, k2)
 
 
@@ -326,20 +262,20 @@ def predicted_curvelet(table: FrameTable, mu: CurveletIndex, model: VelocityMode
     if sign == 0 or t == 0:
         return frame_atom(table, mu) / norm
 
-    state = _flow_center(table, mu, model, branch, t)
-    rot = state.rotation
-    x_mu = table.center(mu)
+    start = table.phase_point(mu)
+    end = flow(start, model, branch, t)
+    rot = rotation(start, end)
     n = table.n
     grid = np.arange(n) / n
     # shortest-displacement wrap keeps the motion rigid on the torus
-    g1 = np.mod(grid - state.x[0] + 0.5, 1.0) - 0.5
-    g2 = np.mod(grid - state.x[1] + 0.5, 1.0) - 0.5
+    g1 = np.mod(grid - end.x[0] + 0.5, 1.0) - 0.5
+    g2 = np.mod(grid - end.x[1] + 0.5, 1.0) - 0.5
     # q.(U g + x_mu) = (U^T q).g + q.x_mu: the grid offsets g1 (row) and g2
     # (column) meet the rotated frequencies p = U^T q separately
     q1, q2 = w.freqs
     p1 = rot[0, 0] * q1 + rot[1, 0] * q2
     p2 = rot[0, 1] * q1 + rot[1, 1] * q2
-    coeff = atom_spectrum(table, mu)[1] * np.exp(2j * np.pi * (q1 * x_mu[0] + q2 * x_mu[1])) / (n * norm)
+    coeff = atom_spectrum(table, mu)[1] * np.exp(2j * np.pi * (q1 * start.x[0] + q2 * start.x[1])) / (n * norm)
     return _scattered_trig_sum(coeff, p1, p2, g1, g2)
 
 

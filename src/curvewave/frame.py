@@ -36,6 +36,7 @@ import scipy.fft as spfft
 from scipy.sparse import csr_array
 
 from ._core import FFT_WORKERS, kernels
+from .distance import PhasePoint
 from .windows import WindowFamily, build_windows
 
 __all__ = [
@@ -315,8 +316,6 @@ class FrameTable:
     def phase_points(self, flat):
         """Stacked phase-space centers of packed positions: x_mu = (k1/r1, k2/r2)
         and the wedge's xi center (rho_j e_theta, or (max(rho, 1), 0) undirected)."""
-        from .distance import PhasePoint
-
         which, k1, k2 = self._locate(flat)
         x = np.stack([k1 / self._rect[which, 0], k2 / self._rect[which, 1]], axis=-1)
         return PhasePoint(x=x, xi=np.take(self._xi, which, axis=0), directional=self._directional[which])

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft as spfft
 
-from ._core import FFT_WORKERS, checked_kind, required, spec_json
+from ._core import FFT_WORKERS, checked_kind, number, pair, required, spec_json
 from .flow import VelocityModel, normalize_branch
 from .frame import CurveletIndex, FrameTable, atom_spectrum
 
@@ -432,9 +432,11 @@ class WarpMap:
         kind = checked_kind("warp map", spec, cls._KEYS, default="identity")
         if kind == "identity":
             return cls.identity()
+        where = f"{kind} warp map"
         if kind == "shear":
-            return cls.shear(required("shear warp map", spec, "s"))
-        return cls.sinusoidal(required("sinusoidal warp map", spec, "amplitude"), spec.get("wavevector", (1, 0)))
+            return cls.shear(number(f"{where} s", required(where, spec, "s")))
+        amplitude = number(f"{where} amplitude", required(where, spec, "amplitude"))
+        return cls.sinusoidal(amplitude, pair(f"{where} wavevector", spec.get("wavevector", (1, 0)), int))
 
 
 def apply_warp(f: np.ndarray, warp: WarpMap) -> np.ndarray:
@@ -511,6 +513,12 @@ def _center_polarization(xi, branch) -> np.ndarray:
     return np.array([s * e[0], s * e[1], 1.0]) / math.sqrt(2.0)
 
 
+def _read_sign(text) -> int:
+    if text not in ("+", "-"):
+        raise ValueError(f"operator sign must be + or -; got {text!r}")
+    return 1 if text == "+" else -1
+
+
 @dataclass(frozen=True)
 class OperatorSpec:
     """Declarative operator description with an ``apply``; its fields are
@@ -543,8 +551,8 @@ class OperatorSpec:
         "psido": ("symbol",),
         "warp": ("map",),
     }
-    # how ``from_json`` reads each key that is not a float
-    _READ = {"sign": normalize_branch, "symbol": str, "model": VelocityModel.from_json, "map": WarpMap.from_json}
+    # how ``from_json`` reads each key that is not a number
+    _READ = {"sign": _read_sign, "symbol": str, "model": VelocityModel.from_json, "map": WarpMap.from_json}
 
     def __post_init__(self):
         if self.kind not in self._KEYS:
@@ -607,7 +615,10 @@ class OperatorSpec:
         kind = checked_kind("operator", spec, cls._KEYS)
         if kind == "gaussian-smooth":
             required("gaussian-smooth operator", spec, "width")
-        return cls(kind=kind, **{key: cls._READ.get(key, float)(spec[key]) for key in cls._KEYS[kind] if key in spec})
+        return cls(kind=kind, **{
+            key: cls._READ[key](spec[key]) if key in cls._READ else number(f"{kind} operator {key}", spec[key])
+            for key in cls._KEYS[kind] if key in spec
+        })
 
 
 SYMBOL_IDS = ("one", "space-sine", "freq-lowpass", "mixed")

@@ -114,8 +114,8 @@ def test_criterion_03_pseudo_distance_properties(frame64, frame128):
         pairs = [(table.random_index(rng_f), table.random_index(rng_f)) for _ in range(100)]
         p1 = table.phase_points([table.flat_of_index(m1) for m1, _ in pairs])
         p2 = table.phase_points([table.flat_of_index(m2) for _, m2 in pairs])
-        s1 = cw.flow(cw.FlowState.initial(p1.x, p1.xi), model, "+", 0.25)
-        s2 = cw.flow(cw.FlowState.initial(p2.x, p2.xi), model, "+", 0.25)
+        s1 = cw.flow(PhasePoint(p1.x, p1.xi), model, "+", 0.25)
+        s2 = cw.flow(PhasePoint(p2.x, p2.xi), model, "+", 0.25)
         ratio = omega(PhasePoint(s1.x, s1.xi), PhasePoint(s2.x, s2.xi)) / omega(p1, p2)
         flow_ratios = np.maximum(ratio, 1.0 / ratio)
         stats[name] = dict(

@@ -120,6 +120,15 @@ class TestManifest:
             ({"frame": [64, 4]}, "frame must be a JSON object"),
             ({"columns": 3}, "columns must be a JSON object"),
             ({"frame": {"n": None, "scales": 4}}, "config error"),
+            # numbers must be JSON numbers, ints where an int is read, and counts at least 1
+            ({"threshold": "nan"}, "threshold must be a JSON number"),
+            ({"threshold": "inf"}, "threshold must be a JSON number"),
+            ({"frame": {"n": "64", "scales": 4}}, "frame n must be a JSON integer"),
+            ({"model": {"kind": "sinusoidal", "amplitude": 0.2, "wavevector": [1.7, 0]}},
+             "wavevector must be a JSON integer"),
+            ({"columns": {"count": -2, "scales": [3]}}, "columns count must be at least 1"),
+            ({"columns": {"count": 2.7, "scales": [3]}}, "columns count must be a JSON integer"),
+            ({"n_fields": 0}, "n_fields must be at least 1"),
         ],
     )
     def test_malformed_section_exits_2(self, tmp_path, capsys, overrides, message):
@@ -134,6 +143,11 @@ class TestManifest:
             ({"kind": "variable-wave", "t": 0.1, "dt": 1e-3}, "variable-wave operator: dt"),
             ({"kind": "variable-wave", "t": 0.1, "sign": "0"}, "sign must be + or -"),
             ({"kind": "halfwave", "t": 0.1, "sign": "0"}, "sign must be + or -"),
+            ({"kind": "halfwave", "t": 0.1, "sign": True}, "sign must be + or -"),
+            ({"kind": "halfwave", "t": 0.1, "sign": 1}, "sign must be + or -"),
+            ({"kind": "halfwave", "t": "nan"}, "halfwave operator t must be a JSON number"),
+            ({"kind": "halfwave", "t": 0.1, "c0": "2"}, "halfwave operator c0 must be a JSON number"),
+            ({"kind": "gaussian-smooth", "width": "nan"}, "gaussian-smooth operator width must be a JSON number"),
         ],
     )
     def test_unrunnable_value_exits_2(self, tmp_path, capsys, operator, message):
@@ -325,3 +339,8 @@ class TestFlowCommand:
         assert last[1] == pytest.approx(0.5, abs=1e-9)  # x1 = 0.2 + 0.3
         assert last[2] == pytest.approx(0.5, abs=1e-12)
         assert last[5] == pytest.approx(0.0, abs=1e-12)
+
+    def test_zero_frequency_exits_2(self, tmp_path, capsys):
+        rc = main(["--config", write_config(tmp_path), "--out", str(tmp_path / "out"), "flow", "--xi0", "0", "0"])
+        assert rc == 2
+        assert "nonzero frequency" in capsys.readouterr().err

@@ -135,8 +135,8 @@ class TestFrameProperties:
             pairs = [(table.random_index(rng), table.random_index(rng)) for _ in range(100)]
             p1 = table.phase_points([table.flat_of_index(mu1) for mu1, _ in pairs])
             p2 = table.phase_points([table.flat_of_index(mu2) for _, mu2 in pairs])
-            s1 = cw.flow(cw.FlowState.initial(p1.x, p1.xi), model, "+", 0.25)
-            s2 = cw.flow(cw.FlowState.initial(p2.x, p2.xi), model, "+", 0.25)
+            s1 = cw.flow(PhasePoint(p1.x, p1.xi), model, "+", 0.25)
+            s2 = cw.flow(PhasePoint(p2.x, p2.xi), model, "+", 0.25)
             r = omega(PhasePoint(s1.x, s1.xi), PhasePoint(s2.x, s2.xi)) / omega(p1, p2)
             vals = np.maximum(r, 1.0 / r)
             assert max(vals) <= pinned.OMEGA_FLOW_BOUND
@@ -149,8 +149,8 @@ class TestFrameProperties:
         wedge_l = 3
         p1 = frame64.phase_point(cw.CurveletIndex(3, wedge_l, 1, 2))
         p2 = frame64.phase_point(cw.CurveletIndex(3, wedge_l, 4, 0))
-        s1 = cw.flow(cw.FlowState.initial(p1.x, p1.xi), model, "+", 0.25)
-        s2 = cw.flow(cw.FlowState.initial(p2.x, p2.xi), model, "+", 0.25)
+        s1 = cw.flow(PhasePoint(p1.x, p1.xi), model, "+", 0.25)
+        s2 = cw.flow(PhasePoint(p2.x, p2.xi), model, "+", 0.25)
         before = float(omega(p1, p2))
         after = float(omega(PhasePoint(s1.x, s1.xi), PhasePoint(s2.x, s2.xi)))
         assert after == pytest.approx(before, rel=1e-9)

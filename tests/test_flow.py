@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import curvewave as cw
-from curvewave.flow import FlowState, VelocityModel, flow, flow_trajectory, normalize_branch
+from curvewave.distance import PhasePoint
+from curvewave.flow import VelocityModel, flow, flow_trajectory, normalize_branch, rotation
 
 import pinned
 
@@ -61,20 +62,20 @@ class TestVelocityModel:
 
 class TestIntegrator:
     def test_straight_rays_unit_speed(self):
-        state = FlowState.initial((0.2, 0.5), (1.0, 0.0))
+        state = PhasePoint((0.2, 0.5), (1.0, 0.0))
         out = flow(state, VelocityModel.constant(1.0), "+", 0.3)
         assert out.x == pytest.approx([0.5, 0.5], abs=1e-12)
         assert out.xi == pytest.approx([1.0, 0.0], abs=1e-14)
 
     def test_branch_zero_is_identity(self):
-        state = FlowState.initial((0.2, 0.5), (3.0, 4.0))
+        state = PhasePoint((0.2, 0.5), (3.0, 4.0))
         out = flow(state, VelocityModel.sinusoidal(0.2, (1, 0)), 0, 0.7)
         assert out is state
 
     def test_rk4_order(self):
         # Richardson: halving dt divides the error by about 2^4
         model = VelocityModel.sinusoidal(0.2, (1, 0))
-        state = FlowState.initial((0.3, 0.4), (20.0, 8.0))
+        state = PhasePoint((0.3, 0.4), (20.0, 8.0))
         ref = flow(state, model, "+", 0.5, dt=2.5e-4)
 
         def err(dt):
@@ -86,30 +87,30 @@ class TestIntegrator:
 
     def test_hamiltonian_conserved(self):
         model = VelocityModel.gaussian_bump((0.4, 0.6), 0.15, 0.2)
-        state = FlowState.initial((0.1, 0.2), (30.0, -10.0))
+        state = PhasePoint((0.1, 0.2), (30.0, -10.0))
         h0 = model.c(state.x) * np.hypot(*state.xi)
         out = flow(state, model, "+", 1.0, dt=1e-3)
         h1 = model.c(out.x) * np.hypot(*out.xi)
         assert abs(h1 - h0) <= 1e-6 * abs(h0)
 
     def test_frequency_magnitude_constant_speed(self):
-        state = FlowState.initial((0.7, 0.1), (5.0, 12.0))
+        state = PhasePoint((0.7, 0.1), (5.0, 12.0))
         out = flow(state, VelocityModel.constant(2.0), "-", 0.4)
         assert np.hypot(*out.xi) == pytest.approx(13.0, abs=1e-12)
 
     def test_rotation_tracks_orientation(self):
         model = VelocityModel.sinusoidal(0.2, (1, 1))
-        state = FlowState.initial((0.3, 0.3), (16.0, 4.0))
+        state = PhasePoint((0.3, 0.3), (16.0, 4.0))
         times, states = flow_trajectory(state, model, "+", 0.5, dt=5e-3)
         for st in states:
-            u = st.rotation
+            u = rotation(state, st)
             assert np.allclose(u @ u.T, np.eye(2), atol=1e-9)
             assert np.linalg.det(u) == pytest.approx(1.0, abs=1e-9)
-            assert u @ st.n == pytest.approx(st.n0, abs=1e-6)
+            assert u @ st.e == pytest.approx(state.e, abs=1e-6)
 
     def test_time_reversal(self):
         model = VelocityModel.sinusoidal(0.15, (2, 1))
-        state = FlowState.initial((0.25, 0.75), (24.0, -6.0))
+        state = PhasePoint((0.25, 0.75), (24.0, -6.0))
         fwd = flow(state, model, "+", 0.6, dt=1e-3)
         back = flow(fwd, model, "+", -0.6, dt=1e-3)
         assert back.x == pytest.approx(state.x, abs=1e-6)
@@ -122,15 +123,32 @@ class TestIntegrator:
     def test_stacked_flow_equals_single_rays(self, model, branch, rng):
         x = rng.random((8, 2))
         xi = rng.uniform(-40.0, 40.0, (8, 2))
-        stacked = flow(FlowState.initial(x, xi), model, branch, 0.1)
-        singles = [flow(FlowState.initial(a, b), model, branch, 0.1) for a, b in zip(x, xi)]
+        start = PhasePoint(x, xi)
+        stacked = flow(start, model, branch, 0.1)
+        starts = [PhasePoint(a, b) for a, b in zip(x, xi)]
+        singles = [flow(s, model, branch, 0.1) for s in starts]
         assert np.max(np.abs(stacked.x - np.stack([s.x for s in singles]))) == 0.0
         assert np.max(np.abs(stacked.xi - np.stack([s.xi for s in singles]))) == 0.0
-        assert np.max(np.abs(stacked.rotation - np.stack([s.rotation for s in singles]))) == 0.0
+        rotations = np.stack([rotation(s0, s) for s0, s in zip(starts, singles)])
+        assert np.max(np.abs(rotation(start, stacked) - rotations)) == 0.0
+
+    @pytest.mark.parametrize(
+        "model", [VelocityModel.sinusoidal(0.15, (3, 5)), VelocityModel.gaussian_bump((0.4, 0.6), 0.15, 0.2)]
+    )
+    @pytest.mark.parametrize("branch", ["+", "-"])
+    @pytest.mark.parametrize("factor", [4.0, 0.125])
+    def test_flow_homogeneous_in_frequency(self, model, branch, factor):
+        # dx/dt has degree 0 in xi and dxi/dt degree 1, so |xi| sets no time
+        # scale: scaling xi by a power of two scales the flowed xi exactly
+        x, xi = np.array([0.3, 0.4]), np.array([20.0, 8.0])
+        out = flow(PhasePoint(x, xi), model, branch, 0.25)
+        scaled = flow(PhasePoint(x, factor * xi), model, branch, 0.25)
+        assert np.array_equal(scaled.x, out.x)
+        assert np.array_equal(scaled.xi, factor * out.xi)
 
     def test_step_requires_nonzero_frequency(self):
         with pytest.raises(ValueError):
-            FlowState.initial((0.0, 0.0), (0.0, 0.0))
+            PhasePoint((0.0, 0.0), (0.0, 0.0))
 
 
 class TestIndexFlow:
