@@ -10,8 +10,11 @@ Runs, in this process through ``cli.main``:
 It also saves a transport sample as ``.npy``: ``flow_index`` for 12
 indices x 3 branches and one ``predicted_curvelet``, at N = 256 with a
 sinusoidal speed.  Each command's standard output is saved next to its
-files, with OUTDIR stripped.  Then the script prints one
-``sha256  relative-path`` line per file under OUTDIR, sorted.
+files, with OUTDIR stripped.  ``frames.sha256`` holds one digest per
+frame (its wrapping matrix and wedge table): the default frame at each N
+from 32 to 1024, a frame with non-default windows at each N, and the
+frame of each config.  Then the script prints one ``sha256  relative-path``
+line per file under OUTDIR, sorted.
 
 Two checkouts give the same listing exactly when every output is
 byte-identical.  From the repository root:
@@ -26,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -37,6 +41,8 @@ from curvewave.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 T_FLOW = 0.25
+FRAME_SIZES = (32, 64, 128, 256, 512, 1024)
+OTHER_WINDOWS = {"angles_base": 12, "smooth_step_order": 6, "transition": 0.3}
 
 
 def run(outdir: Path, name: str, args: list[str]) -> None:
@@ -61,6 +67,29 @@ def transport_sample(outdir: Path) -> None:
     np.save(outdir / "predicted_curvelet.npy", cw.predicted_curvelet(table, mus[0], model, "+", T_FLOW))
 
 
+def frame_digest(params: cw.FrameParams) -> str:
+    """SHA-256 of a frame's wrapping matrix (indptr, indices, data), size,
+    partition defect and every wedge's scalar fields."""
+    table = cw.build_frame(params)
+    h = hashlib.sha256()
+    for array in (table.wrap.indptr, table.wrap.indices, table.wrap.data):
+        h.update(array.dtype.str.encode())
+        h.update(array.tobytes())
+    h.update(repr((table.size, table.partition_defect)).encode())
+    for w in table.wedges:
+        h.update(repr((w.j, w.ell, w.kind, w.rho, w.theta, w.rect, w.offset, w.atom_norm2)).encode())
+    return h.hexdigest()
+
+
+def frame_digests(outdir: Path) -> None:
+    settings = [(f"n{n}-default", cw.FrameParams(n=n, scales=n.bit_length() - 3)) for n in FRAME_SIZES]
+    settings += [(f"n{n}-other-windows", cw.FrameParams(n=n, scales=n.bit_length() - 3, **OTHER_WINDOWS))
+                 for n in FRAME_SIZES]
+    settings += [(config.stem, cw.FrameParams(**json.loads(config.read_text())["frame"]))
+                 for config in sorted(CONFIGS.glob("*.json"))]
+    (outdir / "frames.sha256").write_text("".join(f"{frame_digest(p)}  {label}\n" for label, p in settings))
+
+
 def digest(outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     for config in sorted(CONFIGS.glob("*.json")):
@@ -80,6 +109,7 @@ def digest(outdir: Path) -> None:
                                       "--out", str(outdir / f"flow_{label}"), "flow", "--branch", branch])
 
     transport_sample(outdir)
+    frame_digests(outdir)
     lines = [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(outdir)}"
              for p in outdir.rglob("*") if p.is_file()]
     print("\n".join(sorted(lines, key=lambda line: line.split("  ", 1)[1])))

@@ -65,7 +65,8 @@ class VelocityModel:
 
     @classmethod
     def sinusoidal(cls, amplitude: float, wavevector=(1, 0), c0: float = 1.0) -> VelocityModel:
-        return cls(kind="sinusoidal", c0=c0, amplitude=amplitude, wavevector=tuple(int(k) for k in wavevector))
+        wavevector = pair("sinusoidal velocity model wavevector", wavevector, int)
+        return cls(kind="sinusoidal", c0=c0, amplitude=amplitude, wavevector=wavevector)
 
     @classmethod
     def gaussian_bump(cls, center=(0.5, 0.5), width: float = 0.1, amplitude: float = 0.2, c0: float = 1.0) -> VelocityModel:
@@ -102,23 +103,22 @@ class VelocityModel:
         return self.c0 + self.amplitude * g0**2, self.c0 + self.amplitude * g1**2
 
     def c(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "constant":
-            return np.broadcast_to(np.float64(self.c0), x.shape[:-1]).copy()
-        if self.kind == "sinusoidal":
-            return self.c0 + self.amplitude * np.sin(self._phase(x))
-        g = self._bump_factor(x - np.asarray(self.center))[0]
-        return self.c0 + self.amplitude * g[..., 0] * g[..., 1]
+        return self.c_and_grad(x)[0]
 
     def grad_c(self, x):
+        return self.c_and_grad(x)[1]
+
+    def c_and_grad(self, x):
+        """c(x) and grad c(x) from one evaluation of the phase or bump factor."""
         x = np.asarray(x, dtype=float)
         if self.kind == "constant":
-            return np.zeros_like(x)
+            return np.broadcast_to(np.float64(self.c0), x.shape[:-1]).copy(), np.zeros_like(x)
         if self.kind == "sinusoidal":
+            phase = self._phase(x)
             k = np.asarray(self.wavevector, dtype=float)
-            return 2.0 * np.pi * self.amplitude * np.cos(self._phase(x))[..., None] * k
+            return self.c0 + self.amplitude * np.sin(phase), 2.0 * np.pi * self.amplitude * np.cos(phase)[..., None] * k
         g, dg = self._bump_factor(x - np.asarray(self.center))
-        return self.amplitude * dg * g[..., ::-1]
+        return self.c0 + self.amplitude * g[..., 0] * g[..., 1], self.amplitude * dg * g[..., ::-1]
 
     def _phase(self, x):
         # written out, not x @ k: a matrix-vector product may round one
@@ -163,7 +163,7 @@ class VelocityModel:
             return cls.constant(c0)
         if kind == "sinusoidal":
             amplitude = number(f"{where} amplitude", required(where, spec, "amplitude"))
-            return cls.sinusoidal(amplitude, pair(f"{where} wavevector", spec.get("wavevector", (1, 0)), int), c0)
+            return cls.sinusoidal(amplitude, spec.get("wavevector", (1, 0)), c0)
         center = pair(f"{where} center", spec.get("center", (0.5, 0.5)))
         width = number(f"{where} width", spec.get("width", 0.1))
         return cls.gaussian_bump(center, width, number(f"{where} amplitude", spec.get("amplitude", 0.2)), c0)
@@ -180,8 +180,9 @@ def rotation(start: PhasePoint, end: PhasePoint) -> np.ndarray:
 
 def _rhs(x, xi, model: VelocityModel, sign: int):
     mag = np.hypot(xi[..., 0], xi[..., 1])[..., None]
-    dx = sign * model.c(x)[..., None] * xi / mag
-    dxi = -sign * mag * model.grad_c(x)
+    c, grad = model.c_and_grad(x)
+    dx = sign * c[..., None] * xi / mag
+    dxi = -sign * mag * grad
     return dx, dxi
 
 

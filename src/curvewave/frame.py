@@ -184,6 +184,10 @@ def _wrap_geometry(q1: np.ndarray, q2: np.ndarray):
 def build_frame(params: FrameParams) -> FrameTable:
     """Precompute windows and wrapping geometry for a fixed grid.
 
+    A directional wedge's window is evaluated only on the ring where its
+    scale's radial window is nonzero (a fifth of the grid at the finest
+    scale, less below): off it the product is exactly 0, so nothing is lost.
+
     Raises:
         FrameError: on invalid parameters or (never in practice) a wrapping
             matrix with two entries in a row or a partition-of-unity
@@ -196,37 +200,40 @@ def build_frame(params: FrameParams) -> FrameTable:
     q = np.fft.fftfreq(n) * n  # integer grid frequencies, fft layout
     q1 = q[:, None]
     q2 = q[None, :]
-    radius = np.hypot(q1, q2)
-    angle = np.arctan2(q2, q1)
+    radius = np.hypot(q1, q2).ravel()
+    angle = np.arctan2(q2, q1).ravel()
 
     wedges: list[Wedge] = []
     entries = []  # per wedge: rows (packed positions), columns (spectrum positions), window values
 
-    def add_channel(vals: np.ndarray, j: int, ell: int, kind: str, rho: float, theta: float) -> None:
-        sup = np.flatnonzero(vals.ravel() > 0.0)
+    def add_channel(points: np.ndarray, vals: np.ndarray, j: int, ell: int, kind: str, rho: float, theta: float) -> None:
+        keep = vals > 0.0  # vals: the window at the flat spectrum indices points (ascending), 0 at all others
+        sup, w = points[keep], vals[keep]
         if sup.size == 0:
             return
-        w = vals.ravel()[sup]
         rect, wrapped = _wrap_geometry(*(_signed(i, n) for i in np.divmod(sup, n)))
         offset = wedges[-1].offset + wedges[-1].size if wedges else 0
         wedges.append(Wedge(j, ell, kind, rho, theta, rect, offset, float(w @ w) / (rect[0] * rect[1])))
         entries.append(((offset + wrapped).astype(np.int32), sup.astype(np.int32), w))
 
+    grid = np.arange(n * n)
     if s_total == 1:
         # Degenerate single-scale frame: one all-pass isotropic channel.
-        add_channel(np.ones((n, n)), 0, 0, "coarse", 0.0, math.nan)
+        add_channel(grid, np.ones(n * n), 0, 0, "coarse", 0.0, math.nan)
     else:
         rho = [n * 2.0 ** (j - s_total - 2) for j in range(s_total)]  # rho[1..S-1] used
-        add_channel(fam.lowpass(radius / rho[1]), 0, 0, "coarse", 0.0, math.nan)
+        add_channel(grid, fam.lowpass(radius / rho[1]), 0, 0, "coarse", 0.0, math.nan)
         for j in range(1, s_total):
             n_ang = params.angles_base * (1 << ((j - 1) // 2))
             rad = fam.radial(radius / rho[j])
+            ring = np.flatnonzero(rad > 0.0)
+            rad, ring_angle = rad[ring], angle[ring]
             for ell in range(n_ang):
                 theta0 = 2.0 * np.pi * ell / n_ang
-                dtheta = np.mod(angle - theta0 + np.pi, 2.0 * np.pi) - np.pi
+                dtheta = np.mod(ring_angle - theta0 + np.pi, 2.0 * np.pi) - np.pi
                 vals = rad * fam.angular(n_ang * dtheta / (2.0 * np.pi))
-                add_channel(vals, j, ell, "directional", rho[j], theta0)
-        add_channel(fam.highpass(radius / rho[s_total - 1]), s_total, 0, "guard", n / 4.0, math.nan)
+                add_channel(ring, vals, j, ell, "directional", rho[j], theta0)
+        add_channel(grid, fam.highpass(radius / rho[s_total - 1]), s_total, 0, "guard", n / 4.0, math.nan)
 
     size = wedges[-1].offset + wedges[-1].size
     rows, cols, weights = (np.concatenate(a) for a in zip(*entries))

@@ -380,7 +380,8 @@ class WarpMap:
 
     @classmethod
     def sinusoidal(cls, amplitude: float, wavevector=(1, 0)) -> WarpMap:
-        return cls(kind="sinusoidal", amplitude=float(amplitude), wavevector=tuple(int(v) for v in wavevector))
+        wavevector = pair("sinusoidal warp map wavevector", wavevector, int)
+        return cls(kind="sinusoidal", amplitude=float(amplitude), wavevector=wavevector)
 
     def __post_init__(self):
         if self.kind not in self._KEYS:
@@ -436,7 +437,7 @@ class WarpMap:
         if kind == "shear":
             return cls.shear(number(f"{where} s", required(where, spec, "s")))
         amplitude = number(f"{where} amplitude", required(where, spec, "amplitude"))
-        return cls.sinusoidal(amplitude, pair(f"{where} wavevector", spec.get("wavevector", (1, 0)), int))
+        return cls.sinusoidal(amplitude, spec.get("wavevector", (1, 0)))
 
 
 def apply_warp(f: np.ndarray, warp: WarpMap) -> np.ndarray:

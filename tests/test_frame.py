@@ -79,6 +79,22 @@ class TestBuild:
         # counts pin that rule at the command line's default scales
         assert cw.build_frame(cw.FrameParams(n=n, scales=n.bit_length() - 3)).size == size
 
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("windows", [{}, {"angles_base": 12, "smooth_step_order": 6, "transition": 0.3}])
+    def test_ring_windows_equal_full_grid_products(self, n, windows):
+        # build_frame evaluates each angular window on its radial window's
+        # ring only; the full-grid product must have the same support and values
+        table = cw.build_frame(cw.FrameParams(n=n, scales=n.bit_length() - 3, **windows))
+        q = np.fft.fftfreq(n) * n
+        radius, angle = np.hypot(q[:, None], q[None, :]), np.arctan2(q[None, :], q[:, None])
+        for w in (w for w in table.wedges if w.kind == "directional"):
+            dtheta = np.mod(angle - w.theta + np.pi, 2.0 * np.pi) - np.pi
+            t = table.angles(w.j) * dtheta / (2.0 * np.pi)
+            full = (table.windows.radial(radius / w.rho) * table.windows.angular(t)).ravel()
+            order = np.argsort(w.support)
+            assert np.array_equal(w.support[order], np.flatnonzero(full > 0.0))
+            assert np.array_equal(w.weights[order], full[full > 0.0])
+
     def test_non_injective_wrapping_refused(self, monkeypatch):
         # the one-to-one check reads the assembled wrapping matrix
         def collide(q1, q2):

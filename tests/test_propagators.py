@@ -406,6 +406,16 @@ class TestOperatorSpecJson:
         with pytest.raises(ValueError, match="must be a JSON object"):
             cw.WarpMap.from_json([0.3])
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: cw.VelocityModel.sinusoidal(0.2, (1.7, 0)), lambda: cw.WarpMap.sinusoidal(0.05, (1.5, 1))],
+        ids=["velocity-model", "warp-map"],
+    )
+    def test_non_integer_wavevector_refused(self, make):
+        # the constructors read the pair as manifests do, not by truncating it
+        with pytest.raises(ValueError, match="wavevector must be a JSON integer; got 1.[57]"):
+            make()
+
     HALFWAVE = cw.OperatorSpec(kind="halfwave", t=0.25, sign=-1, c0=2.0)
     ACOUSTIC = cw.OperatorSpec(kind="acoustic", t=0.2)
     OBJECTS = [
