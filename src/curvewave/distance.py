@@ -36,6 +36,8 @@ class PhasePoint:
         xi = np.asarray(self.xi, dtype=float)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "xi", xi)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xi))):
+            raise ValueError(f"phase point coordinates must be finite; got x = {x}, xi = {xi}")
         if np.any(np.hypot(xi[..., 0], xi[..., 1]) == 0.0):
             raise ValueError("phase point requires a nonzero frequency")
 

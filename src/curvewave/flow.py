@@ -4,6 +4,13 @@ Fixed-step RK4 on the torus phase space, moving ``distance.PhasePoint``
 stacks (one ray or many per call), the orientation-tracking rotation
 U(t) (defined directly by U(t) e(t) = e(0)), and the induced curvelet
 index map mu -> mu_nu(t) with deterministic snapping.
+
+The integrator steps the coordinate state (x1, x2, xi1, xi2) component by
+component: on one ray each operation acts on a NumPy scalar, on a stack of
+B rays on a (B,) array, and both perform the same IEEE operations in the
+same order, so a ray moves bit-identically alone or in a stack.  Squares
+are written as products: a NumPy scalar's ``**`` calls ``pow``, which may
+round differently from an array's ``**``.
 """
 
 from __future__ import annotations
@@ -109,34 +116,41 @@ class VelocityModel:
         return self.c_and_grad(x)[1]
 
     def c_and_grad(self, x):
-        """c(x) and grad c(x) from one evaluation of the phase or bump factor."""
+        """c(x), shape (...), and grad c(x), shape (..., 2), at points x of shape (..., 2)."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "constant":
-            return np.broadcast_to(np.float64(self.c0), x.shape[:-1]).copy(), np.zeros_like(x)
-        if self.kind == "sinusoidal":
-            phase = self._phase(x)
-            k = np.asarray(self.wavevector, dtype=float)
-            return self.c0 + self.amplitude * np.sin(phase), 2.0 * np.pi * self.amplitude * np.cos(phase)[..., None] * k
-        g, dg = self._bump_factor(x - np.asarray(self.center))
-        return self.c0 + self.amplitude * g[..., 0] * g[..., 1], self.amplitude * dg * g[..., ::-1]
+        c, c1, c2 = self.c_and_partials(x[..., 0], x[..., 1])
+        return c, np.stack((c1, c2), axis=-1)
 
-    def _phase(self, x):
-        # written out, not x @ k: a matrix-vector product may round one
-        # stacked point differently from the same point on its own
-        k1, k2 = self.wavevector
-        return 2.0 * np.pi * (x[..., 0] * k1 + x[..., 1] * k2)
+    def c_and_partials(self, x1, x2):
+        """c and its partials dc/dx1, dc/dx2 at the points (x1, x2), NumPy
+        scalars or arrays of one shape, from one evaluation of the phase or
+        bump factor.  Every speed formula lives here."""
+        if self.kind == "constant":
+            zero = np.zeros(np.shape(x1))
+            return zero + self.c0, zero, zero
+        if self.kind == "sinusoidal":
+            # written out, not x @ k: a matrix-vector product may round one
+            # stacked point differently from the same point on its own
+            k1, k2 = self.wavevector
+            phase = 2.0 * np.pi * (x1 * k1 + x2 * k2)
+            slope = 2.0 * np.pi * self.amplitude * np.cos(phase)
+            return self.c0 + self.amplitude * np.sin(phase), slope * k1, slope * k2
+        g1, dg1 = self._bump_factor(x1 - self.center[0])
+        g2, dg2 = self._bump_factor(x2 - self.center[1])
+        return self.c0 + self.amplitude * g1 * g2, self.amplitude * dg1 * g2, self.amplitude * dg2 * g1
 
     def _bump_factor(self, y):
         """The periodic factor g(y) = sum_{|m| <= M} exp(-(y+m)^2/2w^2) of the
-        bump and its derivative g'(y), per coordinate of y.  y is reduced to
+        bump and its derivative g'(y), elementwise.  y is reduced to
         [-1/2, 1/2) first and M = ceil(1/2 + w sqrt(2 ln 1e17)), so every
         image left out weighs below 1e-17 and c is smooth on the torus."""
         reach = math.ceil(0.5 + self.width * math.sqrt(2.0 * math.log(1e17)))
         y = np.mod(y + 0.5, 1.0) - 0.5
         g = dg = 0.0
         for m in range(-reach, reach + 1):  # one image at a time: memory stays that of y
-            e = np.exp(-0.5 * (y + m) ** 2 / self.width**2)
-            g, dg = g + e, dg - (y + m) * e
+            z = y + m
+            e = np.exp(-0.5 * (z * z) / self.width**2)
+            g, dg = g + e, dg - z * e
         return g, dg / self.width**2
 
     def gradient_defect(self, n_check: int = 64, h: float = 1e-6) -> float:
@@ -178,74 +192,105 @@ def rotation(start: PhasePoint, end: PhasePoint) -> np.ndarray:
     return np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
 
 
-def _rhs(x, xi, model: VelocityModel, sign: int):
-    mag = np.hypot(xi[..., 0], xi[..., 1])[..., None]
-    c, grad = model.c_and_grad(x)
-    dx = sign * c[..., None] * xi / mag
-    dxi = -sign * mag * grad
-    return dx, dxi
+def _rhs(state, model: VelocityModel, sign: int):
+    x1, x2, xi1, xi2 = state
+    mag = np.hypot(xi1, xi2)
+    c, c1, c2 = model.c_and_partials(x1, x2)
+    speed, push = sign * c, -sign * mag
+    return speed * xi1 / mag, speed * xi2 / mag, push * c1, push * c2
 
 
-def flow_step(point: PhasePoint, model: VelocityModel, branch, dt: float) -> PhasePoint:
-    """One RK4 step of the bicharacteristic system (branch 0: identity)."""
+def flow_step(state: tuple, model: VelocityModel, branch, dt: float) -> tuple:
+    """One RK4 step of the bicharacteristic system on the coordinate state
+    (x1, x2, xi1, xi2): NumPy scalars for one ray, arrays for a stack
+    (branch 0: identity)."""
     sign = normalize_branch(branch)
     if sign == 0:
-        return point
-    x, xi = point.x, point.xi
-    k1x, k1s = _rhs(x, xi, model, sign)
-    k2x, k2s = _rhs(x + 0.5 * dt * k1x, xi + 0.5 * dt * k1s, model, sign)
-    k3x, k3s = _rhs(x + 0.5 * dt * k2x, xi + 0.5 * dt * k2s, model, sign)
-    k4x, k4s = _rhs(x + dt * k3x, xi + dt * k3s, model, sign)
-    x_new = np.mod(x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x), 1.0)
-    xi_new = xi + dt / 6.0 * (k1s + 2 * k2s + 2 * k3s + k4s)
-    return replace(point, x=x_new, xi=xi_new)
+        return state
+    k1 = _rhs(state, model, sign)
+    k2 = _rhs([y + 0.5 * dt * k for y, k in zip(state, k1)], model, sign)
+    k3 = _rhs([y + 0.5 * dt * k for y, k in zip(state, k2)], model, sign)
+    k4 = _rhs([y + dt * k for y, k in zip(state, k3)], model, sign)
+    x1, x2, xi1, xi2 = (y + dt / 6.0 * (a + 2 * b + 2 * c + d) for y, a, b, c, d in zip(state, k1, k2, k3, k4))
+    return np.mod(x1, 1.0), np.mod(x2, 1.0), xi1, xi2
+
+
+def _steps(point: PhasePoint, model: VelocityModel, branch, t: float, dt: float):
+    """Check t and dt, then iterate (time, coordinate state) after each of
+    the |t| / dt steps (rounded up) that carry ``point`` to time t.
+
+    Raises:
+        ValueError: when dt is not a positive finite number or t / dt is not finite.
+    """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"flow dt must be a positive finite number; got {dt!r}")
+    if not math.isfinite(abs(t) / dt):
+        raise ValueError(f"flow t must be finite (and t / dt too); got t = {t!r}, dt = {dt!r}")
+    steps = max(1, math.ceil(abs(t) / dt - 1e-12)) if t else 0
+    h = t / steps if steps else 0.0
+
+    def run(state):
+        for i in range(steps):
+            state = flow_step(state, model, branch, h)
+            yield (i + 1) * h, state
+
+    return run((*np.moveaxis(point.x, -1, 0), *np.moveaxis(point.xi, -1, 0)))
+
+
+def _at(point: PhasePoint, state) -> PhasePoint:
+    return replace(point, x=np.stack(state[:2], axis=-1), xi=np.stack(state[2:], axis=-1))
 
 
 def flow(point: PhasePoint, model: VelocityModel, branch, t: float, dt: float = 1e-3) -> PhasePoint:
     """Integrate the flow for time t (t may be negative) with steps <= dt."""
+    steps = _steps(point, model, branch, t, dt)  # checks t and dt before the branch
     if normalize_branch(branch) == 0:
         return point
-    return flow_trajectory(point, model, branch, t, dt)[1][-1]
+    end = None
+    for _, end in steps:
+        pass
+    return point if end is None else _at(point, end)
 
 
 def flow_trajectory(point: PhasePoint, model: VelocityModel, branch, t: float, dt: float = 1e-3):
     """Points after every integrator step, |t| / dt steps rounded up;
     returns (times, points), both starting at time 0 with ``point``."""
-    steps = max(1, math.ceil(abs(t) / dt - 1e-12)) if t else 0
-    h = t / steps if steps else 0.0
     times, points = [0.0], [point]
-    for i in range(steps):
-        points.append(flow_step(points[-1], model, branch, h))
-        times.append((i + 1) * h)
+    for time, state in _steps(point, model, branch, t, dt):
+        times.append(time)
+        points.append(_at(point, state))
     return np.array(times), points
 
 
-def _snap_int(value: float) -> int:
-    # round-half-down: equidistant snaps resolve toward the smaller index
-    return int(math.ceil(value - 0.5))
+def flow_index(table: FrameTable, mu, model: VelocityModel, branch, t: float):
+    """Flow the phase-space centers of frame indices and snap back to the lattice.
 
+    ``mu`` is a CurveletIndex or an array of packed positions (any shape);
+    a whole array flows as one stack.  Returns (PhasePoint, snapped): the
+    unsnapped flowed points (for distance evaluations) and the nearest
+    frame indices, a CurveletIndex for a CurveletIndex and packed positions
+    of mu's shape otherwise.  Isotropic indices map to themselves.
 
-def flow_index(table: FrameTable, mu: CurveletIndex, model: VelocityModel, branch, t: float):
-    """Flow the phase-space center of mu and snap back to the lattice.
-
-    Returns (PhasePoint, CurveletIndex): the unsnapped flowed point (for
-    distance evaluations) and the nearest frame index.  Isotropic indices
-    map to themselves.
+    Raises:
+        ValueError: when packed positions are not of an integer dtype.
     """
-    w = table.validate_index(mu)
-    if w.kind != "directional" or normalize_branch(branch) == 0 or t == 0:
-        return table.phase_point(mu), mu
-    point = flow(table.phase_point(mu), model, branch, t)
-    scales = table.directional_scales()
-    log_rho = np.log2([table.wedge(j).rho for j in scales])
-    j_new = scales[int(np.argmin(np.abs(log_rho - point.scale_log2)))]
-    n_ang = table.angles(j_new)
-    theta = float(np.mod(point.theta, 2.0 * np.pi))
-    ell_new = _snap_int(theta * n_ang / (2.0 * np.pi)) % n_ang
-    rect = table.wedge(j_new, ell_new).rect
-    k1 = _snap_int(point.x[0] * rect[0]) % rect[0]
-    k2 = _snap_int(point.x[1] * rect[1]) % rect[1]
-    return point, CurveletIndex(j_new, ell_new, k1, k2)
+    if isinstance(mu, CurveletIndex):
+        flat = table.flat_of_index(mu)
+    else:
+        flat = np.asarray(mu)
+        if flat.dtype.kind not in "iu":  # a cast would truncate 5.7 to 5 silently
+            raise ValueError(f"packed positions must be integers; got dtype {flat.dtype}")
+        flat = flat.astype(np.int64)
+    start = table.phase_points(flat)
+    moved = start.directional & (normalize_branch(branch) != 0) & (t != 0)
+    end = flow(start, model, branch, t) if np.any(moved) else start
+    point = replace(
+        start, x=np.where(moved[..., None], end.x, start.x), xi=np.where(moved[..., None], end.xi, start.xi)
+    )
+    snapped = np.where(moved, table.nearest_index(end), flat)
+    if isinstance(mu, CurveletIndex):
+        return point, CurveletIndex(*(int(v) for v in table.index_of_flat(snapped)))
+    return point, snapped
 
 
 def predicted_curvelet(table: FrameTable, mu: CurveletIndex, model: VelocityModel, branch, t: float) -> np.ndarray:

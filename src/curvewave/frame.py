@@ -149,6 +149,10 @@ def _signed(i: np.ndarray, n: int) -> np.ndarray:
     return (i + n // 2) % n - n // 2
 
 
+def _round_half_down(value: np.ndarray) -> np.ndarray:
+    return np.ceil(value - 0.5).astype(np.int64)
+
+
 def _column_extent(primary: np.ndarray, secondary: np.ndarray) -> int:
     """Largest secondary-coordinate spread over fibers of the primary coordinate."""
     order = np.lexsort((secondary, primary))
@@ -257,7 +261,7 @@ class FrameTable:
     a sparse (size, N*N) matrix: row = packed position (wedge offset +
     wrapped position), column = spectrum position, value = window weight.
     Each row holds one entry at most and the squared windows sum to one, so
-    wrap.T @ wrap = I.  Per-wedge arrays (offset, j, ell, rectangle, xi
+    wrap.T @ wrap = I.  Per-wedge arrays (offset, j, ell, rectangle, rho, xi
     center, directional flag) hold the packed layout; every mapping packed
     position <-> (j, ell, k1, k2) <-> phase-space center reads them.
     """
@@ -275,6 +279,7 @@ class FrameTable:
             np.array([getattr(w, a) for w in ws], dtype=np.int64) for a in ("offset", "j", "ell")
         )
         self._rect = np.array([w.rect for w in ws], dtype=np.int64)
+        self._rho = np.array([w.rho for w in ws])
         self._directional = np.array([w.kind == "directional" for w in ws])
         self._xi = np.array(
             [(w.rho * math.cos(w.theta), w.rho * math.sin(w.theta)) if d else (max(w.rho, 1.0), 0.0)
@@ -326,6 +331,22 @@ class FrameTable:
         which, k1, k2 = self._locate(flat)
         x = np.stack([k1 / self._rect[which, 0], k2 / self._rect[which, 1]], axis=-1)
         return PhasePoint(x=x, xi=np.take(self._xi, which, axis=0), directional=self._directional[which])
+
+    def nearest_index(self, point: PhasePoint) -> np.ndarray:
+        """Packed positions of the directional indices nearest to phase points:
+        the scale whose rho_j is nearest |xi| in log2 (the lower on a tie),
+        then the angle nearest arg xi and the lattice point nearest x, each
+        rounded half down so equidistant points resolve to the smaller index."""
+        _, first, counts = np.unique(self._j[self._directional], return_index=True, return_counts=True)
+        heads = np.flatnonzero(self._directional)[first]  # the ell = 0 wedge of each directional scale
+        pick = np.argmin(np.abs(np.log2(self._rho[heads]) - point.scale_log2[..., None]), axis=-1)
+        n_ang = counts[pick]
+        ell = _round_half_down(np.mod(point.theta, 2.0 * np.pi) * n_ang / (2.0 * np.pi)) % n_ang
+        which = heads[pick] + ell  # wedges run in (j, ell) order
+        r1, r2 = self._rect[which, 0], self._rect[which, 1]
+        k1 = _round_half_down(point.x[..., 0] * r1) % r1
+        k2 = _round_half_down(point.x[..., 1] * r2) % r2
+        return self._offset[which] + k1 * r2 + k2
 
     def index_of_flat(self, flat: np.ndarray):
         """Decode packed coefficient positions to (j, ell, k1, k2) arrays."""

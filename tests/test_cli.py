@@ -344,3 +344,20 @@ class TestFlowCommand:
         rc = main(["--config", write_config(tmp_path), "--out", str(tmp_path / "out"), "flow", "--xi0", "0", "0"])
         assert rc == 2
         assert "nonzero frequency" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--t", "inf"], "flow t must be finite"),
+            (["--t", "nan"], "flow t must be finite"),
+            (["--t", "1e308"], "flow t must be finite"),
+            (["--x0", "nan", "0.5"], "must be finite"),
+            (["--xi0", "inf", "0"], "must be finite"),
+        ],
+    )
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, argv, message):
+        out_dir = tmp_path / "out"
+        rc = main(["--config", write_config(tmp_path), "--out", str(out_dir), "flow", *argv])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (out_dir / "trajectory.csv").exists()

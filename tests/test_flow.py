@@ -150,6 +150,100 @@ class TestIntegrator:
         with pytest.raises(ValueError):
             PhasePoint((0.0, 0.0), (0.0, 0.0))
 
+    @pytest.mark.parametrize("x, xi", [((math.nan, 0.5), (16.0, 0.0)), ((0.5, 0.5), (math.inf, 0.0))])
+    def test_point_requires_finite_coordinates(self, x, xi):
+        with pytest.raises(ValueError, match="finite"):
+            PhasePoint(x, xi)
+
+    @pytest.mark.parametrize("dt", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("integrate", [flow, flow_trajectory])
+    def test_bad_step_refused(self, integrate, dt):
+        # dt = -1 once took a single step of size t; dt = 0 divided by zero
+        with pytest.raises(ValueError, match="dt"):
+            integrate(PhasePoint((0.3, 0.4), (20.0, 8.0)), VelocityModel.constant(1.0), "+", 0.25, dt=dt)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 1e308])  # 1e308 / dt overflows
+    @pytest.mark.parametrize("integrate", [flow, flow_trajectory])
+    def test_non_finite_time_refused(self, integrate, t):
+        with pytest.raises(ValueError, match="flow t"):
+            integrate(PhasePoint((0.3, 0.4), (20.0, 8.0)), VelocityModel.constant(1.0), "+", t)
+
+
+def reference_c_and_grad(model, x):
+    """c and grad c on (..., 2) arrays, written as whole-array formulas."""
+    if model.kind == "constant":
+        return np.broadcast_to(np.float64(model.c0), x.shape[:-1]).copy(), np.zeros_like(x)
+    if model.kind == "sinusoidal":
+        k1, k2 = model.wavevector
+        phase = 2.0 * np.pi * (x[..., 0] * k1 + x[..., 1] * k2)
+        k = np.asarray(model.wavevector, dtype=float)
+        return model.c0 + model.amplitude * np.sin(phase), 2.0 * np.pi * model.amplitude * np.cos(phase)[..., None] * k
+    reach = math.ceil(0.5 + model.width * math.sqrt(2.0 * math.log(1e17)))
+    y = np.mod(x - np.asarray(model.center) + 0.5, 1.0) - 0.5
+    g = dg = 0.0
+    for m in range(-reach, reach + 1):
+        e = np.exp(-0.5 * (y + m) ** 2 / model.width**2)
+        g, dg = g + e, dg - (y + m) * e
+    dg = dg / model.width**2
+    return model.c0 + model.amplitude * g[..., 0] * g[..., 1], model.amplitude * dg * g[..., ::-1]
+
+
+def reference_rk4(x, xi, model, sign, t, dt=1e-3):
+    """Classical RK4 on (..., 2) arrays of x and xi, with flow's step count and size."""
+    steps = max(1, math.ceil(abs(t) / dt - 1e-12))
+    h = t / steps
+
+    def rhs(x, xi):
+        mag = np.hypot(xi[..., 0], xi[..., 1])[..., None]
+        c, grad = reference_c_and_grad(model, x)
+        return sign * c[..., None] * xi / mag, -sign * mag * grad
+
+    for _ in range(steps):
+        k1x, k1s = rhs(x, xi)
+        k2x, k2s = rhs(x + 0.5 * h * k1x, xi + 0.5 * h * k1s)
+        k3x, k3s = rhs(x + 0.5 * h * k2x, xi + 0.5 * h * k2s)
+        k4x, k4s = rhs(x + h * k3x, xi + h * k3s)
+        x = np.mod(x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x), 1.0)
+        xi = xi + h / 6.0 * (k1s + 2 * k2s + 2 * k3s + k4s)
+    return x, xi
+
+
+class TestCoordinateStep:
+    """The integrator steps (x1, x2, xi1, xi2) one component at a time; its
+    rays must equal the classical RK4 on (..., 2) arrays bit for bit."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            VelocityModel.constant(1.3),
+            VelocityModel.sinusoidal(0.15, (3, 5)),
+            VelocityModel.gaussian_bump((0.4, 0.6), 0.15, 0.2),
+        ],
+        ids=["constant", "sinusoidal", "gaussian-bump"],
+    )
+    @pytest.mark.parametrize("branch", [1, -1])
+    @pytest.mark.parametrize("t", [0.1, -0.1])
+    def test_equals_array_rk4(self, model, branch, t, rng):
+        x = rng.random((5, 2))
+        xi = rng.uniform(-40.0, 40.0, (5, 2))
+        stacked = flow(PhasePoint(x, xi), model, branch, t)
+        ref_x, ref_xi = reference_rk4(x, xi, model, branch, t)
+        assert np.array_equal(stacked.x, ref_x) and np.array_equal(stacked.xi, ref_xi)
+        one = flow(PhasePoint(x[0], xi[0]), model, branch, t)
+        ref_x, ref_xi = reference_rk4(x[0], xi[0], model, branch, t)
+        assert np.array_equal(one.x, ref_x) and np.array_equal(one.xi, ref_xi)
+        times, points = flow_trajectory(PhasePoint(x[0], xi[0]), model, branch, t)
+        assert times[-1] == pytest.approx(t, abs=1e-15)
+        assert np.array_equal(points[-1].x, one.x) and np.array_equal(points[-1].xi, one.xi)
+
+    def test_partials_match_gradient(self):
+        model = VelocityModel.gaussian_bump((0.3, 0.6), 0.12, 0.25)
+        x = np.array([[0.1, 0.9], [0.45, 0.55]])
+        c, grad = model.c_and_grad(x)
+        ref_c, ref_grad = reference_c_and_grad(model, x)
+        assert np.array_equal(c, ref_c) and np.array_equal(grad, ref_grad)
+        assert c.shape == (2,) and grad.shape == (2, 2)
+
 
 class TestIndexFlow:
     def test_time_zero_is_identity(self, frame128):
@@ -170,6 +264,27 @@ class TestIndexFlow:
         assert point.x == pytest.approx(expected, abs=1e-9)
         assert np.hypot(*point.xi) == pytest.approx(frame128.wedge(4, 0).rho, abs=1e-9)
         assert (snapped.j, snapped.ell) == (mu.j, mu.ell)
+
+    @pytest.mark.parametrize("branch, t", [("+", 0.25), ("-", 0.25), ("+", -0.25), ("0", 0.25), ("+", 0.0)])
+    def test_packed_positions_equal_single_indices(self, frame64, branch, t, rng):
+        # one stack through flow_index gives each index's own point and snap, bit for bit
+        model = VelocityModel.sinusoidal(0.2, (1, 1))
+        flat = np.concatenate([[0, 5, frame64.size - 1], rng.integers(0, frame64.size, 9)])  # coarse, guard
+        points, snapped = cw.flow_index(frame64, flat.reshape(3, 4), model, branch, t)
+        assert points.x.shape == (3, 4, 2) and snapped.shape == (3, 4)
+        for i, f in enumerate(flat):
+            mu = cw.CurveletIndex(*(int(v) for v in frame64.index_of_flat(f)))
+            point, single = cw.flow_index(frame64, mu, model, branch, t)
+            assert np.array_equal(points.x.reshape(-1, 2)[i], point.x)
+            assert np.array_equal(points.xi.reshape(-1, 2)[i], point.xi)
+            assert points.directional.ravel()[i] == point.directional
+            assert snapped.ravel()[i] == frame64.flat_of_index(single)
+
+    @pytest.mark.parametrize("flat", [[5.7], np.array([True, False]), np.array([5.0])])
+    def test_packed_positions_must_be_integers(self, frame64, flat):
+        # np.int64 of 5.7 is 5: a cast would flow and snap index 5 without a word
+        with pytest.raises(ValueError, match="integers"):
+            cw.flow_index(frame64, flat, VelocityModel.constant(1.0), "+", 0.25)
 
     def test_snapping_is_deterministic(self, frame128):
         mu = cw.CurveletIndex(4, 2, 1, 1)
