@@ -6,10 +6,13 @@ matrix applied to stacks of spectra and of packed coefficients) live in
 ``synthesize`` call through it.  ``BACKEND`` names that implementation in
 benchmark provenance.  ``FFT_WORKERS``, the CPUs this process may run on
 (its affinity mask), is the one parallel level: every grid-sized FFT uses
-it.  ``checked`` and ``checked_kind`` refuse JSON specs with keys their
-reader would ignore; ``required`` names a key a spec leaves out;
-``number`` and ``pair`` read JSON numbers; ``spec_json`` writes a spec
-from its table of keys.
+it, and so do the wedge FFTs of ``analyze`` and ``synthesize`` whose
+rectangle is N x N (the guard channel, or the one channel of an S = 1
+frame).  The smaller wedge rectangles run on one thread each, which
+measured faster than threading every wedge.  ``checked`` and
+``checked_kind`` refuse JSON specs with keys their reader would ignore;
+``required`` names a key a spec leaves out; ``number`` and ``pair`` read
+JSON numbers; ``spec_json`` writes a spec from its table of keys.
 """
 
 import math

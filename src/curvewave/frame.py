@@ -48,6 +48,7 @@ __all__ = [
     "MoleculeProfile",
     "build_frame",
     "analyze",
+    "analyze_spectrum",
     "synthesize",
     "waveform",
     "atom_spectrum",
@@ -442,12 +443,28 @@ def analyze(table: FrameTable, f: np.ndarray) -> CoeffSet:
     """Frame coefficients of an (N, N) field or a (..., N, N) stack; exact
     Parseval per field: sum |c|^2 = sum |f|^2."""
     f = _check_field(table, f)
-    lead, n = f.shape[:-2], table.n
-    spectra = spfft.fft2(f, norm="ortho", workers=FFT_WORKERS).reshape(-1, n * n)
-    coeffs = CoeffSet(table, kernels.wedge_gather(table.wrap, spectra).reshape(lead + (table.size,)))
-    for block in coeffs.blocks:
-        block[...] = spfft.ifft2(block, norm="ortho")
+    return analyze_spectrum(table, spfft.fft2(f, norm="ortho", workers=FFT_WORKERS))
+
+
+def analyze_spectrum(table: FrameTable, spectra: np.ndarray) -> CoeffSet:
+    """Frame coefficients of the fields whose ortho fft2 is ``spectra``, an
+    (N, N) spectrum or a (..., N, N) stack: the gather, then the inverse FFT
+    of each wedge block.  A block that is exactly zero after the gather is
+    left as it is (its inverse FFT is zero), so a spectrum that reaches a
+    few wedges costs a few small FFTs."""
+    lead, n = spectra.shape[:-2], table.n
+    coeffs = CoeffSet(table, kernels.wedge_gather(table.wrap, spectra.reshape(-1, n * n)).reshape(lead + (table.size,)))
+    for w, block in zip(table.wedges, coeffs.blocks):
+        if block.flat[0] or block.any():  # a nonzero first entry (a dense spectrum's) spares the scan
+            block[...] = spfft.ifft2(block, norm="ortho", workers=_workers(table, w))
     return coeffs
+
+
+def _workers(table: FrameTable, w: Wedge) -> int | None:
+    """FFT workers for a wedge block: all of them for an N x N rectangle (the
+    guard, or the one channel of an S = 1 frame), one for the small ones,
+    where threads cost more than they save."""
+    return FFT_WORKERS if w.rect == (table.n, table.n) else None
 
 
 def synthesize(table: FrameTable, coeffs) -> np.ndarray:
@@ -460,8 +477,8 @@ def synthesize(table: FrameTable, coeffs) -> np.ndarray:
         raise FrameError(f"coefficients of the frame {coeffs.table.params} do not fit the frame {table.params}")
     lead, n = coeffs.packed.shape[:-1], table.n
     rects = CoeffSet(table, np.empty(coeffs.packed.shape, dtype=np.complex128))
-    for rect, block in zip(rects.blocks, coeffs.blocks):
-        rect[...] = spfft.fft2(block, norm="ortho")
+    for w, rect, block in zip(table.wedges, rects.blocks, coeffs.blocks):
+        rect[...] = spfft.fft2(block, norm="ortho", workers=_workers(table, w))
     spectra = kernels.wedge_scatter(table.wrap, rects.packed.reshape(-1, table.size))
     return spfft.ifft2(spectra.reshape(lead + (n, n)), norm="ortho", workers=FFT_WORKERS)
 

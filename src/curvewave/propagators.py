@@ -56,8 +56,12 @@ def _grids(n: int):
     q = np.fft.fftfreq(n) * n
     q1 = np.broadcast_to(q[:, None], (n, n))
     q2 = np.broadcast_to(q[None, :], (n, n))
-    mag = 2.0 * np.pi * np.hypot(q1, q2)  # physical |xi|
-    return q1, q2, mag
+    return q1, q2, _magnitude(q1, q2)
+
+
+def _magnitude(q1, q2) -> np.ndarray:
+    """Physical |xi| = 2 pi |q| of integer grid frequencies (q1, q2)."""
+    return 2.0 * np.pi * np.hypot(q1, q2)
 
 
 @lru_cache(maxsize=8)
@@ -77,6 +81,25 @@ def _ifft2(F):
     return spfft.ifft2(F, norm="ortho", workers=FFT_WORKERS)
 
 
+# The symbols of the scalar Fourier multipliers at physical |xi| = mag: the
+# operators apply them on the whole grid, ``curvelet_column`` on one wedge's
+# support (``OperatorSpec.multiplier``).
+
+
+def _halfwave_symbol(mag, t: float, sign: int, c0: float) -> np.ndarray:
+    return np.exp(1j * sign * c0 * t * mag)
+
+
+def _cos_wave_symbol(mag, t: float, c0: float) -> np.ndarray:
+    return np.cos(c0 * mag * t)
+
+
+def _gaussian_symbol(mag, width: float) -> np.ndarray:
+    if width <= 0:
+        raise ValueError("smoothing width must be positive")
+    return np.exp(-(width**2) * mag**2)
+
+
 def apply_halfwave(f: np.ndarray, t: float, sign, c0: float = 1.0) -> np.ndarray:
     """Multiply the spectrum by exp(sign * i * c0 |xi| t); unitary."""
     s = normalize_branch(sign)
@@ -84,7 +107,7 @@ def apply_halfwave(f: np.ndarray, t: float, sign, c0: float = 1.0) -> np.ndarray
         raise ValueError("half-wave propagator needs sign + or -")
     f = np.asarray(f, dtype=np.complex128)
     _, _, mag = _grids(f.shape[-1])
-    return _ifft2(_fft2(f) * np.exp(1j * s * c0 * t * mag))
+    return _ifft2(_fft2(f) * _halfwave_symbol(mag, t, s, c0))
 
 
 def apply_cos_wave(u0: np.ndarray, u1: np.ndarray, t: float, c0: float = 1.0) -> np.ndarray:
@@ -94,7 +117,7 @@ def apply_cos_wave(u0: np.ndarray, u1: np.ndarray, t: float, c0: float = 1.0) ->
     _, _, mag = _grids(u0.shape[-1])
     cmag = c0 * mag
     sinc = np.where(cmag > 0, np.sin(cmag * t) / np.where(cmag > 0, cmag, 1.0), t)
-    return _ifft2(np.cos(cmag * t) * _fft2(u0) + sinc * _fft2(u1))
+    return _ifft2(_cos_wave_symbol(mag, t, c0) * _fft2(u0) + sinc * _fft2(u1))
 
 
 def acoustic_dispersion_matrix(xi) -> np.ndarray:
@@ -309,11 +332,9 @@ def wave_energy(u: np.ndarray, v: np.ndarray, model: VelocityModel) -> float:
 
 def apply_gaussian_smooth(f: np.ndarray, width: float) -> np.ndarray:
     """Fourier multiplier exp(-width^2 |xi|^2)."""
-    if width <= 0:
-        raise ValueError("smoothing width must be positive")
     f = np.asarray(f, dtype=np.complex128)
     _, _, mag = _grids(f.shape[-1])
-    return _ifft2(np.exp(-(width**2) * mag**2) * _fft2(f))
+    return _ifft2(_gaussian_symbol(mag, width) * _fft2(f))
 
 
 @dataclass
@@ -589,6 +610,23 @@ class OperatorSpec:
         if k == "psido":
             return apply_psido(f, named_symbol(self.symbol, f.shape[-1]))
         return apply_warp(f, self.map)
+
+    def multiplier(self, q1, q2) -> np.ndarray | None:
+        """The symbol of a scalar Fourier-multiplier kind (identity, halfwave,
+        cos-wave with zero initial velocity, gaussian-smooth) at integer grid
+        frequencies (q1, q2), the factor ``apply`` puts on the spectrum there;
+        None for the other kinds."""
+        k = self.kind
+        if k not in {"identity", "halfwave", "cos-wave", "gaussian-smooth"}:
+            return None
+        mag = _magnitude(q1, q2)
+        if k == "identity":
+            return np.ones(mag.shape)
+        if k == "halfwave":
+            return _halfwave_symbol(mag, self.t, self.sign, self.c0)
+        if k == "cos-wave":
+            return _cos_wave_symbol(mag, self.t, self.c0)
+        return _gaussian_symbol(mag, self.width)
 
     def solver_error(self, f: np.ndarray) -> float:
         """Bound on the grid l2 distance from ``apply(f)`` to the exact

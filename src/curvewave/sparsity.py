@@ -1,8 +1,18 @@
 """Curvelet matrices of operators and their sparsity/organization metrics.
 
 A matrix column is analyze(op(phi_mu')) thresholded at a fraction of its
-norm.  Reports quantify sorted-entry decay (fitted power), l^p quasi-norms,
-and concentration of energy in omega-balls around the Hamiltonian-flowed
+norm.  For a scalar Fourier multiplier (identity, halfwave, cos-wave,
+gaussian-smooth) op(phi_mu') has the spectrum of phi_mu' times the symbol,
+on the same support, so only the wedges whose windows overlap the atom's
+window (its own, its angular and radial neighbours, and the guard next to
+the finest scale) can hold entries: ``curvelet_column`` builds that
+spectrum on the support and inverse-transforms those wedges alone.  The
+other kinds (variable-wave, warp, psido, the vector acoustic system) move
+frequencies or mix components, so their columns go through ``op.apply`` on
+the grid and a full ``analyze``.
+
+Reports quantify sorted-entry decay (fitted power), l^p quasi-norms, and
+concentration of energy in omega-balls around the Hamiltonian-flowed
 column index (minimized over flow branches, matching the shifted-diagonal
 organization of the curvelet matrix).
 """
@@ -19,7 +29,7 @@ from scipy.stats import theilslopes
 from . import formats
 from .distance import omega
 from .flow import VelocityModel, flow_index
-from .frame import CurveletIndex, FrameTable, analyze, frame_atom
+from .frame import CurveletIndex, FrameTable, analyze, analyze_spectrum, atom_spectrum, frame_atom
 from .propagators import BRANCHES, OperatorSpec, polarization_fractions, hyper_curvelet, apply_acoustic
 
 __all__ = [
@@ -80,27 +90,44 @@ def curvelet_column(
 ) -> MatrixColumn:
     """One curvelet-matrix column: analyze the operator's action on phi_mu.
 
+    The route follows the operator kind.  For a scalar Fourier multiplier
+    (``OperatorSpec.multiplier`` is not None) the output's spectrum is the
+    atom's spectrum times the symbol on ``wedge.support``, analyzed by
+    ``analyze_spectrum``: no grid-sized FFT, and no inverse FFT of a wedge
+    whose window misses that support.  Every other kind applies
+    ``op.apply`` to the atom on the grid and analyzes the result.
+
     For vector operators the input is the vector curvelet e_component *
     phi_mu and every output component is analyzed.  ``threshold`` is
     relative to the column norm; entries below it are dropped.  The
     operator's stated error bound is recorded on the same scale.
+
+    Raises:
+        ValueError: on a threshold that is not a positive finite number, or a
+            nonzero component of a scalar operator.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be a positive finite number; got {threshold!r}")
     if component != 0 and not op.is_vector:
         raise ValueError("scalar operators have a single component 0")
-    table.validate_index(mu)
-    u = atom = frame_atom(table, mu)
-    if op.is_vector:
-        u = np.zeros((3,) + atom.shape, dtype=np.complex128)
-        u[component] = atom
-    coeffs = analyze(table, op.apply(u))
+    w, values = atom_spectrum(table, mu)
+    symbol = op.multiplier(*w.freqs)
+    if symbol is not None:
+        spectrum = np.zeros((table.n, table.n), dtype=np.complex128)
+        spectrum.flat[w.support] = values * symbol
+        coeffs, error = analyze_spectrum(table, spectrum), 0.0
+    else:
+        u = atom = frame_atom(table, mu)
+        if op.is_vector:
+            u = np.zeros((3,) + atom.shape, dtype=np.complex128)
+            u[component] = atom
+        coeffs, error = analyze(table, op.apply(u)), op.solver_error(u)
     energy = coeffs.norm2()
     cut = threshold * math.sqrt(energy) if energy > 0 else threshold
     flat = coeffs.packed.ravel()  # the packed components in turn
     keep = np.flatnonzero(np.abs(flat) >= cut)
     row_nu, rows = np.divmod(keep, table.size)
-    error = op.solver_error(u) / math.sqrt(energy) if energy > 0 else 0.0
+    error = error / math.sqrt(energy) if energy > 0 else 0.0
     return MatrixColumn(mu, component, rows, row_nu, flat[keep], float(energy), float(cut), error)
 
 

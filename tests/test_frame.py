@@ -169,6 +169,28 @@ class TestTransform:
         f1 = cw.synthesize(frame64, {mu: 2.0})
         assert np.allclose(f1, 2.0 * cw.frame_atom(frame64, mu), atol=1e-14)
 
+    @staticmethod
+    def _every_block(table, spectrum):
+        """Reference: the gather, then the inverse FFT of every wedge block."""
+        coeffs = cw.CoeffSet(table, frame_module.kernels.wedge_gather(table.wrap, spectrum.reshape(1, -1))[0])
+        for block in coeffs.blocks:
+            block[...] = spfft.ifft2(block, norm="ortho")
+        return coeffs.packed
+
+    @pytest.mark.parametrize("mu", [(0, 0, 1, 2), (3, 5, 2, 1), (4, 9, 0, 3)])
+    def test_atom_spectrum_analysis_skips_only_zero_blocks(self, frame128, mu):
+        # (4, 9) lies at the finest directional scale, so it reaches the N x N guard block
+        w, values = frame_module.atom_spectrum(frame128, cw.CurveletIndex(*mu))
+        spectrum = np.zeros((frame128.n, frame128.n), dtype=np.complex128)
+        spectrum.flat[w.support] = values
+        coeffs = frame_module.analyze_spectrum(frame128, spectrum)
+        assert np.array_equal(coeffs.packed, self._every_block(frame128, spectrum))
+        missed = [not np.intersect1d(other.support, w.support).size for other in frame128.wedges]
+        assert any(missed) and not any(b.any() for b, m in zip(coeffs.blocks, missed) if m)
+        field = spfft.ifft2(spectrum, norm="ortho")
+        reference = self._every_block(frame128, spfft.fft2(field, norm="ortho"))
+        assert np.array_equal(cw.analyze(frame128, field).packed, reference)
+
 
 class TestLayout:
     def test_flat_index_round_trip(self, frame64):

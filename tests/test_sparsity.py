@@ -61,9 +61,42 @@ class TestColumns:
             d2 = min((int(k2[0]) - snapped.k2) % rect[1], (snapped.k2 - int(k2[0])) % rect[1])
             assert max(d1, d2) <= pinned.LATTICE_STEPS_MAX
 
-    def test_threshold_validation(self, frame128, identity_op):
+    @pytest.mark.parametrize("threshold", [0.0, math.nan, math.inf])
+    def test_threshold_validation(self, frame128, identity_op, threshold):
         with pytest.raises(ValueError):
-            cw.curvelet_column(frame128, identity_op, cw.CurveletIndex(3, 0, 0, 0), threshold=0.0)
+            cw.curvelet_column(frame128, identity_op, cw.CurveletIndex(3, 0, 0, 0), threshold=threshold)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "identity"},
+            {"kind": "halfwave", "sign": "+", "t": 0.25, "c0": 1.0},
+            {"kind": "halfwave", "sign": "-", "t": 0.25, "c0": 1.0},
+            {"kind": "halfwave", "sign": "+", "t": -0.25, "c0": 1.3},
+            {"kind": "cos-wave", "t": 0.25, "c0": 1.0},
+            {"kind": "gaussian-smooth", "width": 0.005},
+        ],
+        ids=["identity", "halfwave+", "halfwave-", "halfwave-t", "cos-wave", "gaussian-smooth"],
+    )
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_multiplier_column_matches_grid_route(self, frame64, frame128, spec, n):
+        # a multiplier column is built from the atom's spectrum times the symbol;
+        # the reference applies the operator to the atom on the grid and analyzes it
+        table = {64: frame64, 128: frame128}[n]
+        op = cw.OperatorSpec.from_json(spec)
+        rng = np.random.default_rng(n)
+        scales = table.params.scales
+        mus = [cw.CurveletIndex(0, 0, 1, 2), cw.CurveletIndex(scales, 0, 3, 5)]
+        mus += [table.random_index(rng, [j]) for j in table.directional_scales()]
+        for mu in mus:
+            col = cw.curvelet_column(table, op, mu)
+            ref = cw.analyze(table, op.apply(cw.frame_atom(table, mu)))
+            energy = ref.norm2()
+            rows = np.flatnonzero(np.abs(ref.packed) >= DEFAULT_THRESHOLD * math.sqrt(energy))
+            assert np.array_equal(col.rows_flat, rows), mu
+            assert np.max(np.abs(col.values - ref.packed[rows])) <= 1e-14 * math.sqrt(energy), mu
+            assert abs(col.energy - energy) <= 1e-14 * energy, mu
+            assert col.solver_error == 0.0
 
     def test_vector_column_components(self, frame64):
         op = cw.OperatorSpec.from_json({"kind": "acoustic", "t": 0.2})
