@@ -3,13 +3,18 @@
 Runs, in this process through ``cli.main``:
 
 - frame-check, matrix and sparsity on each ``configs/*.json``;
-- transform on a seeded N = 128 field;
+- transform on seeded fields at N = 128 and 256;
 - flow for branches + and 0 (the sinusoidal speed of
-  ``configs/variable_wave_n128.json``).
+  ``configs/variable_wave_n128.json``);
+- propagate for every operator kind (psido once per ``SYMBOL_IDS``
+  entry) on seeded fields at N = 64 and 128.
 
-It also saves a transport sample as ``.npy``: ``flow_index`` for 12
+It also saves as ``.npy`` a transport sample (``flow_index`` for 12
 indices x 3 branches and one ``predicted_curvelet``, at N = 256 with a
-sinusoidal speed.  Each command's standard output is saved next to its
+sinusoidal speed), a spectral sample (two curvelet-matrix columns of
+every operator kind at N = 64 and 128, ``hyper_curvelet`` in both modes
+for each branch) and the ``molecule_profile`` of waveforms at N = 128
+and 256.  Each command's standard output is saved next to its
 files, with OUTDIR stripped.  ``frames.sha256`` holds one digest per
 frame (its wrapping matrix and wedge table): the default frame at each N
 from 32 to 1024, a frame with non-default windows at each N, and the
@@ -38,11 +43,24 @@ import numpy as np
 import curvewave as cw
 from curvewave import formats
 from curvewave.cli import main
+from curvewave.propagators import SYMBOL_IDS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 T_FLOW = 0.25
 FRAME_SIZES = (32, 64, 128, 256, 512, 1024)
 OTHER_WINDOWS = {"angles_base": 12, "smooth_step_order": 6, "transition": 0.3}
+SINUSOIDAL = {"kind": "sinusoidal", "amplitude": 0.2, "wavevector": [1, 0]}
+OPERATORS = {
+    "identity": {"kind": "identity"},
+    "halfwave-plus": {"kind": "halfwave", "sign": "+", "t": 0.25, "c0": 1.0},
+    "halfwave-minus": {"kind": "halfwave", "sign": "-", "t": 0.37, "c0": 2.0},
+    "cos-wave": {"kind": "cos-wave", "t": 0.3, "c0": 1.5},
+    "gaussian-smooth": {"kind": "gaussian-smooth", "width": 0.01},
+    **{f"psido-{symbol}": {"kind": "psido", "symbol": symbol} for symbol in SYMBOL_IDS},
+    "warp": {"kind": "warp", "map": {"kind": "sinusoidal", "amplitude": 0.02, "wavevector": [1, 1]}},
+    "acoustic": {"kind": "acoustic", "t": 0.2},
+    "variable-wave": {"kind": "variable-wave", "sign": "+", "t": 0.25, "model": SINUSOIDAL},
+}
 
 
 def run(outdir: Path, name: str, args: list[str]) -> None:
@@ -65,6 +83,47 @@ def transport_sample(outdir: Path) -> None:
         np.save(outdir / f"flow_index_{label}_xi.npy", np.stack([p.xi for p, _ in results]))
         np.save(outdir / f"flow_index_{label}_mu.npy", np.array([(m.j, m.ell, m.k1, m.k2) for _, m in results]))
     np.save(outdir / "predicted_curvelet.npy", cw.predicted_curvelet(table, mus[0], model, "+", T_FLOW))
+
+
+def random_field(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def propagations(outdir: Path) -> None:
+    for n in (64, 128):
+        rng = np.random.default_rng(n)
+        scalar, vector = outdir / f"propagate_n{n}.field", outdir / f"propagate_n{n}_vector.field"
+        formats.write_field(scalar, random_field(rng, (n, n)))
+        formats.write_field(vector, random_field(rng, (3, n, n)))
+        for name, spec in OPERATORS.items():
+            config = outdir / f"propagate_{name}_n{n}.json"
+            config.write_text(json.dumps({"operator": spec}))
+            field = vector if spec["kind"] == "acoustic" else scalar
+            run(outdir, f"propagate_{name}_n{n}", ["--config", str(config), "--out",
+                                                   str(outdir / f"propagate_{name}_n{n}"), "propagate", str(field)])
+
+
+def spectral_sample(outdir: Path) -> None:
+    for n in (64, 128):
+        table = cw.build_frame(cw.FrameParams(n=n, scales=n.bit_length() - 3))
+        rng = np.random.default_rng(n + 1)
+        mus = [table.random_index(rng) for _ in range(2)]
+        for name, spec in OPERATORS.items():
+            columns = [cw.curvelet_column(table, cw.OperatorSpec.from_json(spec), mu) for mu in mus]
+            np.save(outdir / f"column_{name}_n{n}_rows.npy", np.concatenate([c.rows_flat for c in columns]))
+            np.save(outdir / f"column_{name}_n{n}_values.npy", np.concatenate([c.values for c in columns]))
+            np.save(outdir / f"column_{name}_n{n}_norms.npy", np.array([(c.energy, c.solver_error) for c in columns]))
+    table = cw.build_frame(cw.FrameParams(n=128, scales=5))
+    mu = cw.CurveletIndex(3, 5, 2, 1)
+    for mode in ("pointwise", "center"):
+        for branch, label in (("+", "plus"), ("-", "minus"), (0, "zero")):
+            np.save(outdir / f"hyper_curvelet_{mode}_{label}.npy", cw.hyper_curvelet(table, mu, branch, mode))
+    profiles = []
+    for n in (128, 256):
+        table = cw.build_frame(cw.FrameParams(n=n, scales=n.bit_length() - 3))
+        for mu in (cw.CurveletIndex(3, 5, 2, 1), cw.CurveletIndex(4, 9, 0, 3)):
+            profiles.append(f"n{n} {mu}: {cw.molecule_profile(table, cw.waveform(table, mu), mu)!r}\n")
+    (outdir / "molecule_profile.txt").write_text("".join(profiles))
 
 
 def frame_digest(params: cw.FrameParams) -> str:
@@ -103,12 +162,17 @@ def digest(outdir: Path) -> None:
     rng = np.random.default_rng(3)
     formats.write_field(field, rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128)))
     run(outdir, "transform", ["--grid", "128", "--out", str(outdir / "transform"), "transform", str(field)])
+    field = outdir / "transform_n256_input.field"
+    formats.write_field(field, random_field(rng, (256, 256)))
+    run(outdir, "transform_n256", ["--grid", "256", "--out", str(outdir / "transform_n256"), "transform", str(field)])
 
     for branch, label in (("+", "plus"), ("0", "zero")):
         run(outdir, f"flow_{label}", ["--config", str(CONFIGS / "variable_wave_n128.json"),
                                       "--out", str(outdir / f"flow_{label}"), "flow", "--branch", branch])
 
+    propagations(outdir)
     transport_sample(outdir)
+    spectral_sample(outdir)
     frame_digests(outdir)
     lines = [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(outdir)}"
              for p in outdir.rglob("*") if p.is_file()]

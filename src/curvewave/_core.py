@@ -1,15 +1,14 @@
-"""Kernel module and shared runtime knobs.
+"""Kernel module, the grid FFT pair and shared runtime knobs.
 
 The wrapping transform's gather and scatter (the frame's sparse wrapping
 matrix applied to stacks of spectra and of packed coefficients) live in
 ``_kernels_py``, imported here as ``kernels``; ``analyze`` and
 ``synthesize`` call through it.  ``BACKEND`` names that implementation in
-benchmark provenance.  ``FFT_WORKERS``, the CPUs this process may run on
-(its affinity mask), is the one parallel level: every grid-sized FFT uses
-it, and so do the wedge FFTs of ``analyze`` and ``synthesize`` whose
-rectangle is N x N (the guard channel, or the one channel of an S = 1
-frame).  The smaller wedge rectangles run on one thread each, which
-measured faster than threading every wedge.  ``checked`` and
+benchmark provenance.  ``fft2`` and ``ifft2`` are the one ortho FFT pair
+every module uses, and the FFTs are the one parallel level: a transform of
+at least ``THREADED_POINTS`` points per field runs on ``FFT_WORKERS``, the
+CPUs this process may run on (its affinity mask), a smaller one on one
+thread, where starting threads costs more than it saves.  ``checked`` and
 ``checked_kind`` refuse JSON specs with keys their reader would ignore;
 ``required`` names a key a spec leaves out; ``number`` and ``pair`` read
 JSON numbers; ``spec_json`` writes a spec from its table of keys.
@@ -19,11 +18,36 @@ import math
 import numbers
 import os
 
+import scipy.fft as spfft
+
 from . import _kernels_py as kernels
 
 BACKEND = kernels.BACKEND
 
 FFT_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+# Points per field from which an FFT runs on FFT_WORKERS.  Measured on an
+# idle 2-vCPU machine (N x N ifft2, best to median of 14 x 20 calls): one
+# worker wins at N = 64 (68-69 against 92-95 us on two), N = 128 is a wash
+# (253-261 against 232-277 us), two win at N = 256 (783-798 against
+# 1,071-1,125 us on one).  The result does not depend on the worker count.
+THREADED_POINTS = 256 * 256
+
+
+def _workers(x) -> int:
+    return FFT_WORKERS if x.shape[-2] * x.shape[-1] >= THREADED_POINTS else 1
+
+
+def fft2(x):
+    """Ortho 2-D FFT over the last two axes of ``x``, an (N, N) field or a
+    (..., N, N) stack.  ``scipy.fft.fft2`` is looked up at each call, so a
+    patched ``scipy.fft`` (``perfbench``'s FFT counter) sees every FFT."""
+    return spfft.fft2(x, norm="ortho", workers=_workers(x))
+
+
+def ifft2(x):
+    """Inverse of :func:`fft2`."""
+    return spfft.ifft2(x, norm="ortho", workers=_workers(x))
 
 
 def checked(where: str, section, allowed) -> dict:

@@ -98,7 +98,7 @@ def cmd_frame_check(cfg: ExperimentConfig) -> int:
         roundtrip = max(roundtrip, float(np.linalg.norm(rec - f)) / np.sqrt(nf))
         g = _random_field(rng, table.n)
         cg = analyze(table, g)
-        lhs = complex(np.vdot(cg.pack(), c.pack()))
+        lhs = complex(np.vdot(cg.packed, c.packed))
         rhs = complex(np.vdot(g, synthesize(table, c)))
         adjoint = max(adjoint, abs(lhs - rhs) / max(abs(rhs), 1.0))
     report = {

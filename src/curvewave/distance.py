@@ -1,4 +1,5 @@
-"""Dyadic-parabolic pseudo-distance on phase-space points and frame indices.
+"""Dyadic-parabolic pseudo-distance on phase-space points; a frame index's
+point is ``FrameTable.phase_point``.
 
     d(p, q)     = |dtheta mod pi|^2 + |dx|^2 + |<e_p, dx>|
     omega(p, q) = 2^|j - j'| * (1 + min(2^j, 2^j') d(p, q))
@@ -63,22 +64,8 @@ def _angle_delta_mod_pi(a, b):
     return np.mod(a - b + 0.5 * np.pi, np.pi) - 0.5 * np.pi
 
 
-def _as_point(obj, table) -> PhasePoint:
-    if isinstance(obj, PhasePoint):
-        return obj
-    if table is None:
-        raise TypeError("pass a FrameTable to measure distances between frame indices")
-    return table.phase_point(obj)
-
-
-def d(p, q, table=None):
-    """Flat pseudo-distance between phase points (no scale weighting).
-
-    Arguments may be PhasePoints or CurveletIndex values; the latter need
-    the owning FrameTable to resolve their phase-space centers.
-    """
-    p = _as_point(p, table)
-    q = _as_point(q, table)
+def d(p: PhasePoint, q: PhasePoint):
+    """Flat pseudo-distance between phase points (no scale weighting)."""
     dx = _torus_delta(p.x, q.x)
     dx2 = np.sum(dx * dx, axis=-1)
     p_dir = np.asarray(p.directional, dtype=bool)
@@ -92,10 +79,8 @@ def d(p, q, table=None):
     return ang * ang + dx2 + ridge
 
 
-def omega(p, q, table=None):
+def omega(p: PhasePoint, q: PhasePoint):
     """Scale-weighted pseudo-distance; >= 1, equal to 1 at coincident points."""
-    p = _as_point(p, table)
-    q = _as_point(q, table)
     jp, jq = p.scale_log2, q.scale_log2
     return 2.0 ** np.abs(jp - jq) * (1.0 + 2.0 ** np.minimum(jp, jq) * d(p, q))
 

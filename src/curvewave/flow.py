@@ -22,7 +22,7 @@ import numpy as np
 
 from ._core import checked_kind, number, pair, required, spec_json
 from .distance import PhasePoint
-from .frame import CurveletIndex, FrameTable, atom_spectrum, frame_atom
+from .frame import CurveletIndex, FrameTable, atom_spectrum, waveform
 
 __all__ = [
     "VelocityModel",
@@ -304,9 +304,8 @@ def predicted_curvelet(table: FrameTable, mu: CurveletIndex, model: VelocityMode
     if w.kind != "directional":
         raise ValueError("predicted_curvelet requires a directional index")
     sign = normalize_branch(branch)
-    norm = math.sqrt(w.atom_norm2)
     if sign == 0 or t == 0:
-        return frame_atom(table, mu) / norm
+        return waveform(table, mu)
 
     start = table.phase_point(mu)
     end = flow(start, model, branch, t)
@@ -321,6 +320,7 @@ def predicted_curvelet(table: FrameTable, mu: CurveletIndex, model: VelocityMode
     q1, q2 = w.freqs
     p1 = rot[0, 0] * q1 + rot[1, 0] * q2
     p2 = rot[0, 1] * q1 + rot[1, 1] * q2
+    norm = math.sqrt(w.atom_norm2)
     coeff = atom_spectrum(table, mu)[1] * np.exp(2j * np.pi * (q1 * start.x[0] + q2 * start.x[1])) / (n * norm)
     return _scattered_trig_sum(coeff, p1, p2, g1, g2)
 

@@ -100,7 +100,7 @@ def read_index_csv(path, header):
 
 def write_coeffs_csv(path, coeffs: CoeffSet) -> None:
     """Write the nonzero coefficients as rows j,l,k1,k2,nu,re,im (nu = 0)."""
-    flat = coeffs.pack()
+    flat = coeffs.packed
     keep = np.flatnonzero(np.abs(flat) > 0.0)
     j, ell, k1, k2 = coeffs.table.index_of_flat(keep)
     write_index_csv(path, COEFF_HEADER, (j, ell, k1, k2, np.zeros_like(j)), flat[keep])

@@ -35,7 +35,7 @@ import numpy as np
 import scipy.fft as spfft
 from scipy.sparse import csr_array
 
-from ._core import FFT_WORKERS, kernels
+from ._core import fft2, ifft2, kernels
 from .distance import PhasePoint
 from .windows import WindowFamily, build_windows
 
@@ -423,6 +423,7 @@ class CoeffSet:
         self.packed[..., self.table.flat_of_index(mu)] = value
 
     def pack(self) -> np.ndarray:
+        """``packed`` itself; ``perfbench/workloads.py`` still calls this."""
         return self.packed
 
     def norm2(self, kinds=None) -> float:
@@ -443,7 +444,7 @@ def analyze(table: FrameTable, f: np.ndarray) -> CoeffSet:
     """Frame coefficients of an (N, N) field or a (..., N, N) stack; exact
     Parseval per field: sum |c|^2 = sum |f|^2."""
     f = _check_field(table, f)
-    return analyze_spectrum(table, spfft.fft2(f, norm="ortho", workers=FFT_WORKERS))
+    return analyze_spectrum(table, fft2(f))
 
 
 def analyze_spectrum(table: FrameTable, spectra: np.ndarray) -> CoeffSet:
@@ -454,17 +455,10 @@ def analyze_spectrum(table: FrameTable, spectra: np.ndarray) -> CoeffSet:
     few wedges costs a few small FFTs."""
     lead, n = spectra.shape[:-2], table.n
     coeffs = CoeffSet(table, kernels.wedge_gather(table.wrap, spectra.reshape(-1, n * n)).reshape(lead + (table.size,)))
-    for w, block in zip(table.wedges, coeffs.blocks):
+    for block in coeffs.blocks:
         if block.flat[0] or block.any():  # a nonzero first entry (a dense spectrum's) spares the scan
-            block[...] = spfft.ifft2(block, norm="ortho", workers=_workers(table, w))
+            block[...] = ifft2(block)
     return coeffs
-
-
-def _workers(table: FrameTable, w: Wedge) -> int | None:
-    """FFT workers for a wedge block: all of them for an N x N rectangle (the
-    guard, or the one channel of an S = 1 frame), one for the small ones,
-    where threads cost more than they save."""
-    return FFT_WORKERS if w.rect == (table.n, table.n) else None
 
 
 def synthesize(table: FrameTable, coeffs) -> np.ndarray:
@@ -477,10 +471,10 @@ def synthesize(table: FrameTable, coeffs) -> np.ndarray:
         raise FrameError(f"coefficients of the frame {coeffs.table.params} do not fit the frame {table.params}")
     lead, n = coeffs.packed.shape[:-1], table.n
     rects = CoeffSet(table, np.empty(coeffs.packed.shape, dtype=np.complex128))
-    for w, rect, block in zip(table.wedges, rects.blocks, coeffs.blocks):
-        rect[...] = spfft.fft2(block, norm="ortho", workers=_workers(table, w))
+    for rect, block in zip(rects.blocks, coeffs.blocks):
+        rect[...] = fft2(block)
     spectra = kernels.wedge_scatter(table.wrap, rects.packed.reshape(-1, table.size))
-    return spfft.ifft2(spectra.reshape(lead + (n, n)), norm="ortho", workers=FFT_WORKERS)
+    return ifft2(spectra.reshape(lead + (n, n)))
 
 
 def atom_spectrum(table: FrameTable, mu: CurveletIndex) -> tuple[Wedge, np.ndarray]:
@@ -497,7 +491,7 @@ def frame_atom(table: FrameTable, mu: CurveletIndex) -> np.ndarray:
     w, values = atom_spectrum(table, mu)
     spectrum = np.zeros((table.n, table.n), dtype=np.complex128)
     spectrum.flat[w.support] = values
-    return spfft.ifft2(spectrum, norm="ortho", workers=FFT_WORKERS)
+    return ifft2(spectrum)
 
 
 def waveform(table: FrameTable, mu: CurveletIndex) -> np.ndarray:
@@ -574,7 +568,7 @@ def molecule_profile(table: FrameTable, f: np.ndarray, mu: CurveletIndex) -> Mol
 
     q = np.fft.fftfreq(n) * n
     r = np.hypot(q[:, None], q[None, :])
-    spec = np.abs(spfft.fft2(f, norm="ortho"))
+    spec = np.abs(fft2(f))
     weight = np.minimum(1.0, (1.0 + r) / rho) ** 2
     moment_ratio = float(np.max(spec / weight) / np.max(spec))
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft as spfft
 
-from ._core import FFT_WORKERS, checked_kind, number, pair, required, spec_json
+from ._core import checked_kind, fft2, ifft2, number, pair, required, spec_json
 from .flow import VelocityModel, normalize_branch
 from .frame import CurveletIndex, FrameTable, atom_spectrum
 
@@ -73,51 +73,23 @@ def _grid_points(n: int) -> np.ndarray:
     return x
 
 
-def _fft2(f):
-    return spfft.fft2(f, norm="ortho", workers=FFT_WORKERS)
-
-
-def _ifft2(F):
-    return spfft.ifft2(F, norm="ortho", workers=FFT_WORKERS)
-
-
-# The symbols of the scalar Fourier multipliers at physical |xi| = mag: the
-# operators apply them on the whole grid, ``curvelet_column`` on one wedge's
-# support (``OperatorSpec.multiplier``).
-
-
-def _halfwave_symbol(mag, t: float, sign: int, c0: float) -> np.ndarray:
-    return np.exp(1j * sign * c0 * t * mag)
-
-
-def _cos_wave_symbol(mag, t: float, c0: float) -> np.ndarray:
-    return np.cos(c0 * mag * t)
-
-
-def _gaussian_symbol(mag, width: float) -> np.ndarray:
-    if width <= 0:
-        raise ValueError("smoothing width must be positive")
-    return np.exp(-(width**2) * mag**2)
-
-
 def apply_halfwave(f: np.ndarray, t: float, sign, c0: float = 1.0) -> np.ndarray:
     """Multiply the spectrum by exp(sign * i * c0 |xi| t); unitary."""
     s = normalize_branch(sign)
     if s == 0:
         raise ValueError("half-wave propagator needs sign + or -")
-    f = np.asarray(f, dtype=np.complex128)
-    _, _, mag = _grids(f.shape[-1])
-    return _ifft2(_fft2(f) * _halfwave_symbol(mag, t, s, c0))
+    return OperatorSpec(kind="halfwave", t=t, sign=s, c0=c0).apply(f)
 
 
 def apply_cos_wave(u0: np.ndarray, u1: np.ndarray, t: float, c0: float = 1.0) -> np.ndarray:
     """Exact constant-coefficient wave solution u(t) from (u0, u1)."""
     u0 = np.asarray(u0, dtype=np.complex128)
     u1 = np.asarray(u1, dtype=np.complex128)
-    _, _, mag = _grids(u0.shape[-1])
+    q1, q2, mag = _grids(u0.shape[-1])
     cmag = c0 * mag
     sinc = np.where(cmag > 0, np.sin(cmag * t) / np.where(cmag > 0, cmag, 1.0), t)
-    return _ifft2(_cos_wave_symbol(mag, t, c0) * _fft2(u0) + sinc * _fft2(u1))
+    cos = OperatorSpec(kind="cos-wave", t=t, c0=c0).multiplier(q1, q2)
+    return ifft2(cos * fft2(u0) + sinc * fft2(u1))
 
 
 def acoustic_dispersion_matrix(xi) -> np.ndarray:
@@ -164,21 +136,21 @@ def apply_acoustic(u: np.ndarray, t: float) -> np.ndarray:
         raise ValueError("acoustic propagator expects a 3-component field")
     n = u.shape[-1]
     _, _, mag = _grids(n)
-    spec = _fft2(u)
+    spec = fft2(u)
     out = np.zeros_like(spec)
     for branch in BRANCHES:
         r = acoustic_polarization(n, branch)
         lam = normalize_branch(branch) * mag
         proj = np.einsum("cij,cij->ij", r, spec)
         out += np.exp(-1j * t * lam) * proj * r
-    return _ifft2(out)
+    return ifft2(out)
 
 
 def polarization_fractions(u: np.ndarray) -> dict[int, float]:
     """Energy fractions of a 3-component field in the three polarizations."""
     u = np.asarray(u, dtype=np.complex128)
     n = u.shape[-1]
-    spec = _fft2(u)
+    spec = fft2(u)
     total = float(np.vdot(spec, spec).real)
     if total == 0.0:
         raise ValueError("zero field has no polarization split")
@@ -192,7 +164,7 @@ def polarization_fractions(u: np.ndarray) -> dict[int, float]:
 
 def _laplacian(f: np.ndarray) -> np.ndarray:
     _, _, mag = _grids(f.shape[-1])
-    return _ifft2(-(mag**2) * _fft2(f))
+    return ifft2(-(mag**2) * fft2(f))
 
 
 def solve_variable_wave(
@@ -314,7 +286,7 @@ def oneway_velocity(u0: np.ndarray, model: VelocityModel, sign) -> np.ndarray:
     u0 = np.asarray(u0, dtype=np.complex128)
     n = u0.shape[-1]
     _, _, mag = _grids(n)
-    return 1j * s * np.asarray(model.c(_grid_points(n))) * _ifft2(mag * _fft2(u0))
+    return 1j * s * np.asarray(model.c(_grid_points(n))) * ifft2(mag * fft2(u0))
 
 
 def wave_energy(u: np.ndarray, v: np.ndarray, model: VelocityModel) -> float:
@@ -322,9 +294,9 @@ def wave_energy(u: np.ndarray, v: np.ndarray, model: VelocityModel) -> float:
     n = u.shape[-1]
     q1, q2, _ = _grids(n)
     c2 = np.asarray(model.c(_grid_points(n))) ** 2
-    spec = _fft2(u)
-    gx = _ifft2(2j * np.pi * q1 * spec)
-    gy = _ifft2(2j * np.pi * q2 * spec)
+    spec = fft2(u)
+    gx = ifft2(2j * np.pi * q1 * spec)
+    gy = ifft2(2j * np.pi * q2 * spec)
     kinetic = float(np.sum(np.abs(v) ** 2 / c2))
     potential = float(np.sum(np.abs(gx) ** 2 + np.abs(gy) ** 2))
     return 0.5 * (kinetic + potential)
@@ -332,9 +304,7 @@ def wave_energy(u: np.ndarray, v: np.ndarray, model: VelocityModel) -> float:
 
 def apply_gaussian_smooth(f: np.ndarray, width: float) -> np.ndarray:
     """Fourier multiplier exp(-width^2 |xi|^2)."""
-    f = np.asarray(f, dtype=np.complex128)
-    _, _, mag = _grids(f.shape[-1])
-    return _ifft2(_gaussian_symbol(mag, width) * _fft2(f))
+    return OperatorSpec(kind="gaussian-smooth", width=width).apply(f)
 
 
 @dataclass
@@ -365,10 +335,10 @@ def apply_psido(f: np.ndarray, symbol: PsidoSymbol) -> np.ndarray:
     if not isinstance(symbol, PsidoSymbol):
         raise TypeError("apply_psido accepts separable PsidoSymbol specs only")
     f = np.asarray(f, dtype=np.complex128)
-    spec = _fft2(f)
+    spec = fft2(f)
     out = np.zeros_like(f)
     for a, b in symbol.terms:
-        g = _ifft2(spec * b) if b is not None else _ifft2(spec)
+        g = ifft2(spec * b) if b is not None else ifft2(spec)
         out += a * g if a is not None else g
     return out
 
@@ -471,7 +441,7 @@ def apply_warp(f: np.ndarray, warp: WarpMap) -> np.ndarray:
     f = np.asarray(f, dtype=np.complex128)
     warp.validate(min(f.shape[-1], 64))
     y = np.mod(warp.phi(_grid_points(f.shape[-1])), 1.0)
-    return _eval_fourier_at_points(_fft2(f), y[..., 0], y[..., 1])
+    return _eval_fourier_at_points(fft2(f), y[..., 0], y[..., 1])
 
 
 def _eval_fourier_at_points(spec: np.ndarray, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
@@ -523,7 +493,7 @@ def hyper_curvelet(table: FrameTable, mu: CurveletIndex, branch, mode: str = "po
         r = np.broadcast_to(r3[:, None, None], (3,) + spec.shape)
     else:
         raise ValueError(f"unknown hyper-curvelet mode {mode!r}")
-    return _ifft2(r * spec[None, :, :])
+    return ifft2(r * spec[None, :, :])
 
 
 def _center_polarization(xi, branch) -> np.ndarray:
@@ -597,16 +567,14 @@ class OperatorSpec:
         k = self.kind
         if k == "identity":
             return np.array(f, dtype=np.complex128, copy=True)
-        if k == "halfwave":
-            return apply_halfwave(f, self.t, self.sign, self.c0)
-        if k == "cos-wave":
-            return apply_cos_wave(f, np.zeros_like(f), self.t, self.c0)
+        if k in {"halfwave", "cos-wave", "gaussian-smooth"}:
+            f = np.asarray(f, dtype=np.complex128)
+            q1, q2, _ = _grids(f.shape[-1])
+            return ifft2(fft2(f) * self.multiplier(q1, q2))
         if k == "acoustic":
             return apply_acoustic(f, self.t)
         if k == "variable-wave":
             return chebyshev_wave(f, oneway_velocity(f, self.speed, self.sign), self.speed, self.t)[0]
-        if k == "gaussian-smooth":
-            return apply_gaussian_smooth(f, self.width)
         if k == "psido":
             return apply_psido(f, named_symbol(self.symbol, f.shape[-1]))
         return apply_warp(f, self.map)
@@ -614,8 +582,9 @@ class OperatorSpec:
     def multiplier(self, q1, q2) -> np.ndarray | None:
         """The symbol of a scalar Fourier-multiplier kind (identity, halfwave,
         cos-wave with zero initial velocity, gaussian-smooth) at integer grid
-        frequencies (q1, q2), the factor ``apply`` puts on the spectrum there;
-        None for the other kinds."""
+        frequencies (q1, q2), the factor ``apply`` puts on the spectrum there
+        (the whole grid) and ``curvelet_column`` on one wedge's support; None
+        for the other kinds."""
         k = self.kind
         if k not in {"identity", "halfwave", "cos-wave", "gaussian-smooth"}:
             return None
@@ -623,10 +592,12 @@ class OperatorSpec:
         if k == "identity":
             return np.ones(mag.shape)
         if k == "halfwave":
-            return _halfwave_symbol(mag, self.t, self.sign, self.c0)
+            return np.exp(1j * self.sign * self.c0 * self.t * mag)
         if k == "cos-wave":
-            return _cos_wave_symbol(mag, self.t, self.c0)
-        return _gaussian_symbol(mag, self.width)
+            return np.cos(self.c0 * mag * self.t)
+        if self.width <= 0:
+            raise ValueError("smoothing width must be positive")
+        return np.exp(-(self.width**2) * mag**2)
 
     def solver_error(self, f: np.ndarray) -> float:
         """Bound on the grid l2 distance from ``apply(f)`` to the exact

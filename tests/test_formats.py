@@ -59,7 +59,7 @@ class TestCoeffsCsv:
         path = tmp_path / "coeffs.csv"
         formats.write_coeffs_csv(path, coeffs)
         back = formats.read_coeffs_csv(path, frame64)
-        assert np.array_equal(back.pack().view(np.float64), coeffs.pack().view(np.float64))  # bit for bit
+        assert np.array_equal(back.packed.view(np.float64), coeffs.packed.view(np.float64))  # bit for bit
 
     def test_header_columns(self, frame64, tmp_path):
         path = tmp_path / "coeffs.csv"
@@ -79,7 +79,7 @@ class TestCoeffsCsv:
         lines = path.read_bytes().split(b"\r\n")
         assert lines[-1] == b"" and len(lines) == frame64.size + 2  # header, one row each, final CRLF
         j, ell, k1, k2 = frame64.index_of_flat([5])
-        c = coeffs.pack()[5]
+        c = coeffs.packed[5]
         assert lines[6].decode() == f"{j[0]},{ell[0]},{k1[0]},{k2[0]},0,{c.real:.17g},{c.imag:.17g}"
 
     def test_exact_bytes(self, tmp_path):

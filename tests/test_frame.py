@@ -6,6 +6,7 @@ import pytest
 import scipy.fft as spfft
 
 import curvewave as cw
+import curvewave._core as core
 import curvewave.frame as frame_module
 from curvewave.frame import FrameError, UnknownIndexError
 
@@ -108,6 +109,15 @@ class TestBuild:
             cw.build_frame(cw.FrameParams(n=32, scales=3))
 
 
+@pytest.mark.parametrize("shape", [(128, 128), (2, 128, 128), (256, 256), (2, 256, 256)])
+def test_fft_pair_is_scipy_ortho_bit_for_bit(shape, rng):
+    # N = 128 runs on one thread and N = 256 on FFT_WORKERS; neither changes a bit
+    assert (shape[-1] ** 2 >= core.THREADED_POINTS) == (shape[-1] == 256)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert np.array_equal(core.fft2(x), spfft.fft2(x, norm="ortho"))
+    assert np.array_equal(core.ifft2(x), spfft.ifft2(x, norm="ortho"))
+
+
 class TestTransform:
     def test_parseval_and_roundtrip(self, frame64, rng):
         for _ in range(10):
@@ -143,7 +153,7 @@ class TestTransform:
         for _ in range(20):
             f = random_field(rng, frame64.n)
             c = cw.analyze(frame64, random_field(rng, frame64.n))
-            lhs = np.vdot(cw.analyze(frame64, f).pack(), c.pack())
+            lhs = np.vdot(cw.analyze(frame64, f).packed, c.packed)
             rhs = np.vdot(f, cw.synthesize(frame64, c))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1.0)
 
