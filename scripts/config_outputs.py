@@ -21,7 +21,10 @@ from 32 to 1024, a frame with non-default windows at each N, and the
 frame of each config.  Then the script prints one ``sha256  relative-path``
 line per file under OUTDIR, sorted.
 
-Two checkouts give the same listing exactly when every output is
+The configs are read from the ``configs`` directory next to this script,
+so both checkouts below are listed from the same inputs; the script
+exits 1, naming that directory, when it holds no ``*.json``.  Two
+checkouts give the same listing exactly when every output is
 byte-identical.  From the repository root:
 
     PYTHONPATH=src python scripts/config_outputs.py /tmp/after > after.txt
@@ -150,8 +153,11 @@ def frame_digests(outdir: Path) -> None:
 
 
 def digest(outdir: Path) -> None:
+    configs = sorted(CONFIGS.glob("*.json"))
+    if not configs:
+        sys.exit(f"config_outputs.py: no *.json in {CONFIGS}")
     outdir.mkdir(parents=True, exist_ok=True)
-    for config in sorted(CONFIGS.glob("*.json")):
+    for config in configs:
         out = outdir / config.stem
         base = ["--config", str(config), "--out", str(out)]
         run(outdir, f"{config.stem}.frame-check", [*base, "frame-check"])

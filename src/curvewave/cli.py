@@ -140,11 +140,11 @@ def cmd_transform(cfg: ExperimentConfig, input_path: str) -> int:
 def cmd_propagate(cfg: ExperimentConfig, input_path: str) -> int:
     op = cfg.operator
     f = formats.read_field(input_path)
-    out = op.apply(f)
+    out, error = op.apply(f)
     cfg.out.mkdir(parents=True, exist_ok=True)
     formats.write_field(cfg.out / "propagated.field", out)
     formats.write_pgm(cfg.out / "propagated.pgm", out if out.ndim == 2 else out[0])
-    print(json.dumps({"kind": op.kind, "t": op.t, "norm": float(np.linalg.norm(out))}))
+    print(json.dumps({"kind": op.kind, "t": op.t, "norm": float(np.linalg.norm(out)), "solver_error": error}))
     return 0
 
 

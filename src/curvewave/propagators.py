@@ -78,7 +78,7 @@ def apply_halfwave(f: np.ndarray, t: float, sign, c0: float = 1.0) -> np.ndarray
     s = normalize_branch(sign)
     if s == 0:
         raise ValueError("half-wave propagator needs sign + or -")
-    return OperatorSpec(kind="halfwave", t=t, sign=s, c0=c0).apply(f)
+    return OperatorSpec(kind="halfwave", t=t, sign=s, c0=c0).apply(f)[0]
 
 
 def apply_cos_wave(u0: np.ndarray, u1: np.ndarray, t: float, c0: float = 1.0) -> np.ndarray:
@@ -117,8 +117,13 @@ def acoustic_polarization(n: int, branch) -> np.ndarray:
     direction defaults to (1, 0) (the zero mode belongs to the isotropic
     channel and is never weighted by these vectors in the frame).
     """
+    return _polarization(*_unit_directions(n), branch)
+
+
+def _polarization(e1, e2, branch) -> np.ndarray:
+    """The r_branch of ``acoustic_polarization`` for unit directions
+    (e1, e2) of one shape, stacked along a new leading axis of length 3."""
     s = normalize_branch(branch)
-    e1, e2 = _unit_directions(n)
     if s == 0:
         return np.stack([-e2, e1, np.zeros_like(e1)])
     inv = 1.0 / math.sqrt(2.0)
@@ -257,20 +262,14 @@ def chebyshev_wave(u0: np.ndarray, v0: np.ndarray, model: VelocityModel, t: floa
     v0 = np.asarray(v0, dtype=np.complex128)
     if u0.shape != v0.shape:
         raise ValueError("u0 and v0 must have matching shapes")
-    c2, lam_max, (a, b, _, _) = _wave_expansion(model, u0.shape[-1], t)
+    c2, lam_max, (a, b, tail_a, tail_b) = _wave_expansion(model, u0.shape[-1], t)
     two_x_scale = -4.0 / lam_max * c2  # 2X s = two_x_scale * Lap(s) - 2s
     s1 = s2 = np.zeros_like(u0)
     for k in range(len(a) - 1, 0, -1):
         s1, s2 = a[k] * u0 + b[k] * v0 + two_x_scale * _laplacian(s1) - 2.0 * s1 - s2, s1
     u = a[0] * u0 + b[0] * v0 + 0.5 * two_x_scale * _laplacian(s1) - s1 - s2
-    return u, _chebyshev_bound(u0, v0, model, t)
-
-
-def _chebyshev_bound(u0: np.ndarray, v0: np.ndarray, model: VelocityModel, t: float) -> float:
-    """The ``bound`` of ``chebyshev_wave(u0, v0, model, t)``, without propagating."""
-    c2, _, (_, _, tail_a, tail_b) = _wave_expansion(model, np.shape(u0)[-1], t)
     weighted = [math.sqrt(float(np.sum(np.abs(f) ** 2 / c2))) for f in (u0, v0)]
-    return math.sqrt(c2.max()) * (tail_a * weighted[0] + tail_b * weighted[1])
+    return u, math.sqrt(c2.max()) * (tail_a * weighted[0] + tail_b * weighted[1])
 
 
 def oneway_velocity(u0: np.ndarray, model: VelocityModel, sign) -> np.ndarray:
@@ -304,7 +303,7 @@ def wave_energy(u: np.ndarray, v: np.ndarray, model: VelocityModel) -> float:
 
 def apply_gaussian_smooth(f: np.ndarray, width: float) -> np.ndarray:
     """Fourier multiplier exp(-width^2 |xi|^2)."""
-    return OperatorSpec(kind="gaussian-smooth", width=width).apply(f)
+    return OperatorSpec(kind="gaussian-smooth", width=width).apply(f)[0]
 
 
 @dataclass
@@ -488,21 +487,12 @@ def hyper_curvelet(table: FrameTable, mu: CurveletIndex, branch, mode: str = "po
     if mode == "pointwise":
         r = acoustic_polarization(table.n, branch)
     elif mode == "center":
-        xi = table.xi_center(mu)
-        r3 = _center_polarization(xi, branch)
-        r = np.broadcast_to(r3[:, None, None], (3,) + spec.shape)
+        e = np.asarray(table.xi_center(mu), dtype=float)
+        e = e / np.hypot(*e)
+        r = _polarization(*(np.broadcast_to(x, spec.shape) for x in e), branch)
     else:
         raise ValueError(f"unknown hyper-curvelet mode {mode!r}")
     return ifft2(r * spec[None, :, :])
-
-
-def _center_polarization(xi, branch) -> np.ndarray:
-    s = normalize_branch(branch)
-    e = np.asarray(xi, dtype=float)
-    e = e / np.hypot(*e)
-    if s == 0:
-        return np.array([-e[1], e[0], 0.0])
-    return np.array([s * e[0], s * e[1], 1.0]) / math.sqrt(2.0)
 
 
 def _read_sign(text) -> int:
@@ -563,21 +553,25 @@ class OperatorSpec:
         """The wave speed: ``model``, or the constant c0 when it is unset."""
         return self.model or VelocityModel.constant(self.c0)
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
+    def apply(self, f: np.ndarray) -> tuple[np.ndarray, float]:
+        """(output, error): the operator applied to ``f``, and a bound on the
+        grid l2 distance from that output to the exact operator's: the
+        discarded Chebyshev tail of ``variable-wave``, 0.0 for the kinds
+        applied exactly (to rounding)."""
         k = self.kind
         if k == "identity":
-            return np.array(f, dtype=np.complex128, copy=True)
+            return np.array(f, dtype=np.complex128, copy=True), 0.0
         if k in {"halfwave", "cos-wave", "gaussian-smooth"}:
             f = np.asarray(f, dtype=np.complex128)
             q1, q2, _ = _grids(f.shape[-1])
-            return ifft2(fft2(f) * self.multiplier(q1, q2))
+            return ifft2(fft2(f) * self.multiplier(q1, q2)), 0.0
         if k == "acoustic":
-            return apply_acoustic(f, self.t)
+            return apply_acoustic(f, self.t), 0.0
         if k == "variable-wave":
-            return chebyshev_wave(f, oneway_velocity(f, self.speed, self.sign), self.speed, self.t)[0]
+            return chebyshev_wave(f, oneway_velocity(f, self.speed, self.sign), self.speed, self.t)
         if k == "psido":
-            return apply_psido(f, named_symbol(self.symbol, f.shape[-1]))
-        return apply_warp(f, self.map)
+            return apply_psido(f, named_symbol(self.symbol, f.shape[-1])), 0.0
+        return apply_warp(f, self.map), 0.0
 
     def multiplier(self, q1, q2) -> np.ndarray | None:
         """The symbol of a scalar Fourier-multiplier kind (identity, halfwave,
@@ -598,14 +592,6 @@ class OperatorSpec:
         if self.width <= 0:
             raise ValueError("smoothing width must be positive")
         return np.exp(-(self.width**2) * mag**2)
-
-    def solver_error(self, f: np.ndarray) -> float:
-        """Bound on the grid l2 distance from ``apply(f)`` to the exact
-        operator's output: the discarded Chebyshev tail of ``variable-wave``,
-        0 for the kinds applied exactly (to rounding)."""
-        if self.kind != "variable-wave":
-            return 0.0
-        return _chebyshev_bound(f, oneway_velocity(f, self.speed, self.sign), self.speed, self.t)
 
     def adjoint(self) -> OperatorSpec:
         """Adjoint operator, available for the multiplier-type kinds: the

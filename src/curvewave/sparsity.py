@@ -71,7 +71,7 @@ class MatrixColumn:
     values: np.ndarray
     energy: float  # pre-threshold column energy
     threshold: float
-    solver_error: float = 0.0  # OperatorSpec.solver_error of the input over the column norm
+    solver_error: float = 0.0  # the stated error of OperatorSpec.apply over the column norm
 
     @property
     def nnz(self) -> int:
@@ -117,11 +117,9 @@ def curvelet_column(
         spectrum.flat[w.support] = values * symbol
         coeffs, error = analyze_spectrum(table, spectrum), 0.0
     else:
-        u = atom = frame_atom(table, mu)
-        if op.is_vector:
-            u = np.zeros((3,) + atom.shape, dtype=np.complex128)
-            u[component] = atom
-        coeffs, error = analyze(table, op.apply(u)), op.solver_error(u)
+        atom = frame_atom(table, mu)
+        out, error = op.apply(_vector_curvelet(atom, component) if op.is_vector else atom)
+        coeffs = analyze(table, out)
     energy = coeffs.norm2()
     cut = threshold * math.sqrt(energy) if energy > 0 else threshold
     flat = coeffs.packed.ravel()  # the packed components in turn
@@ -129,6 +127,13 @@ def curvelet_column(
     row_nu, rows = np.divmod(keep, table.size)
     error = error / math.sqrt(energy) if energy > 0 else 0.0
     return MatrixColumn(mu, component, rows, row_nu, flat[keep], float(energy), float(cut), error)
+
+
+def _vector_curvelet(atom: np.ndarray, component: int) -> np.ndarray:
+    """The vector curvelet e_component * atom, shape (3, N, N)."""
+    u = np.zeros((3,) + atom.shape, dtype=np.complex128)
+    u[component] = atom
+    return u
 
 
 @dataclass
@@ -396,7 +401,5 @@ def polarization_split(table: FrameTable, t: float, mu: CurveletIndex, component
     if hyper_mode is not None:
         u = hyper_curvelet(table, mu, "+", mode=hyper_mode)
     else:
-        atom = frame_atom(table, mu)
-        u = np.zeros((3,) + atom.shape, dtype=np.complex128)
-        u[component] = atom
+        u = _vector_curvelet(frame_atom(table, mu), component)
     return polarization_fractions(apply_acoustic(u, t))

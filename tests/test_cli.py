@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -271,13 +272,25 @@ class TestPropagateMatrixSparsity:
         assert (tmp_path / "without" / "decay_report.json").read_bytes() == report
 
     @pytest.mark.parametrize("operator", [{"kind": "halfwave", "sign": "+", "t": 0.25},
-                                          {"kind": "variable-wave", "sign": "+", "t": 0.25}])
-    def test_matrix_states_solver_error(self, tmp_path, capsys, operator):
-        # the largest stated error over the columns, relative to the column norm
+                                          {"kind": "variable-wave", "sign": "+", "t": 0.25}],
+                             ids=["halfwave", "variable-wave"])
+    @pytest.mark.parametrize("command", ["matrix", "propagate"])
+    def test_states_solver_error(self, tmp_path, rng, capsys, command, operator):
+        # matrix: the largest stated error over the columns, relative to the column
+        # norm; propagate: the stated error of the written field
         cfg = write_config(tmp_path, operator=operator, columns={"count": 2, "scales": [3]})
-        assert main(["--config", cfg, "--out", str(tmp_path / "out"), "matrix"]) == 0
+        argv = ["--config", cfg, "--out", str(tmp_path / "out"), command]
+        if command == "propagate":
+            formats.write_field(tmp_path / "in.field", random_field(rng, 64))
+            argv.append(str(tmp_path / "in.field"))
+        assert main(argv) == 0
         error = json.loads(capsys.readouterr().out)["solver_error"]
-        assert error == 0.0 if operator["kind"] == "halfwave" else 0.0 < error <= 1e-10
+        if operator["kind"] == "halfwave":
+            assert error == 0.0
+        elif command == "matrix":
+            assert 0.0 < error <= 1e-10
+        else:
+            assert 0.0 < error < math.inf
 
     def test_matrix_determinism(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -283,7 +283,7 @@ class TestPsido:
     def test_named_spec_applies_without_resolving(self, rng):
         # the spec resolves its named symbol from the field's grid size
         f = random_field(rng, N)
-        out = cw.OperatorSpec.from_json({"kind": "psido", "symbol": "mixed"}).apply(f)
+        out = cw.OperatorSpec.from_json({"kind": "psido", "symbol": "mixed"}).apply(f)[0]
         assert np.array_equal(out, cw.apply_psido(f, named_symbol("mixed", N)))
         assert named_symbol("mixed", N) is named_symbol("mixed", N)  # built once per (id, N)
 
@@ -445,18 +445,30 @@ class TestOperatorSpecJson:
         # through text, as a manifest or report carries it
         assert type(obj).from_json(json.loads(json.dumps(obj.to_json()))) == obj
 
+    @pytest.mark.parametrize("op", [obj for obj in OBJECTS if isinstance(obj, cw.OperatorSpec)], ids=lambda op: op.kind)
+    def test_apply_states_its_error(self, op, rng):
+        # variable-wave states chebyshev_wave's discarded tail from the same pass;
+        # the other kinds are exact to rounding
+        f = np.stack([random_field(rng, 32) for _ in range(3)]) if op.is_vector else random_field(rng, 32)
+        out, error = op.apply(f)
+        if op.kind != "variable-wave":
+            assert error == 0.0
+            return
+        u, bound = cw.chebyshev_wave(f, cw.oneway_velocity(f, op.speed, op.sign), op.speed, op.t)
+        assert np.array_equal(out, u) and error == bound
+
     def test_variable_wave_without_model_reloads(self, rng):
         op = cw.OperatorSpec(kind="variable-wave", t=0.05, sign=-1, c0=1.5)
         again = cw.OperatorSpec.from_json(op.to_json())
         assert again.speed == op.speed == cw.VelocityModel.constant(1.5)
         f = random_field(rng, 32)
-        assert np.array_equal(again.apply(f), op.apply(f))
+        assert np.array_equal(again.apply(f)[0], op.apply(f)[0])
 
     def test_adjoint_is_time_reversal(self, rng):
         f = random_field(rng, 32)
-        assert np.array_equal(self.HALFWAVE.adjoint().apply(f), cw.apply_halfwave(f, 0.25, "+", 2.0))
+        assert np.array_equal(self.HALFWAVE.adjoint().apply(f)[0], cw.apply_halfwave(f, 0.25, "+", 2.0))
         u = np.stack([random_field(rng, 32) for _ in range(3)])
-        assert np.array_equal(self.ACOUSTIC.adjoint().apply(u), cw.apply_acoustic(u, -0.2))
+        assert np.array_equal(self.ACOUSTIC.adjoint().apply(u)[0], cw.apply_acoustic(u, -0.2))
         with pytest.raises(ValueError, match="adjoint not available"):
             cw.OperatorSpec(kind="psido", symbol="mixed").adjoint()
 

@@ -90,7 +90,7 @@ class TestColumns:
         mus += [table.random_index(rng, [j]) for j in table.directional_scales()]
         for mu in mus:
             col = cw.curvelet_column(table, op, mu)
-            ref = cw.analyze(table, op.apply(cw.frame_atom(table, mu)))
+            ref = cw.analyze(table, op.apply(cw.frame_atom(table, mu))[0])
             energy = ref.norm2()
             rows = np.flatnonzero(np.abs(ref.packed) >= DEFAULT_THRESHOLD * math.sqrt(energy))
             assert np.array_equal(col.rows_flat, rows), mu
