@@ -332,7 +332,9 @@ def _scattered_trig_sum(coeff, p1, p2, g1, g2):
     and a column part, so the sum is one (rows x K) @ (K x columns)
     product, exact and O(N^2 K).  ``propagators._eval_fourier_at_points``
     is the transpose case (grid frequencies at scattered points) and
-    factors over frequency rows instead.
+    factors over frequency rows instead; it is now only the tests'
+    reference for warps, which ``propagators.warp_spectrum`` computes in
+    frequency space.
     """
     rows = np.exp(2j * np.pi * np.outer(g1, p1)) * coeff
     return rows @ np.exp(2j * np.pi * np.outer(p2, g2))

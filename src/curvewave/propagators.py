@@ -19,10 +19,11 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.fft as spfft
+from scipy.special import gammaln, jv
 
 from ._core import checked_kind, fft2, ifft2, number, pair, required, spec_json
 from .flow import VelocityModel, normalize_branch
-from .frame import CurveletIndex, FrameTable, atom_spectrum
+from .frame import CurveletIndex, FrameTable, _signed, atom_spectrum
 
 __all__ = [
     "apply_halfwave",
@@ -39,6 +40,7 @@ __all__ = [
     "apply_psido",
     "WarpMap",
     "apply_warp",
+    "warp_spectrum",
     "hyper_curvelet",
     "OperatorSpec",
 ]
@@ -49,6 +51,10 @@ BRANCHES = (1, -1, 0)
 # above this size; the coefficients of sin(t sqrt(lam))/sqrt(lam) are
 # compared after scaling by sqrt(lam_max), the size of L^(1/2) on the grid.
 CHEBYSHEV_TAIL = 1e-12
+
+# A Jacobi-Anger expansion keeps the orders |m| <= M, with M the least whose
+# bound on sum_{|m|>M} max |J_m| over the arguments met is at most this.
+JACOBI_ANGER_TAIL = 1e-16
 
 
 @lru_cache(maxsize=8)
@@ -347,9 +353,10 @@ class WarpMap:
     """Smooth diffeomorphism of the torus with explicit inverse and Jacobian.
 
     Every kind is the volume-preserving wiggle x -> x + a sin(2 pi k.x) u
-    with u = k_perp/|k|: sinusoidal(amplitude, wavevector) sets a and k,
-    identity has a = 0, and shear(s) (a localized horizontal shear whose
-    Jacobian at x2 = 1/2 is [[1, s], [0, 1]]) has a = s/2pi along k = (0, 1).
+    with integer k and u = k_perp/|k|: sinusoidal(amplitude, wavevector)
+    sets a and k, identity has a = 0, and shear(s) (a localized horizontal
+    shear whose Jacobian at x2 = 1/2 is [[1, s], [0, 1]]) has a = s/2pi
+    along k = (0, 1).
     """
 
     kind: str
@@ -378,6 +385,8 @@ class WarpMap:
             raise ValueError(f"unknown warp kind {self.kind!r}")
         if tuple(self.wavevector) == (0, 0):
             raise ValueError("wavevector must be nonzero")
+        if not all(float(v).is_integer() for v in self.wavevector):
+            raise ValueError(f"wavevector must be integer; got {self.wavevector!r}")
 
     def _wiggle(self):
         """(a, k, u) of the map x -> x + a sin(2 pi k.x) u."""
@@ -411,7 +420,8 @@ class WarpMap:
         err = np.max(np.abs(self.phi(self.phi_inv(x)) - x))
         if not err <= 1e-8:  # NaN fails too
             raise ValueError(f"warp inverse defect {err:.3e}")
-        det = np.linalg.det(self.jacobian(x))
+        jac = self.jacobian(x)
+        det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
         if not 0.5 <= det.min() <= det.max() <= 2.0:
             raise ValueError(f"warp determinant out of [0.5, 2]: [{det.min():.3f}, {det.max():.3f}]")
 
@@ -431,16 +441,59 @@ class WarpMap:
 
 
 def apply_warp(f: np.ndarray, warp: WarpMap) -> np.ndarray:
-    """Composition f(phi(x)) on the grid.
+    """Composition f(phi(x)) on the grid: the trigonometric interpolant of f
+    at the N^2 warped points, computed from its spectrum by
+    ``warp_spectrum`` in O(M N^2) work."""
+    return OperatorSpec(kind="warp", map=warp).apply(f)[0]
 
-    Evaluates the trigonometric interpolant of f exactly (to rounding) at
-    the N^2 warped points by a direct sum over its N^2 Fourier
-    coefficients: O(N^4) work, fine at desk scale (N <= 128).
+
+def _jacobi_anger_order(z_max: float) -> tuple[int, float]:
+    """The least M with 2 sum_{m>M} (Z/2)^m/m! <= JACOBI_ANGER_TAIL for
+    Z = ``z_max``, and that sum: it bounds sum_{|m|>M} max |J_m(z)| over
+    real |z| <= Z, as |J_m(z)| <= (|z|/2)^|m|/|m|!.
+
+    The terms are summed in logs, from m = e Z/2 + 60 down; past that m
+    each term is below 1/e of the one before, so the last term summed,
+    counted once more, bounds all the terms past it.
     """
-    f = np.asarray(f, dtype=np.complex128)
-    warp.validate(min(f.shape[-1], 64))
-    y = np.mod(warp.phi(_grid_points(f.shape[-1])), 1.0)
-    return _eval_fourier_at_points(fft2(f), y[..., 0], y[..., 1])
+    x = 0.5 * z_max
+    if x == 0:
+        return 0, 0.0
+    m = np.arange(1, int(math.e * x) + 61)
+    log_terms = m * math.log(x) - gammaln(m + 1)
+    log_tails = np.logaddexp.accumulate(np.append(log_terms, log_terms[-1])[::-1])[::-1]
+    order = int(np.argmax(log_tails <= math.log(0.5 * JACOBI_ANGER_TAIL)))
+    return order, 2.0 * math.exp(log_tails[order])
+
+
+def warp_spectrum(n: int, support: np.ndarray, values: np.ndarray, warp: WarpMap) -> tuple[np.ndarray, float]:
+    """(spectrum, error): the ortho fft2 of f(phi(x)) on the N x N grid, for
+    the f whose spectrum is ``values`` at the flat positions ``support``
+    (zero elsewhere), and a bound on the grid l2 error of that spectrum.
+
+    phi is x + a sin(2 pi k.x) u with u = k_perp/|k|, so by Jacobi-Anger
+    f(phi(x)) = sum_m sum_q f^(q) J_m(z_q) exp(2 pi i (q + m k).x), with
+    z_q = 2 pi a q.k_perp/|k|.  On the grid, order m moves every support
+    point by the same shift m k (mod N), which sends no two points to one
+    place, so one indexed add places each order.  z_q depends on q only
+    through the integer q.k_perp, so J_m is evaluated once per value of
+    it.  Orders |m| > M are dropped (``_jacobi_anger_order`` of max
+    |z_q|): each is a unitary shift of a multiplier bounded by max |J_m|,
+    so the error is at most that tail bound times ||values||_2.
+    O(M * support) work.  ``phi`` is validated first, as for every warp.
+    """
+    warp.validate(min(n, 64))
+    a, k, _ = warp._wiggle()
+    k1, k2 = (int(v) for v in k)
+    s1, s2 = np.divmod(support, n)
+    lines, line_of = np.unique(_signed(s2, n) * k1 - _signed(s1, n) * k2, return_inverse=True)
+    z = (2 * np.pi * a / math.hypot(k1, k2)) * lines
+    order, tail = _jacobi_anger_order(float(np.max(np.abs(z))))
+    bessel = jv(np.arange(-order, order + 1)[:, None], z)
+    out = np.zeros(n * n, dtype=np.complex128)
+    for m, j_m in zip(range(-order, order + 1), bessel):
+        out[(s1 + m * k1) % n * n + (s2 + m * k2) % n] += j_m[line_of] * values
+    return out.reshape(n, n), tail * float(np.linalg.norm(values))
 
 
 def _eval_fourier_at_points(spec: np.ndarray, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
@@ -448,7 +501,10 @@ def _eval_fourier_at_points(spec: np.ndarray, y1: np.ndarray, y2: np.ndarray) ->
 
     Grid frequencies at scattered points: the N x N frequencies form a
     tensor grid, so a chunk of points contracts the q2 axis in one matrix
-    product and then the q1 axis, O(N^2) per point.
+    product and then the q1 axis, O(N^2) per point, O(N^4) on a whole
+    grid.  No library code calls it: it is the tests' direct-sum
+    reference for ``warp_spectrum``, and the benchmark's tracer
+    (``perfbench/tracer.py``) looks it up by name.
     ``flow._scattered_trig_sum`` is the transpose case (scattered
     frequencies on the tensor sample grid) and factors over grid rows.
     """
@@ -556,8 +612,9 @@ class OperatorSpec:
     def apply(self, f: np.ndarray) -> tuple[np.ndarray, float]:
         """(output, error): the operator applied to ``f``, and a bound on the
         grid l2 distance from that output to the exact operator's: the
-        discarded Chebyshev tail of ``variable-wave``, 0.0 for the kinds
-        applied exactly (to rounding)."""
+        discarded Chebyshev tail of ``variable-wave``, the discarded
+        Jacobi-Anger tail of ``warp`` (0.0 for the identity map), 0.0 for
+        the kinds applied exactly (to rounding)."""
         k = self.kind
         if k == "identity":
             return np.array(f, dtype=np.complex128, copy=True), 0.0
@@ -571,7 +628,10 @@ class OperatorSpec:
             return chebyshev_wave(f, oneway_velocity(f, self.speed, self.sign), self.speed, self.t)
         if k == "psido":
             return apply_psido(f, named_symbol(self.symbol, f.shape[-1])), 0.0
-        return apply_warp(f, self.map), 0.0
+        f = np.asarray(f, dtype=np.complex128)
+        n = f.shape[-1]
+        spectrum, error = warp_spectrum(n, np.arange(n * n), fft2(f).ravel(), self.map)
+        return ifft2(spectrum), error
 
     def multiplier(self, q1, q2) -> np.ndarray | None:
         """The symbol of a scalar Fourier-multiplier kind (identity, halfwave,

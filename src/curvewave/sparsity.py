@@ -6,10 +6,13 @@ gaussian-smooth) op(phi_mu') has the spectrum of phi_mu' times the symbol,
 on the same support, so only the wedges whose windows overlap the atom's
 window (its own, its angular and radial neighbours, and the guard next to
 the finest scale) can hold entries: ``curvelet_column`` builds that
-spectrum on the support and inverse-transforms those wedges alone.  The
-other kinds (variable-wave, warp, psido, the vector acoustic system) move
-frequencies or mix components, so their columns go through ``op.apply`` on
-the grid and a full ``analyze``.
+spectrum on the support and inverse-transforms those wedges alone.  A
+warp's spectrum follows from the atom's by ``warp_spectrum``, at a cost
+set by the atom's support, and reaches the wedges near the shifted
+copies of that support.  The other kinds (variable-wave, psido, the
+vector acoustic system) mix frequencies across the grid or mix
+components, so their columns go through ``op.apply`` on the grid and a
+full ``analyze``.
 
 Reports quantify sorted-entry decay (fitted power), l^p quasi-norms, and
 concentration of energy in omega-balls around the Hamiltonian-flowed
@@ -30,7 +33,7 @@ from . import formats
 from .distance import omega
 from .flow import VelocityModel, flow_index
 from .frame import CurveletIndex, FrameTable, analyze, analyze_spectrum, atom_spectrum, frame_atom
-from .propagators import BRANCHES, OperatorSpec, polarization_fractions, hyper_curvelet, apply_acoustic
+from .propagators import BRANCHES, OperatorSpec, apply_acoustic, hyper_curvelet, polarization_fractions, warp_spectrum
 
 __all__ = [
     "MatrixColumn",
@@ -92,9 +95,10 @@ def curvelet_column(
 
     The route follows the operator kind.  For a scalar Fourier multiplier
     (``OperatorSpec.multiplier`` is not None) the output's spectrum is the
-    atom's spectrum times the symbol on ``wedge.support``, analyzed by
-    ``analyze_spectrum``: no grid-sized FFT, and no inverse FFT of a wedge
-    whose window misses that support.  Every other kind applies
+    atom's spectrum times the symbol on ``wedge.support``; for a warp it is
+    ``warp_spectrum`` of the atom's spectrum, with its stated error.  Either
+    spectrum is analyzed by ``analyze_spectrum``: no grid-sized FFT, and no
+    inverse FFT of a wedge the spectrum misses.  Every other kind applies
     ``op.apply`` to the atom on the grid and analyzes the result.
 
     For vector operators the input is the vector curvelet e_component *
@@ -116,6 +120,9 @@ def curvelet_column(
         spectrum = np.zeros((table.n, table.n), dtype=np.complex128)
         spectrum.flat[w.support] = values * symbol
         coeffs, error = analyze_spectrum(table, spectrum), 0.0
+    elif op.kind == "warp":
+        spectrum, error = warp_spectrum(table.n, w.support, values, op.map)
+        coeffs = analyze_spectrum(table, spectrum)
     else:
         atom = frame_atom(table, mu)
         out, error = op.apply(_vector_curvelet(atom, component) if op.is_vector else atom)

@@ -272,8 +272,10 @@ class TestPropagateMatrixSparsity:
         assert (tmp_path / "without" / "decay_report.json").read_bytes() == report
 
     @pytest.mark.parametrize("operator", [{"kind": "halfwave", "sign": "+", "t": 0.25},
-                                          {"kind": "variable-wave", "sign": "+", "t": 0.25}],
-                             ids=["halfwave", "variable-wave"])
+                                          {"kind": "variable-wave", "sign": "+", "t": 0.25},
+                                          {"kind": "warp", "map": {"kind": "sinusoidal", "amplitude": 0.05,
+                                                                   "wavevector": [1, 1]}}],
+                             ids=["halfwave", "variable-wave", "warp"])
     @pytest.mark.parametrize("command", ["matrix", "propagate"])
     def test_states_solver_error(self, tmp_path, rng, capsys, command, operator):
         # matrix: the largest stated error over the columns, relative to the column
@@ -287,6 +289,8 @@ class TestPropagateMatrixSparsity:
         error = json.loads(capsys.readouterr().out)["solver_error"]
         if operator["kind"] == "halfwave":
             assert error == 0.0
+        elif operator["kind"] == "warp":
+            assert 0.0 < error <= 1e-12
         elif command == "matrix":
             assert 0.0 < error <= 1e-10
         else:

@@ -5,9 +5,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.fft as spfft
+from scipy.special import jv
 
 import curvewave as cw
-from curvewave.propagators import _grid_points, _laplacian, named_symbol
+from curvewave.propagators import (
+    JACOBI_ANGER_TAIL,
+    _eval_fourier_at_points,
+    _grid_points,
+    _jacobi_anger_order,
+    _laplacian,
+    named_symbol,
+)
 
 import pinned
 from conftest import random_field
@@ -298,7 +306,48 @@ class TestPsido:
             named_symbol("nope", N)
 
 
+WARPS = [
+    cw.WarpMap.identity(),
+    cw.WarpMap.shear(0.4),
+    cw.WarpMap.sinusoidal(0.05, (1, 1)),
+    cw.WarpMap.sinusoidal(0.03, (2, 1)),
+    cw.WarpMap.sinusoidal(0.05, (1, 0)),
+]
+WARP_IDS = ["identity", "shear", "sinusoidal-k11", "sinusoidal-k21", "sinusoidal-k10"]
+
+
 class TestWarp:
+    @pytest.mark.parametrize("warp", WARPS, ids=WARP_IDS)
+    def test_matches_direct_sum(self, warp, rng):
+        # the Jacobi-Anger spectrum against the O(N^4) sum of the interpolant at the
+        # warped points; the stated error is the discarded tail, none for the identity
+        f = random_field(rng, N)
+        y = np.mod(warp.phi(_grid_points(N)), 1.0)
+        ref = _eval_fourier_at_points(spfft.fft2(f, norm="ortho"), y[..., 0], y[..., 1])
+        out, error = cw.OperatorSpec(kind="warp", map=warp).apply(f)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        if warp.kind == "identity":
+            assert error == 0.0
+        else:
+            assert 0.0 < error <= 1e-12 * np.linalg.norm(f)
+
+    @pytest.mark.parametrize("z_max", [1e-3, 0.5, 5.0, 28.4, 300.0])
+    def test_jacobi_anger_order_bounds_the_bessel_tail(self, z_max):
+        # the stated tail bounds sum_{|m|>M} max |J_m(z)| over |z| <= Z, and M is the least
+        # order whose bound 2 sum_{m>M} (Z/2)^m/m! meets JACOBI_ANGER_TAIL
+        order, tail = _jacobi_anger_order(z_max)
+        z = np.linspace(0.0, z_max, 2001)
+        dropped = 2 * sum(float(np.max(np.abs(jv(m, z)))) for m in range(order + 1, order + 80))
+        assert dropped <= tail <= JACOBI_ANGER_TAIL
+        terms = [math.exp(m * math.log(z_max / 2) - math.lgamma(m + 1)) for m in range(order, order + 400)]
+        assert 2 * math.fsum(terms) > JACOBI_ANGER_TAIL
+        assert _jacobi_anger_order(0.0) == (0, 0.0)
+
+    def test_non_integer_wavevector_refused(self):
+        # phi maps the torus to itself only for an integer k
+        with pytest.raises(ValueError, match="wavevector must be integer"):
+            cw.WarpMap(kind="sinusoidal", amplitude=0.05, wavevector=(1.5, 1))
+
     def test_identity_map(self, rng):
         f = random_field(rng, N)
         out = cw.apply_warp(f, cw.WarpMap.identity())
@@ -447,10 +496,14 @@ class TestOperatorSpecJson:
 
     @pytest.mark.parametrize("op", [obj for obj in OBJECTS if isinstance(obj, cw.OperatorSpec)], ids=lambda op: op.kind)
     def test_apply_states_its_error(self, op, rng):
-        # variable-wave states chebyshev_wave's discarded tail from the same pass;
+        # variable-wave states chebyshev_wave's discarded tail from the same pass,
+        # a warp its discarded Jacobi-Anger tail (none for the identity map);
         # the other kinds are exact to rounding
         f = np.stack([random_field(rng, 32) for _ in range(3)]) if op.is_vector else random_field(rng, 32)
         out, error = op.apply(f)
+        if op.kind == "warp" and op.map.kind != "identity":
+            assert 0.0 < error <= 1e-12 * np.linalg.norm(f)
+            return
         if op.kind != "variable-wave":
             assert error == 0.0
             return

@@ -6,6 +6,8 @@ from scipy.stats import theilslopes
 
 import curvewave as cw
 from curvewave import formats
+from curvewave.frame import atom_spectrum
+from curvewave.propagators import warp_spectrum
 from curvewave.sparsity import DEFAULT_THRESHOLD, _core_size, _fit_sorted_decay, comoving_branch
 
 import pinned
@@ -97,6 +99,36 @@ class TestColumns:
             assert np.max(np.abs(col.values - ref.packed[rows])) <= 1e-14 * math.sqrt(energy), mu
             assert abs(col.energy - energy) <= 1e-14 * energy, mu
             assert col.solver_error == 0.0
+
+    @pytest.mark.parametrize("warp", [cw.WarpMap.shear(0.4), cw.WarpMap.sinusoidal(0.05, (1, 1))],
+                             ids=["shear", "sinusoidal"])
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_warp_column_matches_grid_route(self, frame64, frame128, monkeypatch, warp, n):
+        # a warp column is built from the warped spectrum of the atom's; the reference
+        # applies the warp to the atom on the grid and analyzes it
+        table = {64: frame64, 128: frame128}[n]
+        op = cw.OperatorSpec(kind="warp", map=warp)
+        rng = np.random.default_rng(n + 1)
+        scales = table.params.scales
+        mus = [cw.CurveletIndex(0, 0, 1, 2), cw.CurveletIndex(scales, 0, 3, 5)]
+        mus += [table.random_index(rng, [j]) for j in table.directional_scales()]
+        refs = [cw.analyze(table, op.apply(cw.frame_atom(table, mu))[0]) for mu in mus]
+        spectra = [atom_spectrum(table, mu) for mu in mus]
+        errors = [warp_spectrum(n, w.support, values, warp)[1] for w, values in spectra]
+
+        def grid_route(*args):
+            raise AssertionError("a warp column went through the grid")
+
+        monkeypatch.setattr(cw.OperatorSpec, "apply", grid_route)
+        monkeypatch.setattr("curvewave.sparsity.frame_atom", grid_route)
+        for mu, ref, error in zip(mus, refs, errors):
+            col = cw.curvelet_column(table, op, mu)
+            energy = ref.norm2()
+            rows = np.flatnonzero(np.abs(ref.packed) >= DEFAULT_THRESHOLD * math.sqrt(energy))
+            assert np.array_equal(col.rows_flat, rows), mu
+            assert np.max(np.abs(col.values - ref.packed[rows])) <= 1e-13 * math.sqrt(energy), mu
+            assert abs(col.energy - energy) <= 1e-13 * energy, mu
+            assert 0.0 < col.solver_error == error / math.sqrt(col.energy), mu
 
     def test_vector_column_components(self, frame64):
         op = cw.OperatorSpec.from_json({"kind": "acoustic", "t": 0.2})
