@@ -189,9 +189,11 @@ def _wrap_geometry(q1: np.ndarray, q2: np.ndarray):
 def build_frame(params: FrameParams) -> FrameTable:
     """Precompute windows and wrapping geometry for a fixed grid.
 
-    A directional wedge's window is evaluated only on the ring where its
-    scale's radial window is nonzero (a fifth of the grid at the finest
-    scale, less below): off it the product is exactly 0, so nothing is lost.
+    A directional wedge's window is evaluated only on its sector: the points
+    of its scale's ring (where the radial window is nonzero) whose angle lies
+    within the angular window's reach 2 pi (1/2 + transition) / L_j of the
+    wedge's orientation.  Off it the product is exactly 0, so nothing is
+    lost, and each ring is sorted by angle once to find the sectors.
 
     Raises:
         FrameError: on invalid parameters or (never in practice) a wrapping
@@ -232,12 +234,20 @@ def build_frame(params: FrameParams) -> FrameTable:
             n_ang = params.angles_base * (1 << ((j - 1) // 2))
             rad = fam.radial(radius / rho[j])
             ring = np.flatnonzero(rad > 0.0)
-            rad, ring_angle = rad[ring], angle[ring]
+            ring = ring[np.argsort(angle[ring])]
+            # the ring's angles over two turns, so a sector across +-pi is one slice;
+            # half, the window's reach plus a rounding margin, is at most pi / 2 + 1e-9
+            # (L_j >= 4), so a slice holds no point twice
+            turns = np.concatenate([angle[ring], angle[ring] + 2.0 * np.pi])
+            half = 2.0 * np.pi * (0.5 + params.transition) / n_ang + 1e-9
             for ell in range(n_ang):
                 theta0 = 2.0 * np.pi * ell / n_ang
-                dtheta = np.mod(ring_angle - theta0 + np.pi, 2.0 * np.pi) - np.pi
-                vals = rad * fam.angular(n_ang * dtheta / (2.0 * np.pi))
-                add_channel(ring, vals, j, ell, "directional", rho[j], theta0)
+                start = np.mod(theta0 - half + np.pi, 2.0 * np.pi) - np.pi
+                a, b = np.searchsorted(turns, [start, start + 2.0 * half])
+                sector = np.sort(ring[np.arange(a, b) % ring.size])
+                dtheta = np.mod(angle[sector] - theta0 + np.pi, 2.0 * np.pi) - np.pi
+                vals = rad[sector] * fam.angular(n_ang * dtheta / (2.0 * np.pi))
+                add_channel(sector, vals, j, ell, "directional", rho[j], theta0)
         add_channel(grid, fam.highpass(radius / rho[s_total - 1]), s_total, 0, "guard", n / 4.0, math.nan)
 
     size = wedges[-1].offset + wedges[-1].size

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +15,8 @@ from curvewave.cli import ExperimentConfig, _build_parser, main
 
 from conftest import random_field, rotated_box_energy
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def write_config(tmp_path, **overrides):
@@ -378,3 +382,12 @@ class TestFlowCommand:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (out_dir / "trajectory.csv").exists()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import and nothing in the package
+    # needs it, so a fresh process starts the library and the CLI without it
+    code = "import sys, curvewave, curvewave.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

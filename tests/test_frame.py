@@ -83,8 +83,8 @@ class TestBuild:
     @pytest.mark.parametrize("n", [64, 128])
     @pytest.mark.parametrize("windows", [{}, {"angles_base": 12, "smooth_step_order": 6, "transition": 0.3}])
     def test_ring_windows_equal_full_grid_products(self, n, windows):
-        # build_frame evaluates each angular window on its radial window's
-        # ring only; the full-grid product must have the same support and values
+        # build_frame evaluates each angular window on its sector only; the
+        # full-grid product must have the same support and values
         table = cw.build_frame(cw.FrameParams(n=n, scales=n.bit_length() - 3, **windows))
         q = np.fft.fftfreq(n) * n
         radius, angle = np.hypot(q[:, None], q[None, :]), np.arctan2(q[None, :], q[:, None])
@@ -95,6 +95,26 @@ class TestBuild:
             order = np.argsort(w.support)
             assert np.array_equal(w.support[order], np.flatnonzero(full > 0.0))
             assert np.array_equal(w.weights[order], full[full > 0.0])
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("windows", [{}, {"angles_base": 12, "smooth_step_order": 6, "transition": 0.3}])
+    def test_sector_windows_equal_whole_ring_evaluation(self, n, windows):
+        # evaluating each wedge's window on the whole ring of its scale, in
+        # ascending spectrum order, gives the support, weights and atom norm
+        # that build_frame finds on the wedge's sector alone, bit for bit
+        table = cw.build_frame(cw.FrameParams(n=n, scales=n.bit_length() - 3, **windows))
+        q = np.fft.fftfreq(n) * n
+        radius, angle = np.hypot(q[:, None], q[None, :]).ravel(), np.arctan2(q[None, :], q[:, None]).ravel()
+        for w in (w for w in table.wedges if w.kind == "directional"):
+            rad = table.windows.radial(radius / w.rho)
+            ring = np.flatnonzero(rad > 0.0)
+            dtheta = np.mod(angle[ring] - w.theta + np.pi, 2.0 * np.pi) - np.pi
+            vals = rad[ring] * table.windows.angular(table.angles(w.j) * dtheta / (2.0 * np.pi))
+            keep = vals > 0.0
+            order = np.argsort(w.support)
+            assert np.array_equal(w.support[order], ring[keep])
+            assert np.array_equal(w.weights[order], vals[keep])
+            assert w.atom_norm2 == float(vals[keep] @ vals[keep]) / w.size
 
     def test_non_injective_wrapping_refused(self, monkeypatch):
         # the one-to-one check reads the assembled wrapping matrix

@@ -254,6 +254,22 @@ class TestTailWindow:
         slope, *_ = theilslopes(np.log(mags[10:2010]), np.log(np.arange(11, 2011.0)))
         assert _fit_sorted_decay(mags, n_lo=10, n_hi=2010) == slope
 
+    @pytest.mark.parametrize("size, zeros, n_lo, n_hi", [(3000, 0, 40, 2900), (1500, 300, 10, 2010), (8000, 3000, 10, 7000)])
+    def test_fit_equals_theilslopes(self, rng, size, zeros, n_lo, n_hi):
+        # scipy's Theil-Sen slope bit for bit, on windows wider than 2,000
+        # ranks (fitted at 2,000 evenly spaced ranks) and past zero magnitudes
+        mags = rng.random(size) ** 3
+        mags[rng.choice(size, zeros, replace=False)] = 0.0
+        hi = min(n_hi, size)
+        ranks = np.arange(n_lo, hi)
+        if ranks.size > 2000:
+            ranks = np.linspace(n_lo, hi - 1, 2000).round().astype(np.int64)
+        vals = np.sort(mags)[::-1][ranks]
+        pos = vals > 0
+        assert pos.all() == (zeros == 0)  # the zeros fall inside the window
+        slope, *_ = theilslopes(np.log(vals[pos]), np.log(ranks[pos] + 1.0))
+        assert _fit_sorted_decay(mags, n_lo=n_lo, n_hi=n_hi) == slope
+
 
 class TestTruncation:
     def test_monotone_in_budget(self, frame128, halfwave_op, rng):
