@@ -11,15 +11,18 @@ Runs, in this process through ``cli.main``:
 
 It also saves as ``.npy`` a transport sample (``flow_index`` for 12
 indices x 3 branches and one ``predicted_curvelet``, at N = 256 with a
-sinusoidal speed), a spectral sample (two curvelet-matrix columns of
-every operator kind at N = 64 and 128, ``hyper_curvelet`` in both modes
-for each branch) and the ``molecule_profile`` of waveforms at N = 128
-and 256.  Each command's standard output is saved next to its
-files, with OUTDIR stripped.  ``frames.sha256`` holds one digest per
-frame (its wrapping matrix and wedge table): the default frame at each N
-from 32 to 1024, a frame with non-default windows at each N, and the
-frame of each config.  Then the script prints one ``sha256  relative-path``
-line per file under OUTDIR, sorted.
+sinusoidal speed), a spectral sample (the ``build_matrix`` columns of two
+indices for every operator kind at N = 64 and 128: one column per index
+for a scalar kind, one per index and component 0, 1 and 2 for the
+acoustic system, each row saved as component x frame size + packed
+position; ``hyper_curvelet`` in both modes for each branch) and the
+``molecule_profile`` of waveforms at N = 128 and 256.  Each command's
+standard output is saved next to its files, with OUTDIR stripped.
+``frames.sha256`` holds one digest per frame (its wrapping matrix and
+wedge table): the default frame at each N from 32 to 1024, a frame with
+non-default windows at each N, and the frame of each config.  Then the
+script prints one ``sha256  relative-path`` line per file under OUTDIR,
+sorted.
 
 The configs are read from the ``configs`` directory next to this script,
 so both checkouts below are listed from the same inputs; the script
@@ -112,8 +115,9 @@ def spectral_sample(outdir: Path) -> None:
         rng = np.random.default_rng(n + 1)
         mus = [table.random_index(rng) for _ in range(2)]
         for name, spec in OPERATORS.items():
-            columns = [cw.curvelet_column(table, cw.OperatorSpec.from_json(spec), mu) for mu in mus]
-            np.save(outdir / f"column_{name}_n{n}_rows.npy", np.concatenate([c.rows_flat for c in columns]))
+            columns = cw.build_matrix(table, cw.OperatorSpec.from_json(spec), mus).columns
+            rows = [c.row_component * table.size + c.rows_flat for c in columns]
+            np.save(outdir / f"column_{name}_n{n}_rows.npy", np.concatenate(rows))
             np.save(outdir / f"column_{name}_n{n}_values.npy", np.concatenate([c.values for c in columns]))
             np.save(outdir / f"column_{name}_n{n}_norms.npy", np.array([(c.energy, c.solver_error) for c in columns]))
     table = cw.build_frame(cw.FrameParams(n=128, scales=5))

@@ -599,6 +599,8 @@ class OperatorSpec:
             raise ValueError(f"operator sign must be + or -; got {self.sign!r}")
         if self.symbol not in SYMBOL_IDS:
             raise ValueError(f"unknown symbol id {self.symbol!r}; known: {', '.join(SYMBOL_IDS)}")
+        if self.kind == "gaussian-smooth" and self.width <= 0:
+            raise ValueError("smoothing width must be positive")
 
     @property
     def is_vector(self) -> bool:
@@ -618,10 +620,6 @@ class OperatorSpec:
         k = self.kind
         if k == "identity":
             return np.array(f, dtype=np.complex128, copy=True), 0.0
-        if k in {"halfwave", "cos-wave", "gaussian-smooth"}:
-            f = np.asarray(f, dtype=np.complex128)
-            q1, q2, _ = _grids(f.shape[-1])
-            return ifft2(fft2(f) * self.multiplier(q1, q2)), 0.0
         if k == "acoustic":
             return apply_acoustic(f, self.t), 0.0
         if k == "variable-wave":
@@ -630,15 +628,37 @@ class OperatorSpec:
             return apply_psido(f, named_symbol(self.symbol, f.shape[-1])), 0.0
         f = np.asarray(f, dtype=np.complex128)
         n = f.shape[-1]
-        spectrum, error = warp_spectrum(n, np.arange(n * n), fft2(f).ravel(), self.map)
+        spectrum, error = self.apply_spectrum(n, np.arange(n * n), fft2(f).reshape(f.shape[:-2] + (n * n,)))
         return ifft2(spectrum), error
+
+    def apply_spectrum(self, n: int, support: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, float]:
+        """(spectrum, error): the ortho fft2 of the operator applied to the
+        fields whose spectra are ``values``, shape (..., K) or (K,) for a
+        warp, at the flat positions ``support`` of the N x N grid (zero
+        elsewhere), and the error bound of :meth:`apply`.  A multiplier
+        scales ``values`` and a warp moves them, at the support's cost; the
+        other kinds act through :meth:`apply` on the grid."""
+        if self.kind == "warp":
+            if values.ndim != 1:
+                raise ValueError(f"a warp acts on one field: values must have shape (K,); got {values.shape}")
+            return warp_spectrum(n, support, values, self.map)
+        q = _signed(np.arange(n), n)  # the signed frequency of each fft-layout index
+        symbol = self.multiplier(*(q.take(i) for i in np.divmod(support, n)))
+        spectrum = np.zeros(values.shape[:-1] + (n * n,), dtype=np.complex128)
+        spectrum[..., support] = values if symbol is None else values * symbol
+        spectrum = spectrum.reshape(values.shape[:-1] + (n, n))
+        if symbol is not None:
+            return spectrum, 0.0
+        live = values.any(axis=-1)  # the fields with a nonzero value; the others stay 0 in both domains
+        spectrum[live] = ifft2(spectrum[live])  # now the fields themselves
+        out, error = self.apply(spectrum)
+        return fft2(out), error
 
     def multiplier(self, q1, q2) -> np.ndarray | None:
         """The symbol of a scalar Fourier-multiplier kind (identity, halfwave,
         cos-wave with zero initial velocity, gaussian-smooth) at integer grid
-        frequencies (q1, q2), the factor ``apply`` puts on the spectrum there
-        (the whole grid) and ``curvelet_column`` on one wedge's support; None
-        for the other kinds."""
+        frequencies (q1, q2), the factor ``apply_spectrum`` puts on the
+        spectrum there; None for the other kinds."""
         k = self.kind
         if k not in {"identity", "halfwave", "cos-wave", "gaussian-smooth"}:
             return None
@@ -649,8 +669,6 @@ class OperatorSpec:
             return np.exp(1j * self.sign * self.c0 * self.t * mag)
         if k == "cos-wave":
             return np.cos(self.c0 * mag * self.t)
-        if self.width <= 0:
-            raise ValueError("smoothing width must be positive")
         return np.exp(-(self.width**2) * mag**2)
 
     def adjoint(self) -> OperatorSpec:

@@ -1,18 +1,12 @@
 """Curvelet matrices of operators and their sparsity/organization metrics.
 
 A matrix column is analyze(op(phi_mu')) thresholded at a fraction of its
-norm.  For a scalar Fourier multiplier (identity, halfwave, cos-wave,
-gaussian-smooth) op(phi_mu') has the spectrum of phi_mu' times the symbol,
-on the same support, so only the wedges whose windows overlap the atom's
-window (its own, its angular and radial neighbours, and the guard next to
-the finest scale) can hold entries: ``curvelet_column`` builds that
-spectrum on the support and inverse-transforms those wedges alone.  A
-warp's spectrum follows from the atom's by ``warp_spectrum``, at a cost
-set by the atom's support, and reaches the wedges near the shifted
-copies of that support.  The other kinds (variable-wave, psido, the
-vector acoustic system) mix frequencies across the grid or mix
-components, so their columns go through ``op.apply`` on the grid and a
-full ``analyze``.
+norm, built in frequency space: ``OperatorSpec.apply_spectrum`` maps the
+atom's spectrum on its wedge's support to the output's, and
+``analyze_spectrum`` inverse-transforms only the wedges it reaches.  A
+multiplier keeps the atom's support and a warp moves it to a few shifted
+copies, so their columns cost what the support does; the kinds that mix
+frequencies across the grid or mix components are applied on the grid.
 
 Reports quantify sorted-entry decay (fitted power), l^p quasi-norms, and
 concentration of energy in omega-balls around the Hamiltonian-flowed
@@ -31,8 +25,8 @@ from scipy.sparse import csc_array
 from . import formats
 from .distance import omega
 from .flow import VelocityModel, flow_index
-from .frame import CurveletIndex, FrameTable, analyze, analyze_spectrum, atom_spectrum, frame_atom
-from .propagators import BRANCHES, OperatorSpec, apply_acoustic, hyper_curvelet, polarization_fractions, warp_spectrum
+from .frame import CurveletIndex, FrameTable, analyze_spectrum, atom_spectrum, frame_atom
+from .propagators import BRANCHES, OperatorSpec, apply_acoustic, hyper_curvelet, polarization_fractions
 
 __all__ = [
     "MatrixColumn",
@@ -90,15 +84,8 @@ def curvelet_column(
     component: int = 0,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> MatrixColumn:
-    """One curvelet-matrix column: analyze the operator's action on phi_mu.
-
-    The route follows the operator kind.  For a scalar Fourier multiplier
-    (``OperatorSpec.multiplier`` is not None) the output's spectrum is the
-    atom's spectrum times the symbol on ``wedge.support``; for a warp it is
-    ``warp_spectrum`` of the atom's spectrum, with its stated error.  Either
-    spectrum is analyzed by ``analyze_spectrum``: no grid-sized FFT, and no
-    inverse FFT of a wedge the spectrum misses.  Every other kind applies
-    ``op.apply`` to the atom on the grid and analyzes the result.
+    """One curvelet-matrix column: ``analyze_spectrum`` of
+    ``op.apply_spectrum`` of phi_mu's spectrum on its wedge's support.
 
     For vector operators the input is the vector curvelet e_component *
     phi_mu and every output component is analyzed.  ``threshold`` is
@@ -106,26 +93,18 @@ def curvelet_column(
     operator's stated error bound is recorded on the same scale.
 
     Raises:
-        ValueError: on a threshold that is not a positive finite number, or a
-            nonzero component of a scalar operator.
+        ValueError: on a threshold that is not a positive finite number, a
+            nonzero component of a scalar operator, or a component of a
+            vector operator other than 0, 1 or 2.
     """
     if not (math.isfinite(threshold) and threshold > 0):
         raise ValueError(f"threshold must be a positive finite number; got {threshold!r}")
     if component != 0 and not op.is_vector:
         raise ValueError("scalar operators have a single component 0")
     w, values = atom_spectrum(table, mu)
-    symbol = op.multiplier(*w.freqs)
-    if symbol is not None:
-        spectrum = np.zeros((table.n, table.n), dtype=np.complex128)
-        spectrum.flat[w.support] = values * symbol
-        coeffs, error = analyze_spectrum(table, spectrum), 0.0
-    elif op.kind == "warp":
-        spectrum, error = warp_spectrum(table.n, w.support, values, op.map)
-        coeffs = analyze_spectrum(table, spectrum)
-    else:
-        atom = frame_atom(table, mu)
-        out, error = op.apply(_vector_curvelet(atom, component) if op.is_vector else atom)
-        coeffs = analyze(table, out)
+    values = _vector_curvelet(values, component) if op.is_vector else values
+    spectrum, error = op.apply_spectrum(table.n, w.support, values)
+    coeffs = analyze_spectrum(table, spectrum)
     energy = coeffs.norm2()
     cut = threshold * math.sqrt(energy) if energy > 0 else threshold
     flat = coeffs.packed.ravel()  # the packed components in turn
@@ -135,10 +114,12 @@ def curvelet_column(
     return MatrixColumn(mu, component, rows, row_nu, flat[keep], float(energy), float(cut), error)
 
 
-def _vector_curvelet(atom: np.ndarray, component: int) -> np.ndarray:
-    """The vector curvelet e_component * atom, shape (3, N, N)."""
-    u = np.zeros((3,) + atom.shape, dtype=np.complex128)
-    u[component] = atom
+def _vector_curvelet(scalar: np.ndarray, component: int) -> np.ndarray:
+    """e_component * scalar for an atom or its spectrum; ValueError unless component is 0, 1 or 2."""
+    if not 0 <= component < 3:
+        raise ValueError(f"vector curvelets have components 0, 1 and 2; got {component!r}")
+    u = np.zeros((3,) + scalar.shape, dtype=np.complex128)
+    u[component] = scalar
     return u
 
 

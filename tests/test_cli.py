@@ -160,6 +160,16 @@ class TestManifest:
         err = capsys.readouterr().err
         assert "config error" in err and message in err
 
+    @pytest.mark.parametrize("width", [0, -0.01])
+    @pytest.mark.parametrize("command", ["frame-check", "matrix"])
+    def test_nonpositive_smoothing_width_exits_2(self, tmp_path, capsys, command, width):
+        # refused when the manifest is read, before the frame is built
+        path = write_config(tmp_path, operator={"kind": "gaussian-smooth", "width": width})
+        assert main(["--config", path, "--out", str(tmp_path / "out"), command]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "smoothing width must be positive" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("name", ["halfwave_n128.json", "variable_wave_n128.json"])
     def test_shipped_configs_load(self, name):
         path = CONFIGS / name

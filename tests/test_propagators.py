@@ -353,6 +353,15 @@ class TestWarp:
         out = cw.apply_warp(f, cw.WarpMap.identity())
         assert np.max(np.abs(out - f)) <= 1e-9 * np.max(np.abs(f))
 
+    def test_stacked_fields_refused(self, rng):
+        # a warp acts on one field; a stack is refused with a stated error, not a broadcast one
+        op = cw.OperatorSpec(kind="warp", map=cw.WarpMap.shear(0.3))
+        f = np.stack([random_field(rng, N), random_field(rng, N)])
+        with pytest.raises(ValueError, match=r"values must have shape \(K,\)"):
+            op.apply(f)
+        with pytest.raises(ValueError, match=r"values must have shape \(K,\)"):
+            op.apply_spectrum(N, np.arange(N * N), spfft.fft2(f, norm="ortho").reshape(2, N * N))
+
     def test_plane_wave_composition_exact(self):
         # A grid plane wave is its own trigonometric interpolant, so f(phi(x)) is known in closed form.
         n = 32

@@ -7,7 +7,7 @@ from scipy.stats import theilslopes
 import curvewave as cw
 from curvewave import formats
 from curvewave.frame import atom_spectrum
-from curvewave.propagators import warp_spectrum
+from curvewave.propagators import SYMBOL_IDS, warp_spectrum
 from curvewave.sparsity import DEFAULT_THRESHOLD, _core_size, _fit_sorted_decay, comoving_branch
 
 import pinned
@@ -129,6 +129,54 @@ class TestColumns:
             assert np.max(np.abs(col.values - ref.packed[rows])) <= 1e-13 * math.sqrt(energy), mu
             assert abs(col.energy - energy) <= 1e-13 * energy, mu
             assert 0.0 < col.solver_error == error / math.sqrt(col.energy), mu
+
+    @pytest.mark.parametrize(
+        "spec, components",
+        [({"kind": "psido", "symbol": symbol}, [0]) for symbol in SYMBOL_IDS]
+        + [
+            ({"kind": "variable-wave", "sign": "+", "t": 0.25,
+              "model": {"kind": "sinusoidal", "amplitude": 0.2, "wavevector": [1, 0]}}, [0]),
+            ({"kind": "acoustic", "t": 0.2}, [0, 1, 2]),
+        ],
+        ids=[f"psido-{symbol}" for symbol in SYMBOL_IDS] + ["variable-wave", "acoustic"],
+    )
+    def test_grid_column_matches_grid_route(self, frame64, spec, components):
+        # a kind that mixes frequencies or components acts on the atom on the grid,
+        # so its column is the thresholded analysis of op.apply(e_nu phi_mu) bit for bit
+        op = cw.OperatorSpec.from_json(spec)
+        rng = np.random.default_rng(65)
+        scales = frame64.params.scales
+        mus = [cw.CurveletIndex(0, 0, 1, 2), cw.CurveletIndex(scales, 0, 3, 5)]
+        mus += [frame64.random_index(rng, [j]) for j in frame64.directional_scales()]
+        for mu in mus:
+            for nu in components:
+                atom = cw.frame_atom(frame64, mu)
+                if op.is_vector:
+                    atom = np.stack([atom if c == nu else np.zeros_like(atom) for c in range(3)])
+                out, error = op.apply(atom)
+                ref = cw.analyze(frame64, out)
+                energy = ref.norm2()
+                flat = ref.packed.ravel()
+                keep = np.flatnonzero(np.abs(flat) >= DEFAULT_THRESHOLD * math.sqrt(energy))
+                col = cw.curvelet_column(frame64, op, mu, nu)
+                assert np.array_equal(col.rows_flat, keep % frame64.size), (mu, nu)
+                assert np.array_equal(col.row_component, keep // frame64.size), (mu, nu)
+                assert np.array_equal(col.values, flat[keep]), (mu, nu)
+                assert np.array_equal(col.energy, energy), (mu, nu)
+                assert np.array_equal(col.solver_error, error / math.sqrt(energy)), (mu, nu)
+
+    @pytest.mark.parametrize("component", [-1, 3])
+    def test_vector_component_out_of_range(self, frame64, component):
+        op = cw.OperatorSpec.from_json({"kind": "acoustic", "t": 0.2})
+        mu = cw.CurveletIndex(2, 1, 1, 1)
+        with pytest.raises(ValueError, match="components 0, 1 and 2"):
+            cw.curvelet_column(frame64, op, mu, component=component)
+        with pytest.raises(ValueError, match="components 0, 1 and 2"):
+            cw.polarization_split(frame64, 0.2, mu, component=component)
+
+    def test_scalar_operator_has_component_0_only(self, frame64, halfwave_op):
+        with pytest.raises(ValueError, match="single component 0"):
+            cw.curvelet_column(frame64, halfwave_op, cw.CurveletIndex(2, 1, 1, 1), component=1)
 
     def test_vector_column_components(self, frame64):
         op = cw.OperatorSpec.from_json({"kind": "acoustic", "t": 0.2})
