@@ -9,9 +9,10 @@ Runs, in this process through ``cli.main``:
 - propagate for every operator kind (psido once per ``SYMBOL_IDS``
   entry) on seeded fields at N = 64 and 128.
 
-It also saves as ``.npy`` a transport sample (``flow_index`` for 12
-indices x 3 branches and one ``predicted_curvelet``, at N = 256 with a
-sinusoidal speed), a spectral sample (the ``build_matrix`` columns of two
+It also saves as ``.npy`` a transport sample at N = 256 (``flow_index``
+for 12 indices x 3 branches under each of ``SPEEDS``, the constant,
+sinusoidal and Gaussian-bump speeds, and one ``predicted_curvelet`` with
+the sinusoidal speed), a spectral sample (the ``build_matrix`` columns of two
 indices for every operator kind at N = 64 and 128: one column per index
 for a scalar kind, one per index and component 0, 1 and 2 for the
 acoustic system, each row saved as component x frame size + packed
@@ -56,6 +57,11 @@ T_FLOW = 0.25
 FRAME_SIZES = (32, 64, 128, 256, 512, 1024)
 OTHER_WINDOWS = {"angles_base": 12, "smooth_step_order": 6, "transition": 0.3}
 SINUSOIDAL = {"kind": "sinusoidal", "amplitude": 0.2, "wavevector": [1, 0]}
+SPEEDS = {
+    "constant": {"kind": "constant", "c0": 1.5},
+    "sinusoidal": SINUSOIDAL,
+    "gaussian-bump": {"kind": "gaussian-bump", "center": [0.4, 0.6], "width": 0.15, "amplitude": 0.2},
+}
 OPERATORS = {
     "identity": {"kind": "identity"},
     "halfwave-plus": {"kind": "halfwave", "sign": "+", "t": 0.25, "c0": 1.0},
@@ -80,14 +86,17 @@ def run(outdir: Path, name: str, args: list[str]) -> None:
 
 def transport_sample(outdir: Path) -> None:
     table = cw.build_frame(cw.FrameParams(n=256, scales=6))
-    model = cw.VelocityModel.sinusoidal(0.2, (1, 0))
     rng = np.random.default_rng(5)
     mus = [table.random_index(rng) for _ in range(12)]
-    for branch, label in (("+", "plus"), ("-", "minus"), (0, "zero")):
-        results = [cw.flow_index(table, mu, model, branch, T_FLOW) for mu in mus]
-        np.save(outdir / f"flow_index_{label}_x.npy", np.stack([p.x for p, _ in results]))
-        np.save(outdir / f"flow_index_{label}_xi.npy", np.stack([p.xi for p, _ in results]))
-        np.save(outdir / f"flow_index_{label}_mu.npy", np.array([(m.j, m.ell, m.k1, m.k2) for _, m in results]))
+    for name, spec in SPEEDS.items():
+        model = cw.VelocityModel.from_json(spec)
+        for branch, label in (("+", "plus"), ("-", "minus"), (0, "zero")):
+            results = [cw.flow_index(table, mu, model, branch, T_FLOW) for mu in mus]
+            stem = outdir / f"flow_index_{name}_{label}"
+            np.save(f"{stem}_x.npy", np.stack([p.x for p, _ in results]))
+            np.save(f"{stem}_xi.npy", np.stack([p.xi for p, _ in results]))
+            np.save(f"{stem}_mu.npy", np.array([(m.j, m.ell, m.k1, m.k2) for _, m in results]))
+    model = cw.VelocityModel.from_json(SINUSOIDAL)
     np.save(outdir / "predicted_curvelet.npy", cw.predicted_curvelet(table, mus[0], model, "+", T_FLOW))
 
 

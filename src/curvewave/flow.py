@@ -126,7 +126,7 @@ class VelocityModel:
         scalars or arrays of one shape, from one evaluation of the phase or
         bump factor.  Every speed formula lives here."""
         if self.kind == "constant":
-            zero = np.zeros(np.shape(x1))
+            zero = np.zeros(np.shape(x1))[()]  # a NumPy scalar for one ray, not a 0-d array
             return zero + self.c0, zero, zero
         if self.kind == "sinusoidal":
             # written out, not x @ k: a matrix-vector product may round one

@@ -4,6 +4,11 @@ Field2D format: one JSON header line {"N": ..., "m": ..., "dtype": "c128le"}
 followed by raw little-endian interleaved re/im float64 samples, row-major,
 components contiguous.  Index-row CSV: an exact header line (COEFF_HEADER or
 MATRIX_HEADER), then integer index cells and re,im as %.17g, CRLF line ends.
+
+The CSV layer holds each entry once.  Rows are written part by part (a
+matrix column, or a block of coefficients, at a time), so no array of
+every row's index cells is built; ``read_index_csv`` returns views of the
+one array ``np.loadtxt`` parsed.
 """
 
 from __future__ import annotations
@@ -14,13 +19,13 @@ import numpy as np
 
 from .frame import CoeffSet, FrameTable
 
-__all__ = ["write_field", "read_field", "write_index_csv", "read_index_csv", "write_coeffs_csv",
-           "read_coeffs_csv", "write_pgm"]
+__all__ = ["write_field", "read_field", "write_index_csv", "write_index_parts", "read_index_csv",
+           "write_coeffs_csv", "read_coeffs_csv", "write_pgm"]
 
 _MAGIC_DTYPE = "c128le"
 COEFF_HEADER = ("j", "l", "k1", "k2", "nu", "re", "im")
 MATRIX_HEADER = tuple(f"{side}_{c}" for side in ("row", "col") for c in COEFF_HEADER[:5]) + ("re", "im")
-_CSV_BLOCK = 1024  # rows formatted per write: the Python objects of one block are alive at a time
+_CSV_BLOCK = 1024  # rows formatted per write (and coefficients decoded per part): one block's Python objects live at a time
 
 
 class FormatError(ValueError):
@@ -66,19 +71,28 @@ def read_field(path) -> np.ndarray:
 def write_index_csv(path, header, index, values) -> None:
     """Write one row per entry: the integer ``index`` columns (one array per
     header name before re,im), then the complex ``values``."""
-    values = np.asarray(values, dtype=np.complex128)
-    columns = [np.asarray(i, dtype=np.int64) for i in index] + [values.real, values.imag]
+    write_index_parts(path, header, [(index, values)])
+
+
+def write_index_parts(path, header, parts) -> None:
+    """Write the rows of each (index, values) part of ``parts`` in turn, as
+    :func:`write_index_csv` writes one; a generator of parts keeps one part's
+    arrays alive at a time."""
     line = ",".join(["%d"] * (len(header) - 2) + ["%.17g", "%.17g"]) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(values), _CSV_BLOCK):
-            cells = [column[start : start + _CSV_BLOCK].tolist() for column in columns]
-            fh.write("".join([line % row for row in zip(*cells)]))
+        for index, values in parts:
+            values = np.asarray(values, dtype=np.complex128)
+            columns = [np.asarray(i, dtype=np.int64) for i in index] + [values.real, values.imag]
+            for start in range(0, len(values), _CSV_BLOCK):
+                cells = [column[start : start + _CSV_BLOCK].tolist() for column in columns]
+                fh.write("".join([line % row for row in zip(*cells)]))
 
 
 def read_index_csv(path, header):
     """(index, values) of a :func:`write_index_csv` file, in file order; index
-    holds one int64 row per index column.  A header other than ``header``, a
+    holds one int64 row per index column.  Both are views of the parsed rows,
+    so the entries are held once.  A header other than ``header``, a
     non-integer index cell, a non-numeric cell or a wrong column count raise
     FormatError."""
     dtype = [(name, np.int64) for name in header[:-2]] + [("re", np.float64), ("im", np.float64)]
@@ -93,17 +107,21 @@ def read_index_csv(path, header):
                 rows = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, ndmin=1)
             except ValueError as exc:
                 raise FormatError(f"{path}: {exc}") from None
-    values = np.empty(len(rows), dtype=np.complex128)
-    values.real, values.imag = rows["re"], rows["im"]
-    return np.stack([rows[name] for name in header[:-2]]), values
+    # the fields are contiguous 8-byte cells: index ones, then re and im
+    shape = (len(rows), len(header))
+    index = rows.view(np.int64).reshape(shape)[:, :-2].T
+    values = rows.view(np.float64).reshape(shape)[:, -2:].view(np.complex128)[:, 0]
+    return index, values
 
 
 def write_coeffs_csv(path, coeffs: CoeffSet) -> None:
-    """Write the nonzero coefficients as rows j,l,k1,k2,nu,re,im (nu = 0)."""
+    """Write the nonzero coefficients as rows j,l,k1,k2,nu,re,im (nu = 0),
+    decoding their packed positions one block at a time."""
     flat = coeffs.packed
     keep = np.flatnonzero(np.abs(flat) > 0.0)
-    j, ell, k1, k2 = coeffs.table.index_of_flat(keep)
-    write_index_csv(path, COEFF_HEADER, (j, ell, k1, k2, np.zeros_like(j)), flat[keep])
+    blocks = (keep[start : start + _CSV_BLOCK] for start in range(0, len(keep), _CSV_BLOCK))
+    parts = (((*coeffs.table.index_of_flat(b), np.zeros(len(b), np.int64)), flat[b]) for b in blocks)
+    write_index_parts(path, COEFF_HEADER, parts)
 
 
 def read_coeffs_csv(path, table: FrameTable) -> CoeffSet:

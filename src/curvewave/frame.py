@@ -155,12 +155,14 @@ def _round_half_down(value: np.ndarray) -> np.ndarray:
 
 
 def _column_extent(primary: np.ndarray, secondary: np.ndarray) -> int:
-    """Largest secondary-coordinate spread over fibers of the primary coordinate."""
-    order = np.lexsort((secondary, primary))
-    p, s = primary[order], secondary[order]
-    starts = np.flatnonzero(np.concatenate([[True], p[1:] != p[:-1]]))
-    ends = np.concatenate([starts[1:], [len(p)]])
-    return int(np.max(s[ends - 1] - s[starts])) + 1
+    """Largest secondary-coordinate spread over fibers of the primary
+    coordinate (both nonnegative): one row of the support's bounding-box
+    mask per fiber, its first and last points found by argmax."""
+    mask = np.zeros((int(primary.max()) + 1, int(secondary.max()) + 1), dtype=bool)
+    mask[primary, secondary] = True
+    fibers = mask[mask.any(axis=1)]
+    last = mask.shape[1] - 1 - np.argmax(fibers[:, ::-1], axis=1)
+    return int(np.max(last - np.argmax(fibers, axis=1))) + 1
 
 
 def _wrap_geometry(q1: np.ndarray, q2: np.ndarray):

@@ -139,14 +139,15 @@ class SparseOperatorMatrix:
         return sum(c.nnz for c in self.columns)
 
     def write_csv(self, path) -> None:
-        """One formats.MATRIX_HEADER row per entry, column by column."""
-        cols = self.columns  # "or [[]]" below: an empty matrix writes the header only
-        rows = self.table.index_of_flat(np.concatenate([c.rows_flat for c in cols] or [[]]))
-        keys = [(c.col_index.j, c.col_index.ell, c.col_index.k1, c.col_index.k2, c.col_component) for c in cols]
-        col = np.repeat(np.array(keys, dtype=np.int64).reshape(-1, 5), [c.nnz for c in cols], axis=0).T
-        nu = np.concatenate([c.row_component for c in cols] or [[]])
-        values = np.concatenate([c.values for c in cols] or [[]])
-        formats.write_index_csv(path, formats.MATRIX_HEADER, (*rows, nu, *col), values)
+        """One formats.MATRIX_HEADER row per entry, column by column; only
+        the column being written has its rows decoded."""
+
+        def part(c: MatrixColumn):
+            key = (c.col_index.j, c.col_index.ell, c.col_index.k1, c.col_index.k2, c.col_component)
+            col = (np.broadcast_to(np.int64(k), c.nnz) for k in key)
+            return (*self.table.index_of_flat(c.rows_flat), c.row_component, *col), c.values
+
+        formats.write_index_parts(path, formats.MATRIX_HEADER, map(part, self.columns))
 
     @classmethod
     def read_csv(cls, table: FrameTable, op: OperatorSpec, path) -> SparseOperatorMatrix:

@@ -117,7 +117,12 @@ class TestIntegrator:
         assert back.xi == pytest.approx(state.xi, abs=1e-5)
 
     @pytest.mark.parametrize(
-        "model", [VelocityModel.sinusoidal(0.15, (3, 5)), VelocityModel.gaussian_bump((0.4, 0.6), 0.15, 0.2)]
+        "model",
+        [
+            VelocityModel.sinusoidal(0.15, (3, 5)),
+            VelocityModel.gaussian_bump((0.4, 0.6), 0.15, 0.2),
+            VelocityModel.constant(1.5),
+        ],
     )
     @pytest.mark.parametrize("branch", ["+", "-"])
     def test_stacked_flow_equals_single_rays(self, model, branch, rng):
@@ -131,6 +136,8 @@ class TestIntegrator:
         assert np.max(np.abs(stacked.xi - np.stack([s.xi for s in singles]))) == 0.0
         rotations = np.stack([rotation(s0, s) for s0, s in zip(starts, singles)])
         assert np.max(np.abs(rotation(start, stacked) - rotations)) == 0.0
+        # one ray's speed and partials are NumPy scalars, not 0-d arrays
+        assert all(type(v) is np.float64 for v in model.c_and_partials(*x[0]))
 
     @pytest.mark.parametrize(
         "model", [VelocityModel.sinusoidal(0.15, (3, 5)), VelocityModel.gaussian_bump((0.4, 0.6), 0.15, 0.2)]

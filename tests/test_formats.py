@@ -82,6 +82,18 @@ class TestCoeffsCsv:
         c = coeffs.packed[5]
         assert lines[6].decode() == f"{j[0]},{ell[0]},{k1[0]},{k2[0]},0,{c.real:.17g},{c.imag:.17g}"
 
+    def test_blocks_equal_one_part(self, frame64, rng, tmp_path):
+        # reference: every nonzero coefficient's row decoded and written as one part
+        coeffs = cw.analyze(frame64, random_field(rng, 64))
+        coeffs.packed[::3] = 0.0
+        keep = np.flatnonzero(coeffs.packed)
+        j, ell, k1, k2 = frame64.index_of_flat(keep)
+        reference = tmp_path / "reference.csv"
+        formats.write_index_csv(reference, formats.COEFF_HEADER, (j, ell, k1, k2, 0 * j), coeffs.packed[keep])
+        formats.write_coeffs_csv(tmp_path / "coeffs.csv", coeffs)
+        assert len(keep) > 2 * formats._CSV_BLOCK
+        assert (tmp_path / "coeffs.csv").read_bytes() == reference.read_bytes()
+
     def test_exact_bytes(self, tmp_path):
         # %d index cells, %.17g values (negative zero and subnormal-range
         # magnitudes included), CRLF after every line

@@ -116,6 +116,19 @@ class TestBuild:
             assert np.array_equal(w.weights[order], vals[keep])
             assert w.atom_norm2 == float(vals[keep] @ vals[keep]) / w.size
 
+    @pytest.mark.parametrize("size, box", [(1, (1, 1)), (60, (7, 40)), (500, (30, 12)), (3000, (64, 200))])
+    def test_column_extent_equals_lexsort_reference(self, size, box, rng):
+        # reference: sort the points by fiber, then by secondary coordinate,
+        # and take each fiber's last minus first
+        for _ in range(5):
+            primary, secondary = rng.integers(0, box[0], size), rng.integers(0, box[1], size)
+            order = np.lexsort((secondary, primary))
+            p, s = primary[order], secondary[order]
+            starts = np.flatnonzero(np.concatenate([[True], p[1:] != p[:-1]]))
+            ends = np.concatenate([starts[1:], [len(p)]])
+            expect = int(np.max(s[ends - 1] - s[starts])) + 1
+            assert frame_module._column_extent(primary, secondary) == expect
+
     def test_non_injective_wrapping_refused(self, monkeypatch):
         # the one-to-one check reads the assembled wrapping matrix
         def collide(q1, q2):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import curvewave as cw
 from curvewave import formats
 from curvewave.frame import atom_spectrum
 from curvewave.propagators import SYMBOL_IDS, warp_spectrum
-from curvewave.sparsity import DEFAULT_THRESHOLD, _core_size, _fit_sorted_decay, comoving_branch
+from curvewave.sparsity import DEFAULT_THRESHOLD, MatrixColumn, _core_size, _fit_sorted_decay, comoving_branch
 
 import pinned
 
@@ -421,6 +422,17 @@ def _assert_same_after_csv(matrix, back):
         assert b.energy == b.kept_energy() and b.threshold == 0.0
 
 
+def _synthetic_matrix(table, op, lengths, rng):
+    """A matrix of random columns, one per length, at distinct column indices."""
+    nus, columns = (3 if op.is_vector else 1), []
+    for pos, n in zip(rng.choice(table.size, len(lengths), replace=False), lengths):
+        mu = cw.CurveletIndex(*(int(v) for v in table.index_of_flat(pos)))
+        rows = np.sort(rng.integers(0, table.size, n))
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-150, 150, n) + 1j * rng.standard_normal(n)
+        columns.append(MatrixColumn(mu, int(rng.integers(nus)), rows, rng.integers(0, nus, n), values, 1.0, 0.0))
+    return cw.SparseOperatorMatrix(table, op, columns)
+
+
 class TestMatrixCsv:
     def test_round_trip(self, frame64, halfwave_op, rng, tmp_path):
         cols = [frame64.random_index(rng, scales=[3]) for _ in range(3)]
@@ -437,6 +449,41 @@ class TestMatrixCsv:
         back = cw.SparseOperatorMatrix.read_csv(frame64, op, path)
         assert set(np.concatenate([c.row_component for c in back.columns]).tolist()) == {0, 1, 2}
         _assert_same_after_csv(matrix, back)
+
+    def test_column_by_column_bytes_equal_whole_matrix_rows(self, frame64, rng, tmp_path):
+        # reference: every column's entries concatenated and written as one part
+        op = cw.OperatorSpec.from_json({"kind": "acoustic", "t": 0.2})
+        matrix = _synthetic_matrix(frame64, op, [3, formats._CSV_BLOCK + 700, 250], rng)
+        matrix.columns[0].values[:] = [complex(-0.0, 0.0), complex(1e-300, -2.5e17), complex(0.1, -0.0)]
+        cols = matrix.columns
+        rows = frame64.index_of_flat(np.concatenate([c.rows_flat for c in cols]))
+        keys = [(c.col_index.j, c.col_index.ell, c.col_index.k1, c.col_index.k2, c.col_component) for c in cols]
+        col = np.repeat(np.array(keys, dtype=np.int64), [c.nnz for c in cols], axis=0).T
+        nu = np.concatenate([c.row_component for c in cols])
+        values = np.concatenate([c.values for c in cols])
+        formats.write_index_csv(tmp_path / "reference.csv", formats.MATRIX_HEADER, (*rows, nu, *col), values)
+        matrix.write_csv(tmp_path / "matrix.csv")
+        assert (tmp_path / "matrix.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_peak_memory_per_entry(self, frame64, halfwave_op, rng, tmp_path):
+        # write_csv decodes one column's rows at a time (the whole-matrix
+        # arrays took about 117 bytes per entry here), and read_csv holds the
+        # parsed rows once, 96 bytes per entry, where a stacked copy of the
+        # index cells took about 192 bytes per entry
+        matrix = _synthetic_matrix(frame64, halfwave_op, [1500, 2000, 2500, 3000, 3500, 4000], rng)
+        path, entries = tmp_path / "matrix.csv", matrix.total_entries()
+        tracemalloc.start()
+        try:
+            matrix.write_csv(path)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path)
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.total_entries() == entries
+        assert write_peak <= 60 * entries
+        assert read_peak <= 172 * entries
 
     def test_empty_matrix_is_header_only(self, frame64, halfwave_op, tmp_path):
         path = tmp_path / "matrix.csv"
