@@ -8,7 +8,10 @@ benchmark provenance.  ``fft2`` and ``ifft2`` are the one ortho FFT pair
 every module uses, and the FFTs are the one parallel level: a transform of
 at least ``THREADED_POINTS`` points per field runs on ``FFT_WORKERS``, the
 CPUs this process may run on (its affinity mask), a smaller one on one
-thread, where starting threads costs more than it saves.  ``checked`` and
+thread, where starting threads costs more than it saves.  A caller that
+owns its buffer and reads it no more may pass ``overwrite_x=True``: SciPy
+may then transform it in place, but need not, so the caller uses the
+returned array.  ``checked`` and
 ``checked_kind`` refuse JSON specs with keys their reader would ignore;
 ``required`` names a key a spec leaves out; ``number`` and ``pair`` read
 JSON numbers; ``spec_json`` writes a spec from its table of keys.
@@ -38,16 +41,18 @@ def _workers(x) -> int:
     return FFT_WORKERS if x.shape[-2] * x.shape[-1] >= THREADED_POINTS else 1
 
 
-def fft2(x):
+def fft2(x, overwrite_x: bool = False):
     """Ortho 2-D FFT over the last two axes of ``x``, an (N, N) field or a
-    (..., N, N) stack.  ``scipy.fft.fft2`` is looked up at each call, so a
-    patched ``scipy.fft`` (``perfbench``'s FFT counter) sees every FFT."""
-    return spfft.fft2(x, norm="ortho", workers=_workers(x))
+    (..., N, N) stack.  With ``overwrite_x`` the contents of ``x`` may be
+    destroyed, and the result may or may not share its memory.
+    ``scipy.fft.fft2`` is looked up at each call, so a patched
+    ``scipy.fft`` (``perfbench``'s FFT counter) sees every FFT."""
+    return spfft.fft2(x, norm="ortho", overwrite_x=overwrite_x, workers=_workers(x))
 
 
-def ifft2(x):
+def ifft2(x, overwrite_x: bool = False):
     """Inverse of :func:`fft2`."""
-    return spfft.ifft2(x, norm="ortho", workers=_workers(x))
+    return spfft.ifft2(x, norm="ortho", overwrite_x=overwrite_x, workers=_workers(x))
 
 
 def checked(where: str, section, allowed) -> dict:

@@ -14,6 +14,7 @@ over stacked points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,9 @@ class PhasePoint:
 
     Arrays broadcast: x and xi have shape (..., 2), ``directional`` is a
     boolean (or boolean array) marking whether orientation terms apply.
+    ``theta``, ``e`` and ``scale_log2`` are computed on first use and kept,
+    so a stack of points measured against several others (one per flow
+    branch) pays for them once.
     """
 
     x: np.ndarray
@@ -42,22 +46,25 @@ class PhasePoint:
         if np.any(np.hypot(xi[..., 0], xi[..., 1]) == 0.0):
             raise ValueError("phase point requires a nonzero frequency")
 
-    @property
+    @cached_property
     def theta(self):
         return np.arctan2(self.xi[..., 1], self.xi[..., 0])
 
-    @property
+    @cached_property
     def e(self):
         mag = np.hypot(self.xi[..., 0], self.xi[..., 1])
         return self.xi / mag[..., None]
 
-    @property
+    @cached_property
     def scale_log2(self):
         return np.log2(np.hypot(self.xi[..., 0], self.xi[..., 1]))
 
 
 def _torus_delta(a, b):
-    return np.mod(a - b + 0.5, 1.0) - 0.5
+    # t - floor(t) rounds the same exact value once that np.mod(t, 1.0)
+    # does, so it equals it bit for bit, at a fraction of the cost
+    t = a - b + 0.5
+    return (t - np.floor(t)) - 0.5
 
 
 def _angle_delta_mod_pi(a, b):
@@ -67,16 +74,19 @@ def _angle_delta_mod_pi(a, b):
 def d(p: PhasePoint, q: PhasePoint):
     """Flat pseudo-distance between phase points (no scale weighting)."""
     dx = _torus_delta(p.x, q.x)
-    dx2 = np.sum(dx * dx, axis=-1)
+    dx1, dx2 = dx[..., 0], dx[..., 1]
     p_dir = np.asarray(p.directional, dtype=bool)
     q_dir = np.asarray(q.directional, dtype=bool)
     both = p_dir & q_dir
     ang = np.where(both, np.abs(_angle_delta_mod_pi(p.theta, q.theta)), 0.0)
-    # The along-ridge term follows the first directional argument.
-    ridge_p = np.abs(np.sum(p.e * dx, axis=-1))
-    ridge_q = np.abs(np.sum(q.e * dx, axis=-1))
+    # The along-ridge term follows the first directional argument.  Sums over
+    # the length-2 axis are written out: the same two-term sums, without
+    # NumPy's reduction machinery.
+    ep, eq = p.e, q.e
+    ridge_p = np.abs(ep[..., 0] * dx1 + ep[..., 1] * dx2)
+    ridge_q = np.abs(eq[..., 0] * dx1 + eq[..., 1] * dx2)
     ridge = np.where(p_dir, ridge_p, np.where(q_dir, ridge_q, 0.0))
-    return ang * ang + dx2 + ridge
+    return ang * ang + (dx1 * dx1 + dx2 * dx2) + ridge
 
 
 def omega(p: PhasePoint, q: PhasePoint):

@@ -6,9 +6,12 @@ components contiguous.  Index-row CSV: an exact header line (COEFF_HEADER or
 MATRIX_HEADER), then integer index cells and re,im as %.17g, CRLF line ends.
 
 The CSV layer holds each entry once.  Rows are written part by part (a
-matrix column, or a block of coefficients, at a time), so no array of
-every row's index cells is built; ``read_index_csv`` returns views of the
-one array ``np.loadtxt`` parsed.
+run of a matrix column's rows, or a wedge's coefficients, at a time), so
+no array of every row's index cells is built; ``read_index_csv`` returns
+views of the one array ``np.loadtxt`` parsed.  Each part formats its rows
+through one row template: an index cell that every row of the part shares
+is given as one int and written into the template once, so a row formats
+only the cells that vary (k1, k2, re and im, in the parts written here).
 """
 
 from __future__ import annotations
@@ -70,20 +73,26 @@ def read_field(path) -> np.ndarray:
 
 def write_index_csv(path, header, index, values) -> None:
     """Write one row per entry: the integer ``index`` columns (one array per
-    header name before re,im), then the complex ``values``."""
+    header name before re,im, or one int that every row shares), then the
+    complex ``values``."""
     write_index_parts(path, header, [(index, values)])
 
 
 def write_index_parts(path, header, parts) -> None:
     """Write the rows of each (index, values) part of ``parts`` in turn, as
     :func:`write_index_csv` writes one; a generator of parts keeps one part's
-    arrays alive at a time."""
-    line = ",".join(["%d"] * (len(header) - 2) + ["%.17g", "%.17g"]) + "\r\n"
+    arrays alive at a time.  An index cell given as an int is shared by every
+    row of its part and formatted once, into that part's row template."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for index, values in parts:
+            if len(index) != len(header) - 2:
+                raise ValueError(f"{len(index)} index cells for the {len(header) - 2} of {','.join(header)}")
             values = np.asarray(values, dtype=np.complex128)
-            columns = [np.asarray(i, dtype=np.int64) for i in index] + [values.real, values.imag]
+            shared = [isinstance(i, (int, np.integer)) for i in index]
+            line = ",".join(["%d" % i if s else "%d" for i, s in zip(index, shared)] + ["%.17g", "%.17g"]) + "\r\n"
+            columns = [np.asarray(i, dtype=np.int64) for i, s in zip(index, shared) if not s]
+            columns += [values.real, values.imag]
             for start in range(0, len(values), _CSV_BLOCK):
                 cells = [column[start : start + _CSV_BLOCK].tolist() for column in columns]
                 fh.write("".join([line % row for row in zip(*cells)]))
@@ -116,12 +125,18 @@ def read_index_csv(path, header):
 
 def write_coeffs_csv(path, coeffs: CoeffSet) -> None:
     """Write the nonzero coefficients as rows j,l,k1,k2,nu,re,im (nu = 0),
-    decoding their packed positions one block at a time."""
+    one part per block of a wedge's coefficients: j, l and nu are shared."""
     flat = coeffs.packed
     keep = np.flatnonzero(np.abs(flat) > 0.0)
-    blocks = (keep[start : start + _CSV_BLOCK] for start in range(0, len(keep), _CSV_BLOCK))
-    parts = (((*coeffs.table.index_of_flat(b), np.zeros(len(b), np.int64)), flat[b]) for b in blocks)
-    write_index_parts(path, COEFF_HEADER, parts)
+
+    def parts():
+        for w in coeffs.table.wedges:
+            lo, hi = np.searchsorted(keep, [w.offset, w.offset + w.size])
+            for start in range(lo, hi, _CSV_BLOCK):
+                b = keep[start : min(start + _CSV_BLOCK, hi)]
+                yield (w.j, w.ell, *np.divmod(b - w.offset, w.rect[1]), 0), flat[b]
+
+    write_index_parts(path, COEFF_HEADER, parts())
 
 
 def read_coeffs_csv(path, table: FrameTable) -> CoeffSet:

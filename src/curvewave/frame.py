@@ -195,7 +195,9 @@ def build_frame(params: FrameParams) -> FrameTable:
     of its scale's ring (where the radial window is nonzero) whose angle lies
     within the angular window's reach 2 pi (1/2 + transition) / L_j of the
     wedge's orientation.  Off it the product is exactly 0, so nothing is
-    lost, and each ring is sorted by angle once to find the sectors.
+    lost, and each ring is sorted by angle once to find the sectors.  The
+    rings, and the low-pass, are found on the square around their disc, not
+    on the whole grid.
 
     Raises:
         FrameError: on invalid parameters or (never in practice) a wrapping
@@ -207,10 +209,13 @@ def build_frame(params: FrameParams) -> FrameTable:
     fam = build_windows(params.smooth_step_order, params.transition)
 
     q = np.fft.fftfreq(n) * n  # integer grid frequencies, fft layout
-    q1 = q[:, None]
-    q2 = q[None, :]
-    radius = np.hypot(q1, q2).ravel()
-    angle = np.arctan2(q2, q1).ravel()
+    radius = np.hypot(q[:, None], q[None, :]).ravel()
+
+    def square(reach: float) -> np.ndarray:
+        """Flat indices, ascending, of the points with |q1|, |q2| <= reach + 1
+        (a grid step of margin against rounding at the disc's edge)."""
+        near = np.flatnonzero(np.abs(q) <= reach + 1.0)
+        return (near[:, None] * n + near).ravel()
 
     wedges: list[Wedge] = []
     entries = []  # per wedge: rows (packed positions), columns (spectrum positions), window values
@@ -231,25 +236,31 @@ def build_frame(params: FrameParams) -> FrameTable:
         add_channel(grid, np.ones(n * n), 0, 0, "coarse", 0.0, math.nan)
     else:
         rho = [n * 2.0 ** (j - s_total - 2) for j in range(s_total)]  # rho[1..S-1] used
-        add_channel(grid, fam.lowpass(radius / rho[1]), 0, 0, "coarse", 0.0, math.nan)
+        g = params.transition
+        disc = square(rho[1] * 2.0 ** (g - 0.5))  # the low-pass vanishes from radius rho_1 2^(g - 1/2) on
+        add_channel(disc, fam.lowpass(radius[disc] / rho[1]), 0, 0, "coarse", 0.0, math.nan)
         for j in range(1, s_total):
             n_ang = params.angles_base * (1 << ((j - 1) // 2))
-            rad = fam.radial(radius / rho[j])
-            ring = np.flatnonzero(rad > 0.0)
-            ring = ring[np.argsort(angle[ring])]
+            disc = square(rho[j] * 2.0 ** (0.5 + g))  # the radial window vanishes from rho_j 2^(1/2 + g) on
+            rad = fam.radial(radius[disc] / rho[j])
+            ring, rad = disc[rad > 0.0], rad[rad > 0.0]
+            angle = np.arctan2(q[ring % n], q[ring // n])
+            order = np.argsort(angle)
+            ring, rad, angle = ring[order], rad[order], angle[order]
             # the ring's angles over two turns, so a sector across +-pi is one slice;
             # half, the window's reach plus a rounding margin, is at most pi / 2 + 1e-9
             # (L_j >= 4), so a slice holds no point twice
-            turns = np.concatenate([angle[ring], angle[ring] + 2.0 * np.pi])
-            half = 2.0 * np.pi * (0.5 + params.transition) / n_ang + 1e-9
+            turns = np.concatenate([angle, angle + 2.0 * np.pi])
+            half = 2.0 * np.pi * (0.5 + g) / n_ang + 1e-9
             for ell in range(n_ang):
                 theta0 = 2.0 * np.pi * ell / n_ang
                 start = np.mod(theta0 - half + np.pi, 2.0 * np.pi) - np.pi
                 a, b = np.searchsorted(turns, [start, start + 2.0 * half])
-                sector = np.sort(ring[np.arange(a, b) % ring.size])
+                sector = np.arange(a, b) % ring.size
+                sector = sector[np.argsort(ring[sector])]  # ascending spectrum positions
                 dtheta = np.mod(angle[sector] - theta0 + np.pi, 2.0 * np.pi) - np.pi
                 vals = rad[sector] * fam.angular(n_ang * dtheta / (2.0 * np.pi))
-                add_channel(sector, vals, j, ell, "directional", rho[j], theta0)
+                add_channel(ring[sector], vals, j, ell, "directional", rho[j], theta0)
         add_channel(grid, fam.highpass(radius / rho[s_total - 1]), s_total, 0, "guard", n / 4.0, math.nan)
 
     size = wedges[-1].offset + wedges[-1].size
@@ -469,8 +480,18 @@ def analyze_spectrum(table: FrameTable, spectra: np.ndarray) -> CoeffSet:
     coeffs = CoeffSet(table, kernels.wedge_gather(table.wrap, spectra.reshape(-1, n * n)).reshape(lead + (table.size,)))
     for block in coeffs.blocks:
         if block.flat[0] or block.any():  # a nonzero first entry (a dense spectrum's) spares the scan
-            block[...] = ifft2(block)
+            _transform_in_place(ifft2, block)
     return coeffs
+
+
+def _transform_in_place(transform, block: np.ndarray) -> None:
+    """Leave ``transform(block)`` in ``block``, a view of an array this module
+    owns.  SciPy may write the result into the block itself; only when it
+    did not is the result copied in, since assigning a block to itself
+    makes NumPy copy through a temporary."""
+    out = transform(block, overwrite_x=True)
+    if not np.may_share_memory(out, block):
+        block[...] = out
 
 
 def synthesize(table: FrameTable, coeffs) -> np.ndarray:
@@ -482,11 +503,11 @@ def synthesize(table: FrameTable, coeffs) -> np.ndarray:
     if coeffs.table.params != table.params:
         raise FrameError(f"coefficients of the frame {coeffs.table.params} do not fit the frame {table.params}")
     lead, n = coeffs.packed.shape[:-1], table.n
-    rects = CoeffSet(table, np.empty(coeffs.packed.shape, dtype=np.complex128))
-    for rect, block in zip(rects.blocks, coeffs.blocks):
-        rect[...] = fft2(block)
+    rects = CoeffSet(table, np.array(coeffs.packed, dtype=np.complex128))  # the one copy: the caller's stays as it is
+    for rect in rects.blocks:
+        _transform_in_place(fft2, rect)
     spectra = kernels.wedge_scatter(table.wrap, rects.packed.reshape(-1, table.size))
-    return ifft2(spectra.reshape(lead + (n, n)))
+    return ifft2(spectra.reshape(lead + (n, n)), overwrite_x=True)
 
 
 def atom_spectrum(table: FrameTable, mu: CurveletIndex) -> tuple[Wedge, np.ndarray]:

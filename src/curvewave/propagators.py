@@ -173,9 +173,20 @@ def polarization_fractions(u: np.ndarray) -> dict[int, float]:
     return out
 
 
-def _laplacian(f: np.ndarray) -> np.ndarray:
-    _, _, mag = _grids(f.shape[-1])
-    return ifft2(-(mag**2) * fft2(f))
+@lru_cache(maxsize=8)
+def _laplacian_symbol(n: int) -> np.ndarray:
+    """Read-only -|xi|^2 on the N-grid."""
+    symbol = -(_grids(n)[2] ** 2)
+    symbol.flags.writeable = False
+    return symbol
+
+
+def _laplacian(f: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    """Lap f on the grid.  With ``overwrite_x`` the FFTs may reuse ``f``,
+    which the caller gives up."""
+    spec = fft2(f, overwrite_x=overwrite_x)
+    spec *= _laplacian_symbol(f.shape[-1])
+    return ifft2(spec, overwrite_x=True)
 
 
 def solve_variable_wave(
@@ -209,9 +220,9 @@ def solve_variable_wave(
     h = t / steps
     for _ in range(steps):
         k1u, k1v = v, c2 * _laplacian(u)
-        k2u, k2v = v + 0.5 * h * k1v, c2 * _laplacian(u + 0.5 * h * k1u)
-        k3u, k3v = v + 0.5 * h * k2v, c2 * _laplacian(u + 0.5 * h * k2u)
-        k4u, k4v = v + h * k3v, c2 * _laplacian(u + h * k3u)
+        k2u, k2v = v + 0.5 * h * k1v, c2 * _laplacian(u + 0.5 * h * k1u, overwrite_x=True)
+        k3u, k3v = v + 0.5 * h * k2v, c2 * _laplacian(u + 0.5 * h * k2u, overwrite_x=True)
+        k4u, k4v = v + h * k3v, c2 * _laplacian(u + h * k3u, overwrite_x=True)
         u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
         v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
     return u, v
@@ -259,23 +270,35 @@ def chebyshev_wave(u0: np.ndarray, v0: np.ndarray, model: VelocityModel, t: floa
     self-adjoint and nonnegative in the c^-2-weighted norm ||.||_w, with
     norm at most lam_max = max c^2 * max |xi|^2 over the grid, so
     X = 2L/lam_max - 1 has ||T_k(X)||_w <= 1.  One Clenshaw recurrence sums
-    T_k(X) (a_k u0 + b_k v0): one application of L per degree.  ``bound``
-    is the discarded tail, sum_k>K |a_k| ||u0||_w + |b_k| ||v0||_w, taken
-    to the grid l2 norm by the factor max c: it bounds the distance to the
-    exact solution with this L, rounding aside.
+    T_k(X) (a_k u0 + b_k v0): one application of L per degree, the last
+    (k = 0) with half of 2X.  Each degree writes s_k = a_k u0 + b_k v0 +
+    2X s_k+1 - s_k+2 into the buffer of s_k+2, so three buffers rotate and
+    a fourth holds the Laplacian.  ``bound`` is the discarded tail,
+    sum_k>K |a_k| ||u0||_w + |b_k| ||v0||_w, taken to the grid l2 norm by
+    the factor max c: it bounds the distance to the exact solution with
+    this L, rounding aside.
     """
     u0 = np.asarray(u0, dtype=np.complex128)
     v0 = np.asarray(v0, dtype=np.complex128)
     if u0.shape != v0.shape:
         raise ValueError("u0 and v0 must have matching shapes")
-    c2, lam_max, (a, b, tail_a, tail_b) = _wave_expansion(model, u0.shape[-1], t)
+    n = u0.shape[-1]
+    c2, lam_max, (a, b, tail_a, tail_b) = _wave_expansion(model, n, t)
     two_x_scale = -4.0 / lam_max * c2  # 2X s = two_x_scale * Lap(s) - 2s
-    s1 = s2 = np.zeros_like(u0)
-    for k in range(len(a) - 1, 0, -1):
-        s1, s2 = a[k] * u0 + b[k] * v0 + two_x_scale * _laplacian(s1) - 2.0 * s1 - s2, s1
-    u = a[0] * u0 + b[0] * v0 + 0.5 * two_x_scale * _laplacian(s1) - s1 - s2
+    half_scale = 0.5 * two_x_scale
+    s0, s1, s2, work = (np.zeros_like(u0) for _ in range(4))
+    for k in range(len(a) - 1, -1, -1):
+        np.multiply(a[k], u0, out=s0)
+        s0 += np.multiply(b[k], v0, out=work)
+        np.copyto(work, s1)
+        work = _laplacian(work, overwrite_x=True)
+        work *= two_x_scale if k else half_scale
+        s0 += work
+        s0 -= np.multiply(2.0, s1, out=work) if k else s1
+        s0 -= s2
+        s0, s1, s2 = s2, s0, s1
     weighted = [math.sqrt(float(np.sum(np.abs(f) ** 2 / c2))) for f in (u0, v0)]
-    return u, math.sqrt(c2.max()) * (tail_a * weighted[0] + tail_b * weighted[1])
+    return s1, math.sqrt(c2.max()) * (tail_a * weighted[0] + tail_b * weighted[1])
 
 
 def oneway_velocity(u0: np.ndarray, model: VelocityModel, sign) -> np.ndarray:

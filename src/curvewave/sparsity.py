@@ -140,14 +140,21 @@ class SparseOperatorMatrix:
 
     def write_csv(self, path) -> None:
         """One formats.MATRIX_HEADER row per entry, column by column; only
-        the column being written has its rows decoded."""
+        the column being written has its rows decoded.  Each column goes out
+        as runs of rows that share a wedge and a component, so the row's j,
+        ell and nu and the five column cells are formatted once per run."""
 
-        def part(c: MatrixColumn):
-            key = (c.col_index.j, c.col_index.ell, c.col_index.k1, c.col_index.k2, c.col_component)
-            col = (np.broadcast_to(np.int64(k), c.nnz) for k in key)
-            return (*self.table.index_of_flat(c.rows_flat), c.row_component, *col), c.values
+        def parts():
+            for c in self.columns:
+                key = (c.col_index.j, c.col_index.ell, c.col_index.k1, c.col_index.k2, c.col_component)
+                j, ell, k1, k2 = self.table.index_of_flat(c.rows_flat)
+                nu = c.row_component
+                cuts = np.flatnonzero((j[1:] != j[:-1]) | (ell[1:] != ell[:-1]) | (nu[1:] != nu[:-1])) + 1
+                bounds = [0, *cuts.tolist(), c.nnz] if c.nnz else []
+                for a, b in zip(bounds, bounds[1:]):
+                    yield (int(j[a]), int(ell[a]), k1[a:b], k2[a:b], int(nu[a]), *key), c.values[a:b]
 
-        formats.write_index_parts(path, formats.MATRIX_HEADER, map(part, self.columns))
+        formats.write_index_parts(path, formats.MATRIX_HEADER, parts())
 
     @classmethod
     def read_csv(cls, table: FrameTable, op: OperatorSpec, path) -> SparseOperatorMatrix:
@@ -157,21 +164,31 @@ class SparseOperatorMatrix:
         file or a nu the operator lacks (scalar: 0, acoustic: 0-2);
         UnknownIndexError on an index outside the frame."""
         index, values = formats.read_index_csv(path, formats.MATRIX_HEADER)
-        if np.any((index[[4, 9]] < 0) | (index[[4, 9]] >= (3 if op.is_vector else 1))):
-            raise formats.FormatError(f"{path}: nu must be {'0, 1 or 2' if op.is_vector else '0'} for {op.kind}")
-        rows_flat = table.flat_of_index(index[:4])
+        for nu in (index[4], index[9]):
+            if np.any((nu < 0) | (nu >= (3 if op.is_vector else 1))):
+                raise formats.FormatError(f"{path}: nu must be {'0, 1 or 2' if op.is_vector else '0'} for {op.kind}")
+        # runs of rows that share their column cells (a write_csv file has one
+        # per column): the column cells are decoded at each run's head, and
+        # the row cells one column, in blocks of rows, at a time
+        col = index[5:]
+        cut = np.zeros(max(len(values) - 1, 0), dtype=bool)
+        for cells in col:
+            cut |= cells[1:] != cells[:-1]
+        starts = np.flatnonzero(np.concatenate([[len(values) > 0], cut]))
+        ends = np.append(starts[1:], len(values))
         # packed positions sort like (j, ell, k1, k2), so this key sorts like (j, ell, k1, k2, nu)
-        col_key = table.flat_of_index(index[5:9]) * 3 + index[9]
-        order = np.argsort(col_key, kind="stable")
-        counts = np.unique(col_key, return_counts=True)[1]
+        key = table.flat_of_index(col[:4, starts]) * 3 + col[4, starts]
+        order = np.argsort(key, kind="stable")
         mat = cls(table=table, op=op)
-        for entries in np.split(order, np.cumsum(counts)[:-1])[: len(counts)]:  # no column in an empty file
-            j, ell, k1, k2, nu = index[5:, entries[0]].tolist()
-            vals = values[entries]
+        for runs in np.split(order, np.flatnonzero(np.diff(key[order])) + 1) if len(order) else []:
+            block = formats._CSV_BLOCK
+            spans = [slice(a, min(a + block, ends[r])) for r in runs for a in range(starts[r], ends[r], block)]
+            j, ell, k1, k2, nu = col[:, starts[runs[0]]].tolist()
+            vals = np.concatenate([values[s] for s in spans])
+            rows_flat = np.concatenate([table.flat_of_index(index[:4, s]) for s in spans])
+            row_nu = np.concatenate([index[4, s] for s in spans])
             energy = float(np.sum(np.abs(vals) ** 2))
-            mat.columns.append(
-                MatrixColumn(CurveletIndex(j, ell, k1, k2), nu, rows_flat[entries], index[4, entries], vals, energy, 0.0)
-            )
+            mat.columns.append(MatrixColumn(CurveletIndex(j, ell, k1, k2), nu, rows_flat, row_nu, vals, energy, 0.0))
         return mat
 
 
