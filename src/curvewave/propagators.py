@@ -59,7 +59,7 @@ JACOBI_ANGER_TAIL = 1e-16
 
 @lru_cache(maxsize=8)
 def _grids(n: int):
-    q = np.fft.fftfreq(n) * n
+    q = _signed(np.arange(n), n)
     q1 = np.broadcast_to(q[:, None], (n, n))
     q2 = np.broadcast_to(q[None, :], (n, n))
     return q1, q2, _magnitude(q1, q2)
@@ -108,12 +108,10 @@ def acoustic_dispersion_matrix(xi) -> np.ndarray:
     return np.array([[0.0, 0.0, x1], [0.0, 0.0, x2], [x1, x2, 0.0]])
 
 
-def _unit_directions(n: int):
-    q1, q2, mag = _grids(n)
+def _directions(q1, q2, mag):
+    """Unit directions (e1, e2) of integer frequencies (q1, q2) with ``_magnitude`` mag; (1, 0) at 0."""
     safe = np.where(mag > 0, mag / (2.0 * np.pi), 1.0)
-    e1 = np.where(mag > 0, q1 / safe, 1.0)
-    e2 = np.where(mag > 0, q2 / safe, 0.0)
-    return e1, e2
+    return np.where(mag > 0, q1 / safe, 1.0), np.where(mag > 0, q2 / safe, 0.0)
 
 
 def acoustic_polarization(n: int, branch) -> np.ndarray:
@@ -123,7 +121,7 @@ def acoustic_polarization(n: int, branch) -> np.ndarray:
     direction defaults to (1, 0) (the zero mode belongs to the isotropic
     channel and is never weighted by these vectors in the frame).
     """
-    return _polarization(*_unit_directions(n), branch)
+    return _polarization(*_directions(*_grids(n)), branch)
 
 
 def _polarization(e1, e2, branch) -> np.ndarray:
@@ -136,41 +134,34 @@ def _polarization(e1, e2, branch) -> np.ndarray:
     return inv * np.stack([s * e1, s * e2, np.ones_like(e1)])
 
 
+def _projections(q1, q2, mag, spectrum: np.ndarray):
+    """(r_b, r_b . spectrum) for each b of BRANCHES in turn, at the frequencies of
+    ``_directions``; ValueError at once unless the spectrum's shape is (3,) + q1.shape."""
+    if spectrum.shape != (3,) + np.shape(q1):
+        raise ValueError(f"acoustic propagator expects a 3-component field; got spectrum shape {spectrum.shape}")
+    e1, e2 = _directions(q1, q2, mag)
+    rs = (_polarization(e1, e2, branch) for branch in BRANCHES)
+    return ((r, r[0] * spectrum[0] + r[1] * spectrum[1] + r[2] * spectrum[2]) for r in rs)
+
+
 def apply_acoustic(u: np.ndarray, t: float) -> np.ndarray:
     """Exact propagator of the constant-coefficient acoustic system (m=3).
 
     Per frequency: u_hat(t) = R diag(exp(-i t lambda_nu)) R* u_hat(0) with
     lambda in {0, +|xi|, -|xi|}; unitary.
     """
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape[0] != 3:
-        raise ValueError("acoustic propagator expects a 3-component field")
-    n = u.shape[-1]
-    _, _, mag = _grids(n)
-    spec = fft2(u)
-    out = np.zeros_like(spec)
-    for branch in BRANCHES:
-        r = acoustic_polarization(n, branch)
-        lam = normalize_branch(branch) * mag
-        proj = np.einsum("cij,cij->ij", r, spec)
-        out += np.exp(-1j * t * lam) * proj * r
-    return ifft2(out)
+    return OperatorSpec(kind="acoustic", t=t).apply(u)[0]
 
 
 def polarization_fractions(u: np.ndarray) -> dict[int, float]:
     """Energy fractions of a 3-component field in the three polarizations."""
     u = np.asarray(u, dtype=np.complex128)
-    n = u.shape[-1]
     spec = fft2(u)
+    projections = _projections(*_grids(u.shape[-1]), spec)
     total = float(np.vdot(spec, spec).real)
     if total == 0.0:
         raise ValueError("zero field has no polarization split")
-    out = {}
-    for branch in BRANCHES:
-        r = acoustic_polarization(n, branch)
-        proj = np.einsum("cij,cij->ij", r, spec)
-        out[branch] = float(np.vdot(proj, proj).real) / total
-    return out
+    return {branch: float(np.vdot(proj, proj).real) / total for branch, (_, proj) in zip(BRANCHES, projections)}
 
 
 @lru_cache(maxsize=8)
@@ -337,21 +328,19 @@ def apply_gaussian_smooth(f: np.ndarray, width: float) -> np.ndarray:
 
 @dataclass
 class PsidoSymbol:
-    """Separable order-0 symbol sigma(x, xi) = sum_q a_q(x) b_q(xi).
+    """Separable order-0 symbol sigma(x, xi) = sum_q a_q(x) b_q(xi): each term holds
+    the Fourier coefficients {(m1, m2): a_m} of a_q(x) = sum_m a_m exp(2 pi i m.x),
+    integer m (or None for 1), and an N x N frequency factor in fft layout (or None for 1)."""
 
-    Each term holds an N x N spatial factor (or None for 1) and an N x N
-    frequency factor in fft layout (or None for 1).
-    """
-
-    terms: list[tuple[np.ndarray | None, np.ndarray | None]]
+    terms: list[tuple[dict[tuple[int, int], complex] | None, np.ndarray | None]]
 
     @classmethod
     def multiplier(cls, b: np.ndarray) -> PsidoSymbol:
         return cls([(None, np.asarray(b))])
 
     @classmethod
-    def spatial(cls, a: np.ndarray) -> PsidoSymbol:
-        return cls([(np.asarray(a), None)])
+    def spatial(cls, coefficients: dict[tuple[int, int], complex]) -> PsidoSymbol:
+        return cls([(dict(coefficients), None)])
 
     @classmethod
     def identity(cls) -> PsidoSymbol:
@@ -362,12 +351,22 @@ def apply_psido(f: np.ndarray, symbol: PsidoSymbol) -> np.ndarray:
     """sum_q a_q(x) IFFT(b_q FFT(f)); exact for separable symbols."""
     if not isinstance(symbol, PsidoSymbol):
         raise TypeError("apply_psido accepts separable PsidoSymbol specs only")
-    f = np.asarray(f, dtype=np.complex128)
-    spec = fft2(f)
-    out = np.zeros_like(f)
+    return ifft2(_psido_spectrum(symbol, fft2(np.asarray(f, dtype=np.complex128))), overwrite_x=True)
+
+
+def _psido_spectrum(symbol: PsidoSymbol, spectrum: np.ndarray) -> np.ndarray:
+    """The ortho fft2 of ``apply_psido``'s output from the input's spectrum (..., N, N): as
+    exp(2 pi i m.x) shifts a spectrum by m mod N, each a_m adds a_m b_q spectrum so shifted."""
+    n = spectrum.shape[-1]
+    out, work = np.zeros(spectrum.shape, dtype=np.complex128), np.empty_like(spectrum)  # np.zeros: no memset
     for a, b in symbol.terms:
-        g = ifft2(spec * b) if b is not None else ifft2(spec)
-        out += a * g if a is not None else g
+        g = spectrum if b is None else spectrum * b
+        for m, a_m in ({(0, 0): 1.0} if a is None else a).items():
+            s1, s2 = (int(v) % n for v in m)
+            h = g if a_m == 1 else np.multiply(g, a_m, out=work)
+            for to1, from1 in ((slice(s1, None), slice(None, n - s1)), (slice(None, s1), slice(n - s1, None))):
+                for to2, from2 in ((slice(s2, None), slice(None, n - s2)), (slice(None, s2), slice(n - s2, None))):
+                    out[..., to1, to2] += h[..., from1, from2]
     return out
 
 
@@ -587,9 +586,9 @@ class OperatorSpec:
 
     Kinds: identity, halfwave, cos-wave, acoustic, variable-wave,
     gaussian-smooth, psido, warp.  ``variable-wave`` propagates one-way
-    initial data (v0 = sign i c |D| u0) by ``chebyshev_wave``.
-    A psido spec names one of ``SYMBOL_IDS``; ``apply_psido`` takes any
-    other symbol.
+    initial data (v0 = sign i c |D| u0) by ``chebyshev_wave`` on the grid;
+    every other kind acts on the spectrum in ``apply_spectrum``.  A psido
+    spec names one of ``SYMBOL_IDS``; ``apply_psido`` takes any other symbol.
     """
 
     kind: str
@@ -640,41 +639,49 @@ class OperatorSpec:
         discarded Chebyshev tail of ``variable-wave``, the discarded
         Jacobi-Anger tail of ``warp`` (0.0 for the identity map), 0.0 for
         the kinds applied exactly (to rounding)."""
-        k = self.kind
-        if k == "identity":
+        if self.kind == "identity":
             return np.array(f, dtype=np.complex128, copy=True), 0.0
-        if k == "acoustic":
-            return apply_acoustic(f, self.t), 0.0
-        if k == "variable-wave":
+        if self.kind == "variable-wave":
             return chebyshev_wave(f, oneway_velocity(f, self.speed, self.sign), self.speed, self.t)
-        if k == "psido":
-            return apply_psido(f, named_symbol(self.symbol, f.shape[-1])), 0.0
         f = np.asarray(f, dtype=np.complex128)
         n = f.shape[-1]
         spectrum, error = self.apply_spectrum(n, np.arange(n * n), fft2(f).reshape(f.shape[:-2] + (n * n,)))
-        return ifft2(spectrum), error
+        return ifft2(spectrum, overwrite_x=True), error  # the spectrum is apply_spectrum's own
 
     def apply_spectrum(self, n: int, support: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, float]:
         """(spectrum, error): the ortho fft2 of the operator applied to the
-        fields whose spectra are ``values``, shape (..., K) or (K,) for a
-        warp, at the flat positions ``support`` of the N x N grid (zero
-        elsewhere), and the error bound of :meth:`apply`.  A multiplier
-        scales ``values`` and a warp moves them, at the support's cost; the
-        other kinds act through :meth:`apply` on the grid."""
+        fields whose spectra are ``values``, shape (..., K), (3, K) for
+        acoustic or (K,) for a warp, at the flat positions ``support`` of
+        the N x N grid (zero elsewhere), and the error bound of
+        :meth:`apply`.  A multiplier scales ``values``, the acoustic symbol
+        sum_b exp(-i t lambda_b) r_b r_b^T mixes their components and a warp
+        moves them, at the support's cost; a psido adds shifted copies of
+        the spectrum; variable-wave alone acts through :meth:`apply`."""
         if self.kind == "warp":
             if values.ndim != 1:
                 raise ValueError(f"a warp acts on one field: values must have shape (K,); got {values.shape}")
             return warp_spectrum(n, support, values, self.map)
-        q = _signed(np.arange(n), n)  # the signed frequency of each fft-layout index
-        symbol = self.multiplier(*(q.take(i) for i in np.divmod(support, n)))
+        if self.kind not in {"psido", "variable-wave"}:  # a symbol at the signed frequencies of the support
+            q = _signed(np.arange(n), n)
+            q1, q2 = (q.take(i) for i in np.divmod(support, n))
+            if self.kind == "acoustic":
+                mag = _magnitude(q1, q2)
+                phase = np.exp(-1j * self.t * mag)  # branch +; branch - has its conjugate, branch 0 has 1
+                acted = np.zeros(values.shape, dtype=np.complex128)
+                for p, (r, proj) in zip((phase, phase.conj(), None), _projections(q1, q2, mag, values)):
+                    acted += r * (proj if p is None else p * proj)
+                values = acted
+            else:  # np.multiply, not ``*``: NumPy may evaluate ``x * <temporary>`` in the temporary,
+                values = np.multiply(values, self.multiplier(q1, q2))  # operands swapped, and x*y, y*x differ in bits
         spectrum = np.zeros(values.shape[:-1] + (n * n,), dtype=np.complex128)
-        spectrum[..., support] = values if symbol is None else values * symbol
+        for row, row_values in zip(spectrum.reshape(-1, n * n), values.reshape(-1, values.shape[-1])):
+            row[support] = row_values  # row by row: faster than one fancy assignment over a stack
         spectrum = spectrum.reshape(values.shape[:-1] + (n, n))
-        if symbol is not None:
+        if self.kind == "psido":
+            return _psido_spectrum(named_symbol(self.symbol, n), spectrum), 0.0
+        if self.kind != "variable-wave":
             return spectrum, 0.0
-        live = values.any(axis=-1)  # the fields with a nonzero value; the others stay 0 in both domains
-        spectrum[live] = ifft2(spectrum[live])  # now the fields themselves
-        out, error = self.apply(spectrum)
+        out, error = self.apply(ifft2(spectrum))
         return fft2(out), error
 
     def multiplier(self, q1, q2) -> np.ndarray | None:
@@ -725,21 +732,14 @@ SYMBOL_IDS = ("one", "space-sine", "freq-lowpass", "mixed")
 def named_symbol(name: str, n: int) -> PsidoSymbol:
     """Built-in separable order-0 symbols (``SYMBOL_IDS``) on an N x N grid,
     cached so a psido spec applied column by column builds its symbol once."""
-    q1, q2, mag = _grids(n)
-    grid = np.arange(n) / n
-    x1 = np.broadcast_to(grid[:, None], (n, n))
-    x2 = np.broadcast_to(grid[None, :], (n, n))
     if name == "one":
         return PsidoSymbol.identity()
     if name == "space-sine":
-        return PsidoSymbol.spatial(1.0 + 0.5 * np.sin(2 * np.pi * x1))
+        return PsidoSymbol.spatial({(0, 0): 1.0, (1, 0): -0.25j, (-1, 0): 0.25j})  # 1 + 0.5 sin(2 pi x1)
+    lowpass = np.exp(-((_grids(n)[2] / (2 * np.pi)) / (n / 8.0)) ** 2)
     if name == "freq-lowpass":
-        return PsidoSymbol.multiplier(np.exp(-((mag / (2 * np.pi)) / (n / 8.0)) ** 2))
-    if name == "mixed":
-        return PsidoSymbol(
-            [
-                (1.0 + 0.3 * np.sin(2 * np.pi * x1), None),
-                (0.2 * np.cos(2 * np.pi * x2), np.exp(-((mag / (2 * np.pi)) / (n / 8.0)) ** 2)),
-            ]
-        )
+        return PsidoSymbol.multiplier(lowpass)
+    if name == "mixed":  # 1 + 0.3 sin(2 pi x1), and 0.2 cos(2 pi x2) times the low-pass
+        return PsidoSymbol([({(0, 0): 1.0, (1, 0): -0.15j, (-1, 0): 0.15j}, None),
+                            ({(0, 1): 0.1, (0, -1): 0.1}, lowpass)])
     raise ValueError(f"unknown symbol id {name!r}")

@@ -4,9 +4,9 @@ A matrix column is analyze(op(phi_mu')) thresholded at a fraction of its
 norm, built in frequency space: ``OperatorSpec.apply_spectrum`` maps the
 atom's spectrum on its wedge's support to the output's, and
 ``analyze_spectrum`` inverse-transforms only the wedges it reaches.  A
-multiplier keeps the atom's support and a warp moves it to a few shifted
-copies, so their columns cost what the support does; the kinds that mix
-frequencies across the grid or mix components are applied on the grid.
+multiplier or the acoustic system keeps the atom's support, and a warp or
+a psido adds a few shifted copies of it; variable-wave alone is applied
+on the grid.
 
 Reports quantify sorted-entry decay (fitted power), l^p quasi-norms, and
 concentration of energy in omega-balls around the Hamiltonian-flowed

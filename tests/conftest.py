@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft as spfft
 
 import curvewave as cw
 
@@ -28,6 +29,23 @@ def rng():
 
 def random_field(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def trig_polynomial(n, coefficients):
+    """sum_m a_m exp(2 pi i m.x) on the N x N grid, for coefficients {(m1, m2): a_m}."""
+    x = np.arange(n) / n
+    return sum(a_m * np.exp(2j * np.pi * (m1 * x[:, None] + m2 * x[None, :])) for (m1, m2), a_m in coefficients.items())
+
+
+def psido_on_grid(f, symbol):
+    """sum_q a_q(x) ifft2(b_q fft2(f)), each spatial factor a_q evaluated on the
+    grid: the grid reference for a PsidoSymbol."""
+    spec = spfft.fft2(f, norm="ortho")
+    out = np.zeros(f.shape, dtype=complex)
+    for a, b in symbol.terms:
+        g = spfft.ifft2(spec if b is None else b * spec, norm="ortho")
+        out += trig_polynomial(f.shape[-1], {(0, 0): 1.0} if a is None else a) * g
+    return out
 
 
 def rotated_box_energy(table, mu, f, half_major, half_minor):

@@ -240,6 +240,13 @@ class TestPropagateMatrixSparsity:
         out = formats.read_field(out_dir / "propagated.field")
         assert np.allclose(out, cw.apply_halfwave(f, 0.25, "+"), atol=1e-12)
 
+    def test_propagate_acoustic_needs_three_components(self, tmp_path, rng, capsys):
+        formats.write_field(tmp_path / "in.field", random_field(rng, 64))
+        cfg = write_config(tmp_path, operator={"kind": "acoustic", "t": 0.2})
+        assert main(["--config", cfg, "--out", str(tmp_path / "out"), "propagate", str(tmp_path / "in.field")]) == 2
+        assert "expects a 3-component field" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_matrix_identity_is_gram(self, tmp_path, frame64, capsys):
         cfg = write_config(tmp_path, operator={"kind": "identity"}, columns={"count": 2, "scales": [3]})
         out_dir = tmp_path / "out"

@@ -12,13 +12,14 @@ from curvewave.propagators import (
     JACOBI_ANGER_TAIL,
     _eval_fourier_at_points,
     _grid_points,
+    _grids,
     _jacobi_anger_order,
     _laplacian,
     named_symbol,
 )
 
 import pinned
-from conftest import random_field
+from conftest import psido_on_grid, random_field, trig_polynomial
 
 N = 64
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -66,6 +67,16 @@ class TestCosWave:
         pw = plane_wave(N, 5, 0)
         out = cw.apply_cos_wave(pw, np.zeros_like(pw), 0.2, c0=1.0)
         assert np.allclose(out, math.cos(2 * np.pi * 5 * 0.2) * pw, atol=1e-12)
+
+    def test_grid_frequencies_are_integers(self, rng):
+        # fftfreq(24) * 24 misses 7 and -7 by an ulp; the grid holds the integer
+        # frequencies apply_spectrum uses, so a multiplier's two routes agree bit for bit
+        n = 24
+        q1, q2, _ = _grids(n)
+        assert np.array_equal(q1[:, 0], np.r_[0:12, -12:0]) and np.array_equal(q2[0], np.r_[0:12, -12:0])
+        u = random_field(rng, n)
+        spec = cw.OperatorSpec(kind="cos-wave", t=0.3, c0=1.5)
+        assert np.array_equal(cw.apply_cos_wave(u, np.zeros_like(u), 0.3, 1.5), spec.apply(u)[0])
 
     def test_zero_frequency_limit(self):
         ones = np.ones((N, N), complex)
@@ -128,8 +139,12 @@ class TestAcoustic:
         assert np.max(np.abs(out - expected)) <= 1e-12
 
     def test_requires_three_components(self, rng):
-        with pytest.raises(ValueError):
-            cw.apply_acoustic(np.zeros((2, N, N), complex), 0.1)
+        # both entry points refuse any other component count, or a scalar field
+        for u in [random_field(rng, N)] + [np.stack([random_field(rng, N)] * m) for m in (1, 2, 4)]:
+            with pytest.raises(ValueError, match="expects a 3-component field"):
+                cw.apply_acoustic(u, 0.1)
+            with pytest.raises(ValueError, match="expects a 3-component field"):
+                cw.polarization_fractions(u)
 
 
 class TestVariableWave:
@@ -272,10 +287,21 @@ class TestPsido:
         assert np.allclose(out, f, atol=1e-12)
 
     def test_spatial_symbol_is_multiplication(self, rng):
+        # shifts along both axes, negative ones, and one that wraps (m1 = N/2)
         f = random_field(rng, N)
-        a = 1.0 + 0.5 * np.cos(2 * np.pi * np.arange(N) / N)[:, None] * np.ones((1, N))
-        out = cw.apply_psido(f, cw.PsidoSymbol.spatial(a))
-        assert np.allclose(out, a * f, atol=1e-12)
+        coefficients = {(0, 0): 1.0, (2, 1): 0.3 - 0.1j, (-1, 0): 0.25j, (N // 2, -3): -0.2}
+        out = cw.apply_psido(f, cw.PsidoSymbol.spatial(coefficients))
+        assert np.allclose(out, trig_polynomial(N, coefficients) * f, atol=1e-12)
+        assert not np.any(cw.apply_psido(f, cw.PsidoSymbol.spatial({})))  # no coefficients: a(x) = 0
+
+    def test_stacked_fields_equal_single_fields(self, rng):
+        fields = np.stack([random_field(rng, N) for _ in range(2)])
+        symbol = named_symbol("mixed", N)
+        assert np.max(np.abs(cw.apply_psido(fields, symbol) - psido_on_grid(fields, symbol))) <= 1e-13
+        spec = cw.OperatorSpec(kind="psido", symbol="mixed")
+        for out in (cw.apply_psido(fields, symbol), spec.apply(fields)[0]):
+            for f, g in zip(fields, out):
+                assert np.array_equal(g, cw.apply_psido(f, symbol))
 
     def test_multiplier_symbol_matches_halfwave(self, rng):
         f = random_field(rng, N)
