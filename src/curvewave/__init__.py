@@ -30,12 +30,8 @@ from .propagators import (
     WarpMap,
     acoustic_dispersion_matrix,
     acoustic_polarization,
-    apply_acoustic,
     apply_cos_wave,
-    apply_gaussian_smooth,
-    apply_halfwave,
     apply_psido,
-    apply_warp,
     chebyshev_wave,
     hyper_curvelet,
     oneway_velocity,
@@ -49,7 +45,6 @@ from .sparsity import (
     SparseOperatorMatrix,
     build_matrix,
     column_omegas,
-    comoving_branch,
     curvelet_column,
     decay_report,
     polarization_split,

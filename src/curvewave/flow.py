@@ -110,16 +110,9 @@ class VelocityModel:
         return self.c0 + self.amplitude * g0**2, self.c0 + self.amplitude * g1**2
 
     def c(self, x):
-        return self.c_and_grad(x)[0]
-
-    def grad_c(self, x):
-        return self.c_and_grad(x)[1]
-
-    def c_and_grad(self, x):
-        """c(x), shape (...), and grad c(x), shape (..., 2), at points x of shape (..., 2)."""
+        """c(x), shape (...), at points x of shape (..., 2)."""
         x = np.asarray(x, dtype=float)
-        c, c1, c2 = self.c_and_partials(x[..., 0], x[..., 1])
-        return c, np.stack((c1, c2), axis=-1)
+        return self.c_and_partials(x[..., 0], x[..., 1])[0]
 
     def c_and_partials(self, x1, x2):
         """c and its partials dc/dx1, dc/dx2 at the points (x1, x2), NumPy
@@ -157,12 +150,13 @@ class VelocityModel:
         """Max |analytic - central-difference| gradient over a probe grid."""
         g = np.arange(n_check) / n_check
         x = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+        _, *partials = self.c_and_partials(x[:, 0], x[:, 1])
         worst = 0.0
         for axis in range(2):
             step = np.zeros(2)
             step[axis] = h
             fd = (self.c(x + step) - self.c(x - step)) / (2 * h)
-            worst = max(worst, float(np.max(np.abs(fd - self.grad_c(x)[:, axis]))))
+            worst = max(worst, float(np.max(np.abs(fd - partials[axis]))))
         return worst
 
     def to_json(self) -> dict:

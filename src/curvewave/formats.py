@@ -22,7 +22,7 @@ import numpy as np
 
 from .frame import CoeffSet, FrameTable
 
-__all__ = ["write_field", "read_field", "write_index_csv", "write_index_parts", "read_index_csv",
+__all__ = ["write_field", "read_field", "write_index_parts", "read_index_csv",
            "write_coeffs_csv", "read_coeffs_csv", "write_pgm"]
 
 _MAGIC_DTYPE = "c128le"
@@ -71,18 +71,11 @@ def read_field(path) -> np.ndarray:
     return data.reshape((n, n) if m == 1 else (m, n, n))
 
 
-def write_index_csv(path, header, index, values) -> None:
-    """Write one row per entry: the integer ``index`` columns (one array per
-    header name before re,im, or one int that every row shares), then the
-    complex ``values``."""
-    write_index_parts(path, header, [(index, values)])
-
-
 def write_index_parts(path, header, parts) -> None:
-    """Write the rows of each (index, values) part of ``parts`` in turn, as
-    :func:`write_index_csv` writes one; a generator of parts keeps one part's
-    arrays alive at a time.  An index cell given as an int is shared by every
-    row of its part and formatted once, into that part's row template."""
+    """Write one row per entry of each (index, values) part in turn: the
+    integer ``index`` cells (an array per header name before re,im, or an int
+    shared by every row of the part, formatted once into its row template),
+    then the complex ``values``.  A generator keeps one part alive at a time."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for index, values in parts:
@@ -99,7 +92,7 @@ def write_index_parts(path, header, parts) -> None:
 
 
 def read_index_csv(path, header):
-    """(index, values) of a :func:`write_index_csv` file, in file order; index
+    """(index, values) of a :func:`write_index_parts` file, in file order; index
     holds one int64 row per index column.  Both are views of the parsed rows,
     so the entries are held once.  A header other than ``header``, a
     non-integer index cell, a non-numeric cell or a wrong column count raise

@@ -208,7 +208,7 @@ def build_frame(params: FrameParams) -> FrameTable:
     n, s_total = params.n, params.scales
     fam = build_windows(params.smooth_step_order, params.transition)
 
-    q = np.fft.fftfreq(n) * n  # integer grid frequencies, fft layout
+    q = _signed(np.arange(n), n)  # integer grid frequencies, fft layout
     radius = np.hypot(q[:, None], q[None, :]).ravel()
 
     def square(reach: float) -> np.ndarray:
@@ -494,12 +494,9 @@ def _transform_in_place(transform, block: np.ndarray) -> None:
         block[...] = out
 
 
-def synthesize(table: FrameTable, coeffs) -> np.ndarray:
+def synthesize(table: FrameTable, coeffs: CoeffSet) -> np.ndarray:
     """Adjoint of :func:`analyze`; synthesize(analyze(f)) reproduces f exactly.
     Coefficients of a frame with other parameters raise FrameError."""
-    if not isinstance(coeffs, CoeffSet):
-        pairs, coeffs = dict(coeffs), CoeffSet.zeros(table)
-        coeffs.packed[[table.flat_of_index(mu) for mu in pairs]] = list(pairs.values())
     if coeffs.table.params != table.params:
         raise FrameError(f"coefficients of the frame {coeffs.table.params} do not fit the frame {table.params}")
     lead, n = coeffs.packed.shape[:-1], table.n
@@ -599,7 +596,7 @@ def molecule_profile(table: FrameTable, f: np.ndarray, mu: CurveletIndex) -> Mol
     minor = _axis_decay(u_minor[on_minor], mag[on_minor], 2.0, max(span_minor, 4.0))
     major = _axis_decay(u_major[on_major], mag[on_major], 1.0, max(span_major, 2.0))
 
-    q = np.fft.fftfreq(n) * n
+    q = _signed(np.arange(n), n)
     r = np.hypot(q[:, None], q[None, :])
     spec = np.abs(fft2(f))
     weight = np.minimum(1.0, (1.0 + r) / rho) ** 2

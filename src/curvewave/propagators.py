@@ -26,20 +26,16 @@ from .flow import VelocityModel, normalize_branch
 from .frame import CurveletIndex, FrameTable, _signed, atom_spectrum
 
 __all__ = [
-    "apply_halfwave",
     "apply_cos_wave",
     "acoustic_dispersion_matrix",
     "acoustic_polarization",
-    "apply_acoustic",
     "polarization_fractions",
     "solve_variable_wave",
     "chebyshev_wave",
     "oneway_velocity",
-    "apply_gaussian_smooth",
     "PsidoSymbol",
     "apply_psido",
     "WarpMap",
-    "apply_warp",
     "warp_spectrum",
     "hyper_curvelet",
     "OperatorSpec",
@@ -77,14 +73,6 @@ def _grid_points(n: int) -> np.ndarray:
     x = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)
     x.flags.writeable = False
     return x
-
-
-def apply_halfwave(f: np.ndarray, t: float, sign, c0: float = 1.0) -> np.ndarray:
-    """Multiply the spectrum by exp(sign * i * c0 |xi| t); unitary."""
-    s = normalize_branch(sign)
-    if s == 0:
-        raise ValueError("half-wave propagator needs sign + or -")
-    return OperatorSpec(kind="halfwave", t=t, sign=s, c0=c0).apply(f)[0]
 
 
 def apply_cos_wave(u0: np.ndarray, u1: np.ndarray, t: float, c0: float = 1.0) -> np.ndarray:
@@ -142,15 +130,6 @@ def _projections(q1, q2, mag, spectrum: np.ndarray):
     e1, e2 = _directions(q1, q2, mag)
     rs = (_polarization(e1, e2, branch) for branch in BRANCHES)
     return ((r, r[0] * spectrum[0] + r[1] * spectrum[1] + r[2] * spectrum[2]) for r in rs)
-
-
-def apply_acoustic(u: np.ndarray, t: float) -> np.ndarray:
-    """Exact propagator of the constant-coefficient acoustic system (m=3).
-
-    Per frequency: u_hat(t) = R diag(exp(-i t lambda_nu)) R* u_hat(0) with
-    lambda in {0, +|xi|, -|xi|}; unitary.
-    """
-    return OperatorSpec(kind="acoustic", t=t).apply(u)[0]
 
 
 def polarization_fractions(u: np.ndarray) -> dict[int, float]:
@@ -321,11 +300,6 @@ def wave_energy(u: np.ndarray, v: np.ndarray, model: VelocityModel) -> float:
     return 0.5 * (kinetic + potential)
 
 
-def apply_gaussian_smooth(f: np.ndarray, width: float) -> np.ndarray:
-    """Fourier multiplier exp(-width^2 |xi|^2)."""
-    return OperatorSpec(kind="gaussian-smooth", width=width).apply(f)[0]
-
-
 @dataclass
 class PsidoSymbol:
     """Separable order-0 symbol sigma(x, xi) = sum_q a_q(x) b_q(xi): each term holds
@@ -462,13 +436,6 @@ class WarpMap:
         return cls.sinusoidal(amplitude, spec.get("wavevector", (1, 0)))
 
 
-def apply_warp(f: np.ndarray, warp: WarpMap) -> np.ndarray:
-    """Composition f(phi(x)) on the grid: the trigonometric interpolant of f
-    at the N^2 warped points, computed from its spectrum by
-    ``warp_spectrum`` in O(M N^2) work."""
-    return OperatorSpec(kind="warp", map=warp).apply(f)[0]
-
-
 def _jacobi_anger_order(z_max: float) -> tuple[int, float]:
     """The least M with 2 sum_{m>M} (Z/2)^m/m! <= JACOBI_ANGER_TAIL for
     Z = ``z_max``, and that sum: it bounds sum_{|m|>M} max |J_m(z)| over
@@ -531,7 +498,7 @@ def _eval_fourier_at_points(spec: np.ndarray, y1: np.ndarray, y2: np.ndarray) ->
     frequencies on the tensor sample grid) and factors over grid rows.
     """
     n = spec.shape[-1]
-    q = np.fft.fftfreq(n) * n
+    q = _signed(np.arange(n), n)
     shape = y1.shape
     p1 = y1.ravel()
     p2 = y2.ravel()
@@ -587,8 +554,10 @@ class OperatorSpec:
     Kinds: identity, halfwave, cos-wave, acoustic, variable-wave,
     gaussian-smooth, psido, warp.  ``variable-wave`` propagates one-way
     initial data (v0 = sign i c |D| u0) by ``chebyshev_wave`` on the grid;
-    every other kind acts on the spectrum in ``apply_spectrum``.  A psido
-    spec names one of ``SYMBOL_IDS``; ``apply_psido`` takes any other symbol.
+    every other kind acts on the spectrum in ``apply_spectrum``: acoustic
+    as R diag(exp(-i t lambda)) R* per frequency (lambda 0, +-|xi|), a warp
+    as f(phi(x)) in O(M N^2) work by ``warp_spectrum``.  A psido spec names
+    one of ``SYMBOL_IDS``; ``apply_psido`` takes any other symbol.
     """
 
     kind: str

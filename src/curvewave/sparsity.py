@@ -26,7 +26,7 @@ from . import formats
 from .distance import omega
 from .flow import VelocityModel, flow_index
 from .frame import CurveletIndex, FrameTable, analyze_spectrum, atom_spectrum, frame_atom
-from .propagators import BRANCHES, OperatorSpec, apply_acoustic, hyper_curvelet, polarization_fractions
+from .propagators import BRANCHES, OperatorSpec, hyper_curvelet, polarization_fractions
 
 __all__ = [
     "MatrixColumn",
@@ -37,23 +37,10 @@ __all__ = [
     "decay_report",
     "truncation_error",
     "polarization_split",
-    "comoving_branch",
 ]
 
 DEFAULT_THRESHOLD = 1e-7
 BALL_RADII = np.geomspace(1.0, 64.0, 25)  # omega-ball radii of decay_report's concentration curve
-
-
-def comoving_branch(op: OperatorSpec) -> int:
-    """Flow branch transporting the packets of a one-way operator.
-
-    With the e^{+2 pi i q x} transform convention, the multiplier
-    exp(sign i c|xi| t) moves a packet along -sign * e_mu, i.e. along the
-    Hamiltonian branch -sign.
-    """
-    if op.kind in {"halfwave", "variable-wave"}:
-        return -op.sign
-    return 0
 
 
 @dataclass
@@ -412,4 +399,4 @@ def polarization_split(table: FrameTable, t: float, mu: CurveletIndex, component
         u = hyper_curvelet(table, mu, "+", mode=hyper_mode)
     else:
         u = _vector_curvelet(frame_atom(table, mu), component)
-    return polarization_fractions(apply_acoustic(u, t))
+    return polarization_fractions(OperatorSpec(kind="acoustic", t=t).apply(u)[0])

@@ -22,7 +22,7 @@ import numpy as np
 
 import curvewave as cw
 from curvewave.distance import PhasePoint, d as dist_d, omega
-from curvewave.sparsity import _core_size, _fit_sorted_decay, _guard_share, comoving_branch
+from curvewave.sparsity import _core_size, _fit_sorted_decay, _guard_share
 
 import pinned
 
@@ -144,13 +144,15 @@ def test_criterion_04_flow_translation(frame256):
     rng = np.random.default_rng(77)
     op = cw.OperatorSpec.from_json(HALFWAVE)
     model = cw.VelocityModel.constant(1.0)
-    branch = comoving_branch(op)
+    # with the e^{+2 pi i q x} transform convention, the multiplier exp(sign i c|xi| t)
+    # moves a packet along -sign * e_mu, i.e. along the Hamiltonian branch -sign
+    branch = -op.sign
     worst_steps, worst_frac = 0, 1.0
     for _ in range(5):
         mu = frame256.random_index(rng, scales=[5])
         wedge = frame256.wedge(mu.j, mu.ell)
         atom = cw.frame_atom(frame256, mu) / math.sqrt(wedge.atom_norm2)
-        true = cw.apply_halfwave(atom, 0.25, "+")
+        true = op.apply(atom)[0]
         pred = cw.predicted_curvelet(frame256, mu, model, branch, 0.25)
         frac = abs(np.vdot(pred, true)) ** 2 / (np.vdot(pred, pred).real * np.vdot(true, true).real)
         worst_frac = min(worst_frac, float(frac))

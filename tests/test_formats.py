@@ -30,7 +30,8 @@ class TestFieldFile:
 
         path = tmp_path / "field.bin"
         formats.write_field(path, random_field(rng, 32))
-        header = json.loads(open(path, "rb").readline())
+        with open(path, "rb") as fh:
+            header = json.loads(fh.readline())
         assert header == {"N": 32, "m": 1, "dtype": "c128le"}
 
     def test_malformed_header_rejected(self, tmp_path):
@@ -64,12 +65,13 @@ class TestCoeffsCsv:
     def test_header_columns(self, frame64, tmp_path):
         path = tmp_path / "coeffs.csv"
         formats.write_coeffs_csv(path, cw.CoeffSet.zeros(frame64))
-        assert open(path).readline().strip() == "j,l,k1,k2,nu,re,im"
+        with open(path) as fh:
+            assert fh.readline().strip() == "j,l,k1,k2,nu,re,im"
 
     def test_zero_field_empty(self, frame64, tmp_path):
         path = tmp_path / "coeffs.csv"
         formats.write_coeffs_csv(path, cw.analyze(frame64, np.zeros((64, 64))))
-        assert len(open(path).read().strip().splitlines()) == 1  # header only
+        assert len(path.read_text().strip().splitlines()) == 1  # header only
 
 
     def test_crlf_rows(self, frame64, rng, tmp_path):
@@ -89,7 +91,7 @@ class TestCoeffsCsv:
         keep = np.flatnonzero(coeffs.packed)
         j, ell, k1, k2 = frame64.index_of_flat(keep)
         reference = tmp_path / "reference.csv"
-        formats.write_index_csv(reference, formats.COEFF_HEADER, (j, ell, k1, k2, 0 * j), coeffs.packed[keep])
+        formats.write_index_parts(reference, formats.COEFF_HEADER, [((j, ell, k1, k2, 0 * j), coeffs.packed[keep])])
         formats.write_coeffs_csv(tmp_path / "coeffs.csv", coeffs)
         assert len(keep) > 2 * formats._CSV_BLOCK
         assert (tmp_path / "coeffs.csv").read_bytes() == reference.read_bytes()
@@ -99,7 +101,7 @@ class TestCoeffsCsv:
         # magnitudes included), CRLF after every line
         path = tmp_path / "coeffs.csv"
         index = ([3, 4], [-7, 0], [2**62, -(2**40)], [0, 5], [0, 0])
-        formats.write_index_csv(path, formats.COEFF_HEADER, index, [complex(-0.0, 1e-300), complex(0.1, -1e-300)])
+        formats.write_index_parts(path, formats.COEFF_HEADER, [(index, [complex(-0.0, 1e-300), complex(0.1, -1e-300)])])
         assert path.read_bytes() == (
             b"j,l,k1,k2,nu,re,im\r\n"
             b"3,-7,4611686018427387904,0,0,-0,1e-300\r\n"
@@ -107,12 +109,12 @@ class TestCoeffsCsv:
         )
         path = tmp_path / "matrix.csv"
         index = ([2], [1], [0], [-3], [0], [4], [12], [2**53 + 1], [7], [2])
-        formats.write_index_csv(path, formats.MATRIX_HEADER, index, [complex(-2.5e17, 0.0)])
+        formats.write_index_parts(path, formats.MATRIX_HEADER, [(index, [complex(-2.5e17, 0.0)])])
         assert path.read_bytes() == (
             b"row_j,row_l,row_k1,row_k2,row_nu,col_j,col_l,col_k1,col_k2,col_nu,re,im\r\n"
             b"2,1,0,-3,0,4,12,9007199254740993,7,2,-2.5e+17,0\r\n"
         )
-        formats.write_index_csv(path, formats.MATRIX_HEADER, [[]] * 10, [])
+        formats.write_index_parts(path, formats.MATRIX_HEADER, [([[]] * 10, [])])
         assert path.read_bytes() == b",".join(name.encode() for name in formats.MATRIX_HEADER) + b"\r\n"
 
     @pytest.mark.parametrize(

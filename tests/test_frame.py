@@ -203,13 +203,15 @@ class TestTransform:
 
     def test_unknown_index(self, frame64):
         with pytest.raises(UnknownIndexError):
-            cw.synthesize(frame64, {cw.CurveletIndex(9, 0, 0, 0): 1.0})
+            cw.CoeffSet.zeros(frame64)[cw.CurveletIndex(9, 0, 0, 0)] = 1.0
         with pytest.raises(UnknownIndexError):
             frame64.center(cw.CurveletIndex(1, 0, 999, 0))
 
     def test_synthesize_from_mapping(self, frame64):
         mu = cw.CurveletIndex(2, 3, 1, 1)
-        f1 = cw.synthesize(frame64, {mu: 2.0})
+        coeffs = cw.CoeffSet.zeros(frame64)
+        coeffs[mu] = 2.0
+        f1 = cw.synthesize(frame64, coeffs)
         assert np.allclose(f1, 2.0 * cw.frame_atom(frame64, mu), atol=1e-14)
 
     @staticmethod
@@ -272,6 +274,14 @@ class TestLayout:
             assert np.array_equal(stacked.xi[i], one.xi)
             assert stacked.directional[i] == one.directional == (w.kind == "directional")
         assert np.array_equal(one.xi, frame64.xi_center(mu)) and np.array_equal(one.x, frame64.center(mu))
+
+    @pytest.mark.parametrize("angles_base", [8, 12, 16])
+    @pytest.mark.parametrize("n", [32, 64, 128, 256, 512])
+    def test_nearest_index_inverts_phase_points(self, n, angles_base):
+        # every directional packed position is the nearest index to its own phase-space center
+        table = cw.build_frame(cw.FrameParams(n=n, scales=int(math.log2(n)) - 2, angles_base=angles_base))
+        flat = np.flatnonzero(table.phase_points(np.arange(table.size)).directional)
+        assert flat.size and np.array_equal(table.nearest_index(table.phase_points(flat)), flat)
 
 
 class TestWaveform:
@@ -363,7 +373,7 @@ class TestMoleculeProfile:
         mu = frame256.random_index(rng, scales=[5])
         w0 = cw.waveform(frame256, mu)
         base = cw.molecule_profile(frame256, w0, mu)
-        prop = cw.apply_halfwave(w0, 0.2, "+")
+        prop = cw.OperatorSpec(kind="halfwave", t=0.2).apply(w0)[0]
         _, snapped = cw.flow_index(frame256, mu, cw.VelocityModel.constant(1.0), "-", 0.2)
         moved = cw.molecule_profile(frame256, prop, snapped)
         tol = pinned.MOLECULE_PROPAGATED_TOL

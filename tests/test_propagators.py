@@ -33,28 +33,31 @@ def plane_wave(n, q1, q2):
 class TestHalfwave:
     def test_time_zero_identity(self, rng):
         f = random_field(rng, N)
-        assert np.allclose(cw.apply_halfwave(f, 0.0, "+"), f, atol=1e-14)
+        assert np.allclose(cw.OperatorSpec(kind="halfwave", t=0.0).apply(f)[0], f, atol=1e-14)
 
     def test_plane_wave_eigenfunction(self):
         pw = plane_wave(N, 3, 4)
-        out = cw.apply_halfwave(pw, 0.1, "+", c0=1.5)
+        out = cw.OperatorSpec(kind="halfwave", t=0.1, c0=1.5).apply(pw)[0]
         expected = pw * np.exp(1j * 1.5 * 0.1 * 2 * np.pi * 5.0)
         assert np.max(np.abs(out - expected)) <= 1e-12
 
     def test_unitary(self, rng):
         f = random_field(rng, N)
-        out = cw.apply_halfwave(f, 0.37, "-", c0=2.0)
+        out = cw.OperatorSpec(kind="halfwave", t=0.37, sign=-1, c0=2.0).apply(f)[0]
         assert abs(np.linalg.norm(out) - np.linalg.norm(f)) <= 1e-12 * np.linalg.norm(f)
 
     def test_group_property(self, rng):
         f = random_field(rng, N)
-        a = cw.apply_halfwave(cw.apply_halfwave(f, 0.2, "+"), 0.15, "+")
-        b = cw.apply_halfwave(f, 0.35, "+")
+        step = cw.OperatorSpec(kind="halfwave", t=0.2).apply(f)[0]
+        a = cw.OperatorSpec(kind="halfwave", t=0.15).apply(step)[0]
+        b = cw.OperatorSpec(kind="halfwave", t=0.35).apply(f)[0]
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
-    def test_needs_sign(self, rng):
-        with pytest.raises(ValueError):
-            cw.apply_halfwave(random_field(rng, N), 0.1, 0)
+    def test_needs_sign(self):
+        with pytest.raises(ValueError, match="sign must be"):
+            cw.OperatorSpec(kind="halfwave", t=0.1, sign=0)
+        with pytest.raises(ValueError, match="sign must be"):
+            cw.OperatorSpec.from_json({"kind": "halfwave", "t": 0.1, "sign": "0"})
 
 
 class TestCosWave:
@@ -111,11 +114,11 @@ class TestAcoustic:
 
     def test_time_zero_identity(self, rng):
         u = np.stack([random_field(rng, N) for _ in range(3)])
-        assert np.allclose(cw.apply_acoustic(u, 0.0), u, atol=1e-12)
+        assert np.allclose(cw.OperatorSpec(kind="acoustic", t=0.0).apply(u)[0], u, atol=1e-12)
 
     def test_unitary(self, rng):
         u = np.stack([random_field(rng, N) for _ in range(3)])
-        out = cw.apply_acoustic(u, 0.4)
+        out = cw.OperatorSpec(kind="acoustic", t=0.4).apply(u)[0]
         assert abs(np.linalg.norm(out) - np.linalg.norm(u)) <= 1e-12 * np.linalg.norm(u)
 
     def test_polarized_data_stays_polarized(self, rng):
@@ -123,7 +126,7 @@ class TestAcoustic:
         spec = spfft.fft2(g, norm="ortho")
         r = cw.acoustic_polarization(N, "+")
         u = spfft.ifft2(r * spec[None], norm="ortho")
-        out = cw.apply_acoustic(u, 0.3)
+        out = cw.OperatorSpec(kind="acoustic", t=0.3).apply(u)[0]
         fractions = cw.polarization_fractions(out)
         assert fractions[1] >= 1.0 - 1e-12
 
@@ -133,8 +136,8 @@ class TestAcoustic:
         spec = spfft.fft2(g, norm="ortho")
         r = cw.acoustic_polarization(N, "+")
         u = spfft.ifft2(r * spec[None], norm="ortho")
-        out = cw.apply_acoustic(u, 0.3)
-        scalar = cw.apply_halfwave(g, 0.3, "-")  # e^{-i|xi|t}
+        out = cw.OperatorSpec(kind="acoustic", t=0.3).apply(u)[0]
+        scalar = cw.OperatorSpec(kind="halfwave", t=0.3, sign=-1).apply(g)[0]  # e^{-i|xi|t}
         expected = spfft.ifft2(r * spfft.fft2(scalar, norm="ortho")[None], norm="ortho")
         assert np.max(np.abs(out - expected)) <= 1e-12
 
@@ -142,7 +145,7 @@ class TestAcoustic:
         # both entry points refuse any other component count, or a scalar field
         for u in [random_field(rng, N)] + [np.stack([random_field(rng, N)] * m) for m in (1, 2, 4)]:
             with pytest.raises(ValueError, match="expects a 3-component field"):
-                cw.apply_acoustic(u, 0.1)
+                cw.OperatorSpec(kind="acoustic", t=0.1).apply(u)
             with pytest.raises(ValueError, match="expects a 3-component field"):
                 cw.polarization_fractions(u)
 
@@ -190,7 +193,7 @@ class TestVariableWave:
         u0 = cw.waveform(frame64, cw.CurveletIndex(3, 2, 1, 1))
         v0 = cw.oneway_velocity(u0, model, "+")
         u, _ = cw.solve_variable_wave(u0, v0, model, 0.25, dt=2.5e-4)
-        expected = cw.apply_halfwave(u0, 0.25, "+")
+        expected = cw.OperatorSpec(kind="halfwave", t=0.25).apply(u0)[0]
         assert np.linalg.norm(u - expected) <= 1e-6 * np.linalg.norm(expected)
 
 
@@ -200,7 +203,7 @@ class TestChebyshevWave:
         model = cw.VelocityModel.constant(1.0)
         u0 = cw.waveform(frame64, cw.CurveletIndex(3, 2, 1, 1))
         u, bound = cw.chebyshev_wave(u0, cw.oneway_velocity(u0, model, "+"), model, 0.25)
-        expected = cw.apply_halfwave(u0, 0.25, "+")
+        expected = cw.OperatorSpec(kind="halfwave", t=0.25).apply(u0)[0]
         assert np.linalg.norm(u - expected) <= 1e-10 * np.linalg.norm(expected)
         assert 0.0 < bound <= 1e-10
 
@@ -255,18 +258,19 @@ class TestGaussianSmooth:
         # frequencies are physical (2 pi q on the unit torus), so the
         # multiplier deviates by w^2 |xi|^2 <= 8e4 w^2 at this grid size
         f = random_field(rng, N)
-        out = cw.apply_gaussian_smooth(f, 1e-6)
+        out = cw.OperatorSpec(kind="gaussian-smooth", width=1e-6).apply(f)[0]
         assert np.max(np.abs(out - f)) <= 1e-6 * np.max(np.abs(f))
-        out = cw.apply_gaussian_smooth(f, 1e-8)
+        out = cw.OperatorSpec(kind="gaussian-smooth", width=1e-8).apply(f)[0]
         assert np.max(np.abs(out - f)) <= 1e-10 * np.max(np.abs(f))
 
     def test_constant_field_unchanged(self):
         f = np.full((N, N), 2.5 + 0j)
-        assert np.allclose(cw.apply_gaussian_smooth(f, 0.3), f, atol=1e-12)
+        assert np.allclose(cw.OperatorSpec(kind="gaussian-smooth", width=0.3).apply(f)[0], f, atol=1e-12)
 
-    def test_rejects_nonpositive_width(self, rng):
-        with pytest.raises(ValueError):
-            cw.apply_gaussian_smooth(random_field(rng, N), 0.0)
+    def test_rejects_nonpositive_width(self):
+        for width in (0.0, -0.3):
+            with pytest.raises(ValueError, match="width must be positive"):
+                cw.OperatorSpec(kind="gaussian-smooth", width=width)
 
     def test_matrix_entries_collapse_with_scale(self, frame128):
         # column norms drop by >= 100x per scale beyond the smoothing cutoff
@@ -308,7 +312,7 @@ class TestPsido:
         q = np.fft.fftfreq(N) * N
         mag = 2 * np.pi * np.hypot(q[:, None], q[None, :])
         out = cw.apply_psido(f, cw.PsidoSymbol.multiplier(np.exp(1j * mag * 0.2)))
-        assert np.allclose(out, cw.apply_halfwave(f, 0.2, "+"), atol=1e-12)
+        assert np.allclose(out, cw.OperatorSpec(kind="halfwave", t=0.2).apply(f)[0], atol=1e-12)
 
     def test_rejects_non_separable_spec(self, rng):
         with pytest.raises(TypeError):
@@ -376,7 +380,7 @@ class TestWarp:
 
     def test_identity_map(self, rng):
         f = random_field(rng, N)
-        out = cw.apply_warp(f, cw.WarpMap.identity())
+        out = cw.OperatorSpec(kind="warp", map=cw.WarpMap.identity()).apply(f)[0]
         assert np.max(np.abs(out - f)) <= 1e-9 * np.max(np.abs(f))
 
     def test_stacked_fields_refused(self, rng):
@@ -395,7 +399,7 @@ class TestWarp:
         x = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1)
         a = np.array([3.0, -2.0])
         for warp in (cw.WarpMap.shear(0.4), cw.WarpMap.sinusoidal(0.05, (1, 1))):
-            out = cw.apply_warp(np.exp(2j * np.pi * (x @ a)), warp)
+            out = cw.OperatorSpec(kind="warp", map=warp).apply(np.exp(2j * np.pi * (x @ a)))[0]
             assert np.max(np.abs(out - np.exp(2j * np.pi * (warp.phi(x) @ a)))) <= 1e-12
 
     def test_map_invariants(self):
@@ -421,7 +425,7 @@ class TestWarp:
         wedge = frame128.wedge(4, 0)
         mu = cw.CurveletIndex(4, 0, int(0.5 * wedge.rect[0]), int(0.5 * wedge.rect[1]))
         f = cw.waveform(frame128, mu)
-        out = cw.apply_warp(f, warp)
+        out = cw.OperatorSpec(kind="warp", map=warp).apply(f)[0]
         spec = np.abs(spfft.fft2(out, norm="ortho")) ** 2
         q = np.fft.fftfreq(128) * 128
         q1, q2 = np.meshgrid(q, q, indexing="ij")
@@ -438,7 +442,7 @@ class TestWarp:
     def test_warped_curvelet_remains_molecule(self, frame128):
         mu = cw.CurveletIndex(4, 2, 4, 4)
         f = cw.waveform(frame128, mu)
-        out = cw.apply_warp(f, cw.WarpMap.sinusoidal(0.02, (1, 0)))
+        out = cw.OperatorSpec(kind="warp", map=cw.WarpMap.sinusoidal(0.02, (1, 0))).apply(f)[0]
         prof = cw.molecule_profile(frame128, out, mu)
         assert prof.is_molecule
 
@@ -554,9 +558,11 @@ class TestOperatorSpecJson:
 
     def test_adjoint_is_time_reversal(self, rng):
         f = random_field(rng, 32)
-        assert np.array_equal(self.HALFWAVE.adjoint().apply(f)[0], cw.apply_halfwave(f, 0.25, "+", 2.0))
+        forward = cw.OperatorSpec(kind="halfwave", t=0.25, c0=2.0)  # sign +, the time reversal of sign -
+        assert np.array_equal(self.HALFWAVE.adjoint().apply(f)[0], forward.apply(f)[0])
         u = np.stack([random_field(rng, 32) for _ in range(3)])
-        assert np.array_equal(self.ACOUSTIC.adjoint().apply(u)[0], cw.apply_acoustic(u, -0.2))
+        backward = cw.OperatorSpec(kind="acoustic", t=-0.2)
+        assert np.array_equal(self.ACOUSTIC.adjoint().apply(u)[0], backward.apply(u)[0])
         with pytest.raises(ValueError, match="adjoint not available"):
             cw.OperatorSpec(kind="psido", symbol="mixed").adjoint()
 
