@@ -8,10 +8,16 @@ benchmark provenance.  ``fft2`` and ``ifft2`` are the one ortho FFT pair
 every module uses, and the FFTs are the one parallel level: a transform of
 at least ``THREADED_POINTS`` points per field runs on ``FFT_WORKERS``, the
 CPUs this process may run on (its affinity mask), a smaller one on one
-thread, where starting threads costs more than it saves.  A caller that
-owns its buffer and reads it no more may pass ``overwrite_x=True``: SciPy
-may then transform it in place, but need not, so the caller uses the
-returned array.  ``checked`` and
+thread, where starting threads costs more than it saves; a caller that
+shares the CPUs out itself passes ``workers``.  A caller that owns its
+buffer and reads it no more may pass ``overwrite_x=True``: SciPy may then
+transform it in place, but need not, so the caller uses the returned array.
+
+Besides the FFT workers the package runs one thread of its own, the lane
+thread of ``lane()``: the frame's wedge loops hand it their one large block
+while the calling thread transforms the small ones.  It starts on first use,
+not on import.  A child forked after that has no such thread, so the child
+drops the parent's pool and starts its own on first use.  ``checked`` and
 ``checked_kind`` refuse JSON specs with keys their reader would ignore;
 ``required`` names a key a spec leaves out; ``number`` and ``pair`` read
 JSON numbers; ``spec_json`` writes a spec from its table of keys.
@@ -20,6 +26,8 @@ JSON numbers; ``spec_json`` writes a spec from its table of keys.
 import math
 import numbers
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import scipy.fft as spfft
 
@@ -37,22 +45,49 @@ FFT_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") e
 THREADED_POINTS = 256 * 256
 
 
-def _workers(x) -> int:
-    return FFT_WORKERS if x.shape[-2] * x.shape[-1] >= THREADED_POINTS else 1
+def fft_workers(points: int) -> int:
+    """FFT workers for a transform of ``points`` points per field: the
+    thread rule of :data:`THREADED_POINTS`."""
+    return FFT_WORKERS if points >= THREADED_POINTS else 1
 
 
-def fft2(x, overwrite_x: bool = False):
+def fft2(x, overwrite_x: bool = False, workers: int | None = None):
     """Ortho 2-D FFT over the last two axes of ``x``, an (N, N) field or a
-    (..., N, N) stack.  With ``overwrite_x`` the contents of ``x`` may be
-    destroyed, and the result may or may not share its memory.
-    ``scipy.fft.fft2`` is looked up at each call, so a patched
+    (..., N, N) stack, on ``workers`` threads (default: :func:`fft_workers`;
+    the result does not depend on it).  With ``overwrite_x`` the contents
+    of ``x`` may be destroyed, and the result may or may not share its
+    memory.  ``scipy.fft.fft2`` is looked up at each call, so a patched
     ``scipy.fft`` (``perfbench``'s FFT counter) sees every FFT."""
-    return spfft.fft2(x, norm="ortho", overwrite_x=overwrite_x, workers=_workers(x))
+    return spfft.fft2(x, norm="ortho", overwrite_x=overwrite_x, workers=workers or fft_workers(x.shape[-2] * x.shape[-1]))
 
 
-def ifft2(x, overwrite_x: bool = False):
+def ifft2(x, overwrite_x: bool = False, workers: int | None = None):
     """Inverse of :func:`fft2`."""
-    return spfft.ifft2(x, norm="ortho", overwrite_x=overwrite_x, workers=_workers(x))
+    return spfft.ifft2(x, norm="ortho", overwrite_x=overwrite_x, workers=workers or fft_workers(x.shape[-2] * x.shape[-1]))
+
+
+_lane_lock = threading.Lock()
+_lane_pool = None
+
+
+def lane() -> ThreadPoolExecutor:
+    """The pool of the one lane thread, started on first use."""
+    global _lane_pool
+    with _lane_lock:
+        if _lane_pool is None:
+            _lane_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="curvewave-lane")
+        return _lane_pool
+
+
+def _drop_lane_in_child() -> None:
+    # the forked child has neither the parent's lane thread nor, if another
+    # thread held it at the fork, a usable lock
+    global _lane_lock, _lane_pool
+    _lane_lock, _lane_pool = threading.Lock(), None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_lane_in_child)
 
 
 def checked(where: str, section, allowed) -> dict:

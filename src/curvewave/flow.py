@@ -6,11 +6,17 @@ U(t) (defined directly by U(t) e(t) = e(0)), and the induced curvelet
 index map mu -> mu_nu(t) with deterministic snapping.
 
 The integrator steps the coordinate state (x1, x2, xi1, xi2) component by
-component: on one ray each operation acts on a NumPy scalar, on a stack of
-B rays on a (B,) array, and both perform the same IEEE operations in the
-same order, so a ray moves bit-identically alone or in a stack.  Squares
-are written as products: a NumPy scalar's ``**`` calls ``pow``, which may
-round differently from an array's ``**``.
+component: on one ray each coordinate is a Python float, on a stack of B
+rays a (B,) array, and both perform the same IEEE operations in the same
+order, so a ray moves bit-identically alone or in a stack.  On floats the
+calls that round are those that match NumPy bit for bit: ``math.sin`` and
+``math.cos``, ``%`` for the torus wrap (``np.remainder`` on arrays) and
+``abs(complex(xi1, xi2))`` for |xi| (libm's ``hypot``, as ``np.hypot``;
+``math.hypot`` rounds differently).  The Gaussian bump keeps ``np.exp``,
+since ``math.exp`` rounds differently from NumPy's, and converts the
+speed and its partials back to floats.  Squares are written as products,
+since ``**`` may call ``pow``, which may round differently from an
+array's ``**``.
 """
 
 from __future__ import annotations
@@ -115,22 +121,25 @@ class VelocityModel:
         return self.c_and_partials(x[..., 0], x[..., 1])[0]
 
     def c_and_partials(self, x1, x2):
-        """c and its partials dc/dx1, dc/dx2 at the points (x1, x2), NumPy
-        scalars or arrays of one shape, from one evaluation of the phase or
-        bump factor.  Every speed formula lives here."""
+        """c and its partials dc/dx1, dc/dx2 at the points (x1, x2), floats
+        (then so are c and its partials) or arrays of one shape, from one
+        evaluation of the phase or bump factor.  Every speed formula lives here."""
+        one = isinstance(x1, float)
         if self.kind == "constant":
-            zero = np.zeros(np.shape(x1))[()]  # a NumPy scalar for one ray, not a 0-d array
+            zero = 0.0 if one else np.zeros(np.shape(x1))
             return zero + self.c0, zero, zero
         if self.kind == "sinusoidal":
             # written out, not x @ k: a matrix-vector product may round one
             # stacked point differently from the same point on its own
+            sin, cos = (math.sin, math.cos) if one else (np.sin, np.cos)
             k1, k2 = self.wavevector
             phase = 2.0 * np.pi * (x1 * k1 + x2 * k2)
-            slope = 2.0 * np.pi * self.amplitude * np.cos(phase)
-            return self.c0 + self.amplitude * np.sin(phase), slope * k1, slope * k2
+            slope = 2.0 * np.pi * self.amplitude * cos(phase)
+            return self.c0 + self.amplitude * sin(phase), slope * k1, slope * k2
         g1, dg1 = self._bump_factor(x1 - self.center[0])
         g2, dg2 = self._bump_factor(x2 - self.center[1])
-        return self.c0 + self.amplitude * g1 * g2, self.amplitude * dg1 * g2, self.amplitude * dg2 * g1
+        c, c1, c2 = self.c0 + self.amplitude * g1 * g2, self.amplitude * dg1 * g2, self.amplitude * dg2 * g1
+        return (float(c), float(c1), float(c2)) if one else (c, c1, c2)
 
     def _bump_factor(self, y):
         """The periodic factor g(y) = sum_{|m| <= M} exp(-(y+m)^2/2w^2) of the
@@ -138,7 +147,7 @@ class VelocityModel:
         [-1/2, 1/2) first and M = ceil(1/2 + w sqrt(2 ln 1e17)), so every
         image left out weighs below 1e-17 and c is smooth on the torus."""
         reach = math.ceil(0.5 + self.width * math.sqrt(2.0 * math.log(1e17)))
-        y = np.mod(y + 0.5, 1.0) - 0.5
+        y = (y + 0.5) % 1.0 - 0.5
         g = dg = 0.0
         for m in range(-reach, reach + 1):  # one image at a time: memory stays that of y
             z = y + m
@@ -186,9 +195,8 @@ def rotation(start: PhasePoint, end: PhasePoint) -> np.ndarray:
     return np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
 
 
-def _rhs(state, model: VelocityModel, sign: int):
-    x1, x2, xi1, xi2 = state
-    mag = np.hypot(xi1, xi2)
+def _rhs(x1, x2, xi1, xi2, model: VelocityModel, sign: int):
+    mag = abs(complex(xi1, xi2)) if isinstance(xi1, float) else np.hypot(xi1, xi2)
     c, c1, c2 = model.c_and_partials(x1, x2)
     speed, push = sign * c, -sign * mag
     return speed * xi1 / mag, speed * xi2 / mag, push * c1, push * c2
@@ -196,22 +204,30 @@ def _rhs(state, model: VelocityModel, sign: int):
 
 def flow_step(state: tuple, model: VelocityModel, branch, dt: float) -> tuple:
     """One RK4 step of the bicharacteristic system on the coordinate state
-    (x1, x2, xi1, xi2): NumPy scalars for one ray, arrays for a stack
-    (branch 0: identity)."""
+    (x1, x2, xi1, xi2): Python floats for one ray, arrays for a stack, both
+    rounded alike (see the module docstring); branch 0 is the identity."""
     sign = normalize_branch(branch)
     if sign == 0:
         return state
-    k1 = _rhs(state, model, sign)
-    k2 = _rhs([y + 0.5 * dt * k for y, k in zip(state, k1)], model, sign)
-    k3 = _rhs([y + 0.5 * dt * k for y, k in zip(state, k2)], model, sign)
-    k4 = _rhs([y + dt * k for y, k in zip(state, k3)], model, sign)
-    x1, x2, xi1, xi2 = (y + dt / 6.0 * (a + 2 * b + 2 * c + d) for y, a, b, c, d in zip(state, k1, k2, k3, k4))
-    return np.mod(x1, 1.0), np.mod(x2, 1.0), xi1, xi2
+    x1, x2, xi1, xi2 = state
+    half = 0.5 * dt
+    a1, a2, a3, a4 = _rhs(x1, x2, xi1, xi2, model, sign)
+    b1, b2, b3, b4 = _rhs(x1 + half * a1, x2 + half * a2, xi1 + half * a3, xi2 + half * a4, model, sign)
+    c1, c2, c3, c4 = _rhs(x1 + half * b1, x2 + half * b2, xi1 + half * b3, xi2 + half * b4, model, sign)
+    d1, d2, d3, d4 = _rhs(x1 + dt * c1, x2 + dt * c2, xi1 + dt * c3, xi2 + dt * c4, model, sign)
+    sixth = dt / 6.0
+    return (
+        (x1 + sixth * (a1 + 2 * b1 + 2 * c1 + d1)) % 1.0,
+        (x2 + sixth * (a2 + 2 * b2 + 2 * c2 + d2)) % 1.0,
+        xi1 + sixth * (a3 + 2 * b3 + 2 * c3 + d3),
+        xi2 + sixth * (a4 + 2 * b4 + 2 * c4 + d4),
+    )
 
 
 def _steps(point: PhasePoint, model: VelocityModel, branch, t: float, dt: float):
     """Check t and dt, then iterate (time, coordinate state) after each of
-    the |t| / dt steps (rounded up) that carry ``point`` to time t.
+    the |t| / dt steps (rounded up) that carry ``point`` to time t.  One
+    ray's state is four Python floats, a stack's four arrays.
 
     Raises:
         ValueError: when dt is not a positive finite number or t / dt is not finite.
@@ -228,6 +244,8 @@ def _steps(point: PhasePoint, model: VelocityModel, branch, t: float, dt: float)
             state = flow_step(state, model, branch, h)
             yield (i + 1) * h, state
 
+    if point.x.ndim == 1:
+        return run((*point.x.tolist(), *point.xi.tolist()))
     return run((*np.moveaxis(point.x, -1, 0), *np.moveaxis(point.xi, -1, 0)))
 
 

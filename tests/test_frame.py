@@ -1,5 +1,7 @@
 import math
+import multiprocessing
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -151,6 +153,25 @@ def test_fft_pair_is_scipy_ortho_bit_for_bit(shape, rng):
     assert np.array_equal(core.ifft2(x), spfft.ifft2(x, norm="ortho"))
 
 
+def sequential_analyze(table, spectra):
+    """Reference: one gather, then the inverse FFT of every wedge block on the calling thread."""
+    lead, n = spectra.shape[:-2], table.n
+    gathered = frame_module.kernels.wedge_gather(table.wrap, spectra.reshape(-1, n * n))
+    coeffs = cw.CoeffSet(table, gathered.reshape(lead + (table.size,)))
+    for block in coeffs.blocks:
+        block[...] = spfft.ifft2(block, norm="ortho")
+    return coeffs.packed
+
+
+def sequential_synthesize(table, packed):
+    """Reference: the FFT of every wedge block on the calling thread, one scatter, one inverse FFT."""
+    rects = cw.CoeffSet(table, packed.copy())
+    for block in rects.blocks:
+        block[...] = spfft.fft2(block, norm="ortho")
+    spectra = frame_module.kernels.wedge_scatter(table.wrap, rects.packed.reshape(-1, table.size))
+    return spfft.ifft2(spectra.reshape(packed.shape[:-1] + (table.n, table.n)), norm="ortho")
+
+
 class TestTransform:
     def test_parseval_and_roundtrip(self, frame64, rng):
         for _ in range(10):
@@ -214,14 +235,6 @@ class TestTransform:
         f1 = cw.synthesize(frame64, coeffs)
         assert np.allclose(f1, 2.0 * cw.frame_atom(frame64, mu), atol=1e-14)
 
-    @staticmethod
-    def _every_block(table, spectrum):
-        """Reference: the gather, then the inverse FFT of every wedge block."""
-        coeffs = cw.CoeffSet(table, frame_module.kernels.wedge_gather(table.wrap, spectrum.reshape(1, -1))[0])
-        for block in coeffs.blocks:
-            block[...] = spfft.ifft2(block, norm="ortho")
-        return coeffs.packed
-
     @pytest.mark.parametrize("mu", [(0, 0, 1, 2), (3, 5, 2, 1), (4, 9, 0, 3)])
     def test_atom_spectrum_analysis_skips_only_zero_blocks(self, frame128, mu):
         # (4, 9) lies at the finest directional scale, so it reaches the N x N guard block
@@ -229,12 +242,128 @@ class TestTransform:
         spectrum = np.zeros((frame128.n, frame128.n), dtype=np.complex128)
         spectrum.flat[w.support] = values
         coeffs = frame_module.analyze_spectrum(frame128, spectrum)
-        assert np.array_equal(coeffs.packed, self._every_block(frame128, spectrum))
+        assert np.array_equal(coeffs.packed, sequential_analyze(frame128, spectrum))
         missed = [not np.intersect1d(other.support, w.support).size for other in frame128.wedges]
         assert any(missed) and not any(b.any() for b, m in zip(coeffs.blocks, missed) if m)
         field = spfft.ifft2(spectrum, norm="ortho")
-        reference = self._every_block(frame128, spfft.fft2(field, norm="ortho"))
+        reference = sequential_analyze(frame128, spfft.fft2(field, norm="ortho"))
         assert np.array_equal(cw.analyze(frame128, field).packed, reference)
+
+
+@pytest.fixture(scope="module")
+def frame512():
+    return cw.build_frame(cw.FrameParams(n=512, scales=7))
+
+
+def _analyze_in_child(table, f, expected):
+    if not np.array_equal(cw.analyze(table, f).packed, expected):
+        raise SystemExit(1)
+
+
+class TestLanes:
+    """From N = 256 on (N^2 >= THREADED_POINTS) the wedge blocks run in two
+    lanes, the guard on the lane thread; every result is the sequential loop's."""
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        # lanes run wherever FFTs get two or more workers: pin two, whatever this machine has
+        monkeypatch.setattr(core, "FFT_WORKERS", 2)
+
+    @staticmethod
+    def _spy(patched):
+        """Record (transform, block shape, thread name, workers) of every scipy FFT."""
+        calls = []
+        for name in ("fft2", "ifft2"):
+            def spied(x, *args, _orig=getattr(spfft, name), _name=name, **kwargs):
+                calls.append((_name, x.shape[-2:], threading.current_thread().name, kwargs.get("workers")))
+                return _orig(x, *args, **kwargs)
+
+            patched.setattr(spfft, name, spied)
+        return calls
+
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    def test_fields_and_stacks_equal_sequential_loop(self, n, lead, request, rng, monkeypatch):
+        table = request.getfixturevalue(f"frame{n}")
+        f = random_field(rng, n) if not lead else np.stack([random_field(rng, n) for _ in range(lead[0])])
+        spectra = spfft.fft2(f, norm="ortho")
+        expected = sequential_analyze(table, spectra)
+        with monkeypatch.context() as patched:
+            calls = self._spy(patched)
+            coeffs = cw.analyze(table, f)
+            rec = cw.synthesize(table, coeffs)
+        assert np.array_equal(coeffs.packed, expected)
+        assert np.array_equal(frame_module.analyze_spectrum(table, spectra).packed, expected)
+        assert np.array_equal(rec, sequential_synthesize(table, coeffs.packed))
+        guard = table.wedges[-1]
+        assert guard.kind == "guard" and guard.rect == (n, n)
+        blocks = [c for c in calls if c[1] == guard.rect][1:-1]  # between the field's fft2 and ifft2
+        lanes = n * n >= core.THREADED_POINTS
+        assert [c[0] for c in blocks] == ["ifft2", "fft2"]
+        assert all(c[2].startswith("curvewave-lane") == lanes for c in blocks)
+        small = [c for c in calls if c[1] != guard.rect]
+        assert len(small) == 2 * (len(table.wedges) - 1)
+        assert all(c[2] == threading.current_thread().name and c[3] == 1 for c in small)
+
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    def test_partial_spectra_equal_sequential_loop(self, n, request):
+        table = request.getfixturevalue(f"frame{n}")
+        guard = table.wedges[-1]
+        w, values = frame_module.atom_spectrum(table, cw.CurveletIndex(2, 3, 1, 1))
+        column = np.zeros((n, n), dtype=np.complex128)
+        column.flat[w.support] = values
+        only_guard = np.zeros((n, n), dtype=np.complex128)
+        alone = np.setdiff1d(guard.support, np.concatenate([other.support for other in table.wedges[:-1]]))
+        only_guard.flat[alone] = np.arange(1, alone.size + 1)
+        for spectrum, guard_only in ((column, False), (only_guard, True)):
+            coeffs = frame_module.analyze_spectrum(table, spectrum)
+            assert np.array_equal(coeffs.packed, sequential_analyze(table, spectrum))
+            assert np.array_equal(cw.synthesize(table, coeffs), sequential_synthesize(table, coeffs.packed))
+            hit = [bool(b.any()) for b in coeffs.blocks]
+            if guard_only:
+                assert hit == [False] * (len(hit) - 1) + [True]
+            else:
+                assert 0 < sum(hit) < len(hit) // 2 and not hit[-1]
+
+    def test_lane_error_propagates(self, frame256, rng, monkeypatch):
+        f = random_field(rng, 256)
+        raised_on = []
+        with monkeypatch.context() as patched:
+            orig = spfft.ifft2
+
+            def failing(x, *args, **kwargs):
+                if x.shape[-2:] == frame256.wedges[-1].rect:
+                    raised_on.append(threading.current_thread().name)
+                    raise RuntimeError("guard FFT failed")
+                return orig(x, *args, **kwargs)
+
+            patched.setattr(spfft, "ifft2", failing)
+            with pytest.raises(RuntimeError, match="guard FFT failed"):
+                cw.analyze(frame256, f)
+        assert len(raised_on) == 1 and raised_on[0].startswith("curvewave-lane")
+        assert np.array_equal(cw.analyze(frame256, f).packed, sequential_analyze(frame256, spfft.fft2(f, norm="ortho")))
+
+    def test_one_lane_thread(self, frame256, rng):
+        f = random_field(rng, 256)
+        before = threading.active_count()
+        for _ in range(20):
+            cw.synthesize(frame256, cw.analyze(frame256, f))
+        assert threading.active_count() <= before + 1
+
+    def test_forked_child_starts_its_own_lane(self, frame256, rng):
+        # a child forked after the parent used the lane thread has no such thread
+        f = random_field(rng, 256)
+        expected = cw.analyze(frame256, f).packed
+        child = multiprocessing.get_context("fork").Process(target=_analyze_in_child, args=(frame256, f, expected))
+        child.start()
+        try:
+            child.join(30)
+            assert not child.is_alive(), "forked child still running after 30 s"
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join(10)
+        assert child.exitcode == 0
 
 
 class TestLayout:
