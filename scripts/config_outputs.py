@@ -16,7 +16,10 @@ the sinusoidal speed), a spectral sample (the ``build_matrix`` columns of two
 indices for every operator kind at N = 64 and 128: one column per index
 for a scalar kind, one per index and component 0, 1 and 2 for the
 acoustic system, each row saved as component x frame size + packed
-position; ``hyper_curvelet`` in both modes for each branch) and the
+position; ``hyper_curvelet`` in both modes for each branch;
+``polarization_split`` fractions at t = 0.3 of the same indices, under
+components 0, 1, 2 and both hyper modes, one row of branches +, -, 0 per
+index and selector) and the
 ``molecule_profile`` of waveforms at N = 128 and 256.  Each command's
 standard output is saved next to its files, with OUTDIR stripped.
 ``frames.sha256`` holds one digest per frame (its wrapping matrix and
@@ -74,6 +77,8 @@ OPERATORS = {
     "variable-wave": {"kind": "variable-wave", "sign": "+", "t": 0.25, "model": SINUSOIDAL},
 }
 
+SPLIT_SELECTORS = [{"component": c} for c in range(3)] + [{"hyper_mode": m} for m in ("pointwise", "center")]
+
 
 def run(outdir: Path, name: str, args: list[str]) -> None:
     """``cli.main(args)`` with its exit code and stdout saved as ``name.stdout``."""
@@ -129,6 +134,8 @@ def spectral_sample(outdir: Path) -> None:
             np.save(outdir / f"column_{name}_n{n}_rows.npy", np.concatenate(rows))
             np.save(outdir / f"column_{name}_n{n}_values.npy", np.concatenate([c.values for c in columns]))
             np.save(outdir / f"column_{name}_n{n}_norms.npy", np.array([(c.energy, c.solver_error) for c in columns]))
+        splits = [cw.polarization_split(table, 0.3, mu, **selector) for mu in mus for selector in SPLIT_SELECTORS]
+        np.save(outdir / f"polarization_split_n{n}.npy", np.array([[s[b] for b in (1, -1, 0)] for s in splits]))
     table = cw.build_frame(cw.FrameParams(n=128, scales=5))
     mu = cw.CurveletIndex(3, 5, 2, 1)
     for mode in ("pointwise", "center"):

@@ -12,12 +12,7 @@ thread, where starting threads costs more than it saves; a caller that
 shares the CPUs out itself passes ``workers``.  A caller that owns its
 buffer and reads it no more may pass ``overwrite_x=True``: SciPy may then
 transform it in place, but need not, so the caller uses the returned array.
-
-Besides the FFT workers the package runs one thread of its own, the lane
-thread of ``lane()``: the frame's wedge loops hand it their one large block
-while the calling thread transforms the small ones.  It starts on first use,
-not on import.  A child forked after that has no such thread, so the child
-drops the parent's pool and starts its own on first use.  ``checked`` and
+The package keeps no thread, lock or pool between calls.  ``checked`` and
 ``checked_kind`` refuse JSON specs with keys their reader would ignore;
 ``required`` names a key a spec leaves out; ``number`` and ``pair`` read
 JSON numbers; ``spec_json`` writes a spec from its table of keys.
@@ -26,8 +21,6 @@ JSON numbers; ``spec_json`` writes a spec from its table of keys.
 import math
 import numbers
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import scipy.fft as spfft
 
@@ -64,30 +57,6 @@ def fft2(x, overwrite_x: bool = False, workers: int | None = None):
 def ifft2(x, overwrite_x: bool = False, workers: int | None = None):
     """Inverse of :func:`fft2`."""
     return spfft.ifft2(x, norm="ortho", overwrite_x=overwrite_x, workers=workers or fft_workers(x.shape[-2] * x.shape[-1]))
-
-
-_lane_lock = threading.Lock()
-_lane_pool = None
-
-
-def lane() -> ThreadPoolExecutor:
-    """The pool of the one lane thread, started on first use."""
-    global _lane_pool
-    with _lane_lock:
-        if _lane_pool is None:
-            _lane_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="curvewave-lane")
-        return _lane_pool
-
-
-def _drop_lane_in_child() -> None:
-    # the forked child has neither the parent's lane thread nor, if another
-    # thread held it at the fork, a usable lock
-    global _lane_lock, _lane_pool
-    _lane_lock, _lane_pool = threading.Lock(), None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_lane_in_child)
 
 
 def checked(where: str, section, allowed) -> dict:

@@ -99,7 +99,7 @@ def cmd_frame_check(cfg: ExperimentConfig) -> int:
         g = _random_field(rng, table.n)
         cg = analyze(table, g)
         lhs = complex(np.vdot(cg.packed, c.packed))
-        rhs = complex(np.vdot(g, synthesize(table, c)))
+        rhs = complex(np.vdot(g, rec))
         adjoint = max(adjoint, abs(lhs - rhs) / max(abs(rhs), 1.0))
     report = {
         "n": table.n,

@@ -135,8 +135,13 @@ def _projections(q1, q2, mag, spectrum: np.ndarray):
 def polarization_fractions(u: np.ndarray) -> dict[int, float]:
     """Energy fractions of a 3-component field in the three polarizations."""
     u = np.asarray(u, dtype=np.complex128)
-    spec = fft2(u)
-    projections = _projections(*_grids(u.shape[-1]), spec)
+    return _fractions(*_grids(u.shape[-1])[:2], fft2(u))
+
+
+def _fractions(q1, q2, spec: np.ndarray) -> dict[int, float]:
+    """``polarization_fractions`` of the field whose spectrum is ``spec`` at the
+    integer frequencies (q1, q2) and zero at every other."""
+    projections = _projections(q1, q2, _magnitude(q1, q2), spec)
     total = float(np.vdot(spec, spec).real)
     if total == 0.0:
         raise ValueError("zero field has no polarization split")
@@ -524,20 +529,27 @@ def hyper_curvelet(table: FrameTable, mu: CurveletIndex, branch, mode: str = "po
     Raises:
         ValueError: for isotropic mu (r_branch undefined at xi = 0).
     """
+    w, values = _hyper_spectrum(table, mu, branch, mode)
+    spec = np.zeros((3, table.n * table.n), dtype=np.complex128)
+    spec[:, w.support] = values
+    return ifft2(spec.reshape(3, table.n, table.n), overwrite_x=True)
+
+
+def _hyper_spectrum(table: FrameTable, mu: CurveletIndex, branch, mode: str):
+    """The wedge of mu and the (3, K) ortho fft2 of ``hyper_curvelet`` on
+    ``wedge.support`` (zero elsewhere), with r evaluated there alone."""
     w, values = atom_spectrum(table, mu)
     if w.kind != "directional":
         raise ValueError("hyper curvelets require a directional index")
-    spec = np.zeros((table.n, table.n), dtype=np.complex128)
-    spec.flat[w.support] = values / math.sqrt(w.atom_norm2)
     if mode == "pointwise":
-        r = acoustic_polarization(table.n, branch)
+        q1, q2 = w.freqs
+        e = _directions(q1, q2, _magnitude(q1, q2))
     elif mode == "center":
-        e = np.asarray(table.xi_center(mu), dtype=float)
-        e = e / np.hypot(*e)
-        r = _polarization(*(np.broadcast_to(x, spec.shape) for x in e), branch)
+        xi = table.xi_center(mu)
+        e = (np.broadcast_to(x, values.shape) for x in xi / np.hypot(*xi))
     else:
         raise ValueError(f"unknown hyper-curvelet mode {mode!r}")
-    return ifft2(r * spec[None, :, :])
+    return w, _polarization(*e, branch) * (values / math.sqrt(w.atom_norm2))
 
 
 def _read_sign(text) -> int:

@@ -25,8 +25,8 @@ from scipy.sparse import csc_array
 from . import formats
 from .distance import omega
 from .flow import VelocityModel, flow_index
-from .frame import CurveletIndex, FrameTable, analyze_spectrum, atom_spectrum, frame_atom
-from .propagators import BRANCHES, OperatorSpec, hyper_curvelet, polarization_fractions
+from .frame import CurveletIndex, FrameTable, analyze_spectrum, atom_spectrum
+from .propagators import BRANCHES, OperatorSpec, _fractions, _hyper_spectrum
 
 __all__ = [
     "MatrixColumn",
@@ -387,7 +387,8 @@ def truncation_error(
 
 
 def polarization_split(table: FrameTable, t: float, mu: CurveletIndex, component=None, hyper_mode: str | None = None):
-    """Per-branch energy fractions of a propagated vector/hyper curvelet.
+    """Per-branch energy fractions of a propagated vector/hyper curvelet, read
+    from the acoustic symbol's output on the atom's support, with no FFT.
 
     ``component`` selects the canonical vector curvelet e_nu phi_mu;
     ``hyper_mode`` ("pointwise" or "center") selects a hyper curvelet of
@@ -396,7 +397,9 @@ def polarization_split(table: FrameTable, t: float, mu: CurveletIndex, component
     if (component is None) == (hyper_mode is None):
         raise ValueError("pass exactly one of component / hyper_mode")
     if hyper_mode is not None:
-        u = hyper_curvelet(table, mu, "+", mode=hyper_mode)
+        w, values = _hyper_spectrum(table, mu, "+", hyper_mode)
     else:
-        u = _vector_curvelet(frame_atom(table, mu), component)
-    return polarization_fractions(OperatorSpec(kind="acoustic", t=t).apply(u)[0])
+        w, values = atom_spectrum(table, mu)
+        values = _vector_curvelet(values, component)
+    spectrum, _ = OperatorSpec(kind="acoustic", t=t).apply_spectrum(table.n, w.support, values)
+    return _fractions(*w.freqs, spectrum.reshape(3, -1)[:, w.support])

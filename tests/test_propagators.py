@@ -111,6 +111,17 @@ class TestAcoustic:
             assert np.max(np.abs(a @ r_plus - mag * r_plus)) <= 1e-12 * mag
             assert np.max(np.abs(a @ r_minus + mag * r_minus)) <= 1e-12 * mag
             assert np.max(np.abs(a @ r_zero)) <= 1e-12 * mag
+        # the library's own r_+, r_-, r_0 at grid frequencies, eigenvalues +|xi|, -|xi|, 0
+        rs = {b: cw.acoustic_polarization(N, b) for b in ("+", "-", 0)}
+        for q1, q2 in rng.integers(-N // 2, N // 2, size=(50, 2)):
+            if q1 == q2 == 0:
+                continue
+            xi = 2 * np.pi * np.array([q1, q2])
+            a, mag = cw.acoustic_dispersion_matrix(xi), np.hypot(*xi)
+            for b, lam in (("+", mag), ("-", -mag), (0, 0.0)):
+                r = rs[b][:, q1 % N, q2 % N]
+                assert np.linalg.norm(r) == pytest.approx(1.0, abs=1e-12)
+                assert np.max(np.abs(a @ r - lam * r)) <= 1e-12 * mag, (q1, q2, b)
 
     def test_time_zero_identity(self, rng):
         u = np.stack([random_field(rng, N) for _ in range(3)])

@@ -140,7 +140,7 @@ class TestColumns:
             raise AssertionError("a warp column went through the grid")
 
         monkeypatch.setattr(cw.OperatorSpec, "apply", grid_route)
-        monkeypatch.setattr("curvewave.sparsity.frame_atom", grid_route)
+        monkeypatch.setattr("curvewave.sparsity.frame_atom", grid_route, raising=False)
         for mu, ref, error in zip(mus, refs, errors):
             col = cw.curvelet_column(table, op, mu)
             energy = ref.norm2()
@@ -183,7 +183,7 @@ class TestColumns:
                 raise AssertionError(f"a {op.kind} column went through the grid")
 
             monkeypatch.setattr(cw.OperatorSpec, "apply", grid_route)
-            monkeypatch.setattr("curvewave.sparsity.frame_atom", grid_route)
+            monkeypatch.setattr("curvewave.sparsity.frame_atom", grid_route, raising=False)
         for (mu, nu), (out, error) in zip(cases, outs):
             ref = cw.analyze(frame64, out)
             energy = ref.norm2()
@@ -442,6 +442,16 @@ class TestPolarizationSplit:
         assert np.max(np.abs(out - atom3)) <= 1e-12  # 0-branch data does not move
         fractions = cw.polarization_split(frame128, 0.4, mu, hyper_mode="pointwise")
         assert fractions[1] >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("selector", [{"component": 0}, {"hyper_mode": "center"}])
+    def test_fractions_do_not_depend_on_time(self, frame128, selector):
+        # the constant-coefficient symbol multiplies each branch by a phase, so
+        # each branch keeps its energy; mixing needs variable coefficients
+        mu = cw.CurveletIndex(4, 2, 1, 1)
+        start = cw.polarization_split(frame128, 0.0, mu, **selector)
+        for t in (0.1, 0.25, 0.4, 1.0):
+            fractions = cw.polarization_split(frame128, t, mu, **selector)
+            assert max(abs(fractions[b] - start[b]) for b in start) <= 1e-12, t
 
     def test_requires_one_selector(self, frame128):
         with pytest.raises(ValueError):
