@@ -22,6 +22,10 @@ components 0, 1, 2 and both hyper modes, one row of branches +, -, 0 per
 index and selector) and the
 ``molecule_profile`` of waveforms at N = 128 and 256.  Each command's
 standard output is saved next to its files, with OUTDIR stripped.
+``chebyshev.json`` lists the variable-wave expansion at t = 0.25 under
+each of ``SPEEDS`` at each N of ``FRAME_SIZES``: the number of Chebyshev
+coefficients kept and the two stated tails (the bounds on the discarded
+cosine and sine coefficients), computed without a solve.
 ``frames.sha256`` holds one digest per frame (its wrapping matrix and
 wedge table): the default frame at each N from 32 to 1024, a frame with
 non-default windows at each N, and the frame of each config.  Then the
@@ -53,7 +57,7 @@ import numpy as np
 import curvewave as cw
 from curvewave import formats
 from curvewave.cli import main
-from curvewave.propagators import SYMBOL_IDS
+from curvewave.propagators import SYMBOL_IDS, _wave_expansion
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 T_FLOW = 0.25
@@ -149,6 +153,16 @@ def spectral_sample(outdir: Path) -> None:
     (outdir / "molecule_profile.txt").write_text("".join(profiles))
 
 
+def chebyshev_listing(outdir: Path) -> None:
+    listing = {}
+    for name, spec in SPEEDS.items():
+        model = cw.VelocityModel.from_json(spec)
+        for n in FRAME_SIZES:
+            _, _, (a, _, tail_a, tail_b) = _wave_expansion(model, n, T_FLOW)
+            listing[f"{name} n{n}"] = {"coefficients": len(a), "tail_a": tail_a, "tail_b": tail_b}
+    (outdir / "chebyshev.json").write_text(json.dumps(listing, indent=1) + "\n")
+
+
 def frame_digest(params: cw.FrameParams) -> str:
     """SHA-256 of a frame's wrapping matrix (indptr, indices, data), size,
     partition defect and every wedge's scalar fields."""
@@ -199,6 +213,7 @@ def digest(outdir: Path) -> None:
     propagations(outdir)
     transport_sample(outdir)
     spectral_sample(outdir)
+    chebyshev_listing(outdir)
     frame_digests(outdir)
     lines = [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(outdir)}"
              for p in outdir.rglob("*") if p.is_file()]

@@ -12,10 +12,10 @@ thread, where starting threads costs more than it saves; a caller that
 shares the CPUs out itself passes ``workers``.  A caller that owns its
 buffer and reads it no more may pass ``overwrite_x=True``: SciPy may then
 transform it in place, but need not, so the caller uses the returned array.
-The package keeps no thread, lock or pool between calls.  ``checked`` and
-``checked_kind`` refuse JSON specs with keys their reader would ignore;
-``required`` names a key a spec leaves out; ``number`` and ``pair`` read
-JSON numbers; ``spec_json`` writes a spec from its table of keys.
+The package keeps no thread, lock or pool between calls.  ``checked``
+refuses a JSON section with keys its reader would ignore; ``number``,
+``pair`` and ``text`` read JSON values; ``Spec`` is the one JSON codec of
+``OperatorSpec``, ``VelocityModel`` and ``WarpMap``, each a table of keys.
 """
 
 import math
@@ -69,25 +69,6 @@ def checked(where: str, section, allowed) -> dict:
     return section
 
 
-def checked_kind(where: str, spec, keys_by_kind: dict, default: str | None = None) -> str:
-    """Return the "kind" of a JSON spec, refusing a non-object, an unknown
-    kind, or a key that kind does not read (``keys_by_kind``, besides "kind")."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    kind = spec.get("kind", default)
-    if kind not in keys_by_kind:
-        raise ValueError(f"unknown {where} kind {kind!r}")
-    checked(f"{kind} {where}", spec, {"kind", *keys_by_kind[kind]})
-    return kind
-
-
-def required(where: str, spec: dict, key: str):
-    """``spec[key]``, refusing a spec without it with a ValueError naming the key."""
-    if key not in spec:
-        raise ValueError(f"{where} needs key {key!r}")
-    return spec[key]
-
-
 def number(where: str, value, kind: type = float, least=None):
     """A JSON number read as ``kind`` (float or int).  A ValueError naming ``where``
     refuses a bool, a string, a non-integer where an int is read, a non-finite
@@ -102,6 +83,13 @@ def number(where: str, value, kind: type = float, least=None):
     return value
 
 
+def text(where: str, value) -> str:
+    """A JSON string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{where} must be a JSON string; got {value!r}")
+    return value
+
+
 def pair(where: str, value, kind: type = float) -> tuple:
     """A JSON list of two numbers, each read by ``number``."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
@@ -109,12 +97,41 @@ def pair(where: str, value, kind: type = float) -> tuple:
     return tuple(number(where, v, kind) for v in value)
 
 
-def spec_json(spec, keys, **given) -> dict:
-    """JSON of a spec: its "kind", then each of ``keys`` taken from ``given``
-    or else from the spec's field of that name.  Tuples become lists and
-    nested specs write their own JSON."""
-    out = {"kind": spec.kind}
-    for key in keys:
-        value = given[key] if key in given else getattr(spec, key)
-        out[key] = value.to_json() if hasattr(value, "to_json") else list(value) if isinstance(value, tuple) else value
-    return out
+class Spec:
+    """The JSON codec of a frozen dataclass with a ``kind``.  The class states its format as tables:
+    ``_KEYS[kind]``, the keys each kind reads and writes besides "kind", ``_WHERE`` and those of ``from_json``."""
+
+    _DEFAULT_KIND, _READ, _REQUIRED, _DEFAULTS = None, {}, {}, {}
+
+    def __post_init__(self):
+        if self.kind not in self._KEYS:
+            raise ValueError(f"unknown {self._WHERE} kind {self.kind!r}")
+
+    def to_json(self, **given) -> dict:
+        """The JSON: "kind", then the kind's keys from ``given`` or the fields, tuples as lists."""
+        out = {"kind": self.kind}
+        for key in self._KEYS[self.kind]:
+            value = given[key] if key in given else getattr(self, key)
+            out[key] = value.to_json() if isinstance(value, Spec) else list(value) if isinstance(value, tuple) else value
+        return out
+
+    @classmethod
+    def from_json(cls, spec):
+        """The spec of a JSON object, of ``_DEFAULT_KIND`` without a "kind".  Each key is read by
+        ``_READ[key]`` (a function of (where, value), or a nested ``Spec`` class) or as a JSON number;
+        a key left out takes ``_DEFAULTS[kind]`` or else its field's default.  A non-object, an unknown
+        kind, a key the kind does not read and a missing ``_REQUIRED[kind]`` key are refused."""
+        if not isinstance(spec, dict):
+            raise ValueError(f"{cls._WHERE} must be a JSON object")
+        kind = spec.get("kind", cls._DEFAULT_KIND)
+        if not isinstance(kind, str) or kind not in cls._KEYS:  # a list kind is unhashable
+            raise ValueError(f"unknown {cls._WHERE} kind {kind!r}")
+        where = f"{kind} {cls._WHERE}"
+        checked(where, spec, {"kind", *cls._KEYS[kind]})
+        if missing := [key for key in cls._REQUIRED.get(kind, ()) if key not in spec]:
+            raise ValueError(f"{where} needs key {missing[0]!r}")
+        values = dict(cls._DEFAULTS.get(kind, {}))
+        for key in (key for key in cls._KEYS[kind] if key in spec):
+            read = cls._READ.get(key, number)
+            values[key] = read.from_json(spec[key]) if isinstance(read, type) else read(f"{where} {key}", spec[key])
+        return cls(kind=kind, **values)

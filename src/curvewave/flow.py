@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from ._core import checked_kind, number, pair, required, spec_json
+from ._core import Spec, pair
 from .distance import PhasePoint
 from .frame import CurveletIndex, FrameTable, atom_spectrum, waveform
 
@@ -55,7 +56,7 @@ def normalize_branch(branch) -> int:
 
 
 @dataclass(frozen=True)
-class VelocityModel:
+class VelocityModel(Spec):
     """Smooth positive wave speed c(x) on the torus with analytic gradient."""
 
     kind: str
@@ -65,12 +66,16 @@ class VelocityModel:
     center: tuple[float, float] = (0.5, 0.5)
     width: float = 0.1
 
-    # JSON keys each kind reads and writes besides "kind"
     _KEYS = {
         "constant": ("c0",),
         "sinusoidal": ("amplitude", "wavevector", "c0"),
         "gaussian-bump": ("center", "width", "amplitude", "c0"),
     }
+    _WHERE = "velocity model"
+    _DEFAULT_KIND = "constant"
+    _READ = {"wavevector": partial(pair, kind=int), "center": pair}
+    _REQUIRED = {"sinusoidal": ("amplitude",)}
+    _DEFAULTS = {"gaussian-bump": {"amplitude": 0.2}}  # gaussian_bump's, not the field's
 
     @classmethod
     def constant(cls, c0: float = 1.0) -> VelocityModel:
@@ -86,8 +91,9 @@ class VelocityModel:
         return cls(kind="gaussian-bump", c0=c0, amplitude=amplitude, center=tuple(center), width=float(width))
 
     def __post_init__(self):
-        if self.kind not in self._KEYS:
-            raise ValueError(f"unknown velocity model kind {self.kind!r}")
+        super().__post_init__()
+        if not all(float(v).is_integer() for v in self.wavevector):
+            raise ValueError(f"wavevector must be integer; got {self.wavevector!r}")
         if self.kind == "gaussian-bump" and self.width <= 0:
             raise ValueError("bump width must be positive")
         if self.c_min <= 0:
@@ -167,23 +173,6 @@ class VelocityModel:
             fd = (self.c(x + step) - self.c(x - step)) / (2 * h)
             worst = max(worst, float(np.max(np.abs(fd - partials[axis]))))
         return worst
-
-    def to_json(self) -> dict:
-        return spec_json(self, self._KEYS[self.kind])
-
-    @classmethod
-    def from_json(cls, spec: dict) -> VelocityModel:
-        kind = checked_kind("velocity model", spec, cls._KEYS, default="constant")
-        where = f"{kind} velocity model"
-        c0 = number(f"{where} c0", spec.get("c0", 1.0))
-        if kind == "constant":
-            return cls.constant(c0)
-        if kind == "sinusoidal":
-            amplitude = number(f"{where} amplitude", required(where, spec, "amplitude"))
-            return cls.sinusoidal(amplitude, spec.get("wavevector", (1, 0)), c0)
-        center = pair(f"{where} center", spec.get("center", (0.5, 0.5)))
-        width = number(f"{where} width", spec.get("width", 0.1))
-        return cls.gaussian_bump(center, width, number(f"{where} amplitude", spec.get("amplitude", 0.2)), c0)
 
 
 def rotation(start: PhasePoint, end: PhasePoint) -> np.ndarray:

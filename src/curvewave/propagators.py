@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.fft as spfft
 from scipy.special import gammaln, jv
 
-from ._core import checked_kind, fft2, ifft2, number, pair, required, spec_json
+from ._core import Spec, fft2, ifft2, pair, text
 from .flow import VelocityModel, normalize_branch
 from .frame import CurveletIndex, FrameTable, _signed, atom_spectrum
 
@@ -207,23 +207,25 @@ def solve_variable_wave(
 def _chebyshev_coefficients(t: float, lam_max: float):
     """Chebyshev coefficients (a, b) of cos(t sqrt(lam)) and
     sin(t sqrt(lam))/sqrt(lam) on [0, lam_max], cut after the last degree
-    with |a_k| or sqrt(lam_max) |b_k| at or above CHEBYSHEV_TAIL, and the
-    sums of the discarded |a_k| and |b_k|.
+    whose bound on |a_k| or sqrt(lam_max) |b_k| reaches CHEBYSHEV_TAIL, and
+    the sums of the bounds on the discarded |a_k| and |b_k|.
 
-    The cosine's coefficients are 2 (-1)^k J_2k(R), R = |t| sqrt(lam_max),
-    and both sets decay fast past k = R/2; one DCT-II on 2R + 32 Chebyshev
-    nodes computes each, aliased only by degrees past 3R.
-    """
+    With R = |t| sqrt(lam_max), |a_k| <= 2 |J_2k(R)| and sqrt(lam_max) |b_k|
+    <= 4 sum_{m>=k} |J_2m+1(R)|, both small past k = R/2.  One DCT-II on 2R
+    + 32 Chebyshev nodes computes each set, aliased only by degrees past 3R;
+    its values sit on a rounding floor, so the cut reads the bounds."""
     m = int(2 * abs(t) * math.sqrt(lam_max)) + 32
     root = np.sqrt(0.5 * lam_max * (1.0 + np.cos(np.pi * (np.arange(m) + 0.5) / m)))
     a = spfft.dct(np.cos(t * root), type=2) / m
     b = spfft.dct(t * np.sinc(t * root / np.pi), type=2) / m
     a[0] *= 0.5
     b[0] *= 0.5
-    above = np.flatnonzero(np.maximum(np.abs(a), math.sqrt(lam_max) * np.abs(b)) >= CHEBYSHEV_TAIL)
+    bessel = np.abs(jv(np.arange(2 * m), abs(t) * math.sqrt(lam_max)))
+    bound_a, bound_b = 2.0 * bessel[0::2], 4.0 * np.cumsum(bessel[1::2][::-1])[::-1]
+    above = np.flatnonzero(np.maximum(bound_a, bound_b) >= CHEBYSHEV_TAIL)
     keep = int(above[-1]) + 1  # cos(t sqrt(lam)) = 1 at lam = 0, so some |a_k| is large
     a.flags.writeable = b.flags.writeable = False
-    return a[:keep], b[:keep], float(np.abs(a[keep:]).sum()), float(np.abs(b[keep:]).sum())
+    return a[:keep], b[:keep], float(bound_a[keep:].sum()), float(bound_b[keep:].sum()) / math.sqrt(lam_max)
 
 
 def _wave_expansion(model: VelocityModel, n: int, t: float):
@@ -350,7 +352,7 @@ def _psido_spectrum(symbol: PsidoSymbol, spectrum: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class WarpMap:
+class WarpMap(Spec):
     """Smooth diffeomorphism of the torus with explicit inverse and Jacobian.
 
     Every kind is the volume-preserving wiggle x -> x + a sin(2 pi k.x) u
@@ -365,8 +367,11 @@ class WarpMap:
     amplitude: float = 0.0
     wavevector: tuple[int, int] = (1, 0)
 
-    # JSON keys each kind reads and writes besides "kind"
     _KEYS = {"identity": (), "shear": ("s",), "sinusoidal": ("amplitude", "wavevector")}
+    _WHERE = "warp map"
+    _DEFAULT_KIND = "identity"
+    _READ = {"wavevector": partial(pair, kind=int)}
+    _REQUIRED = {"shear": ("s",), "sinusoidal": ("amplitude",)}
 
     @classmethod
     def identity(cls) -> WarpMap:
@@ -382,8 +387,7 @@ class WarpMap:
         return cls(kind="sinusoidal", amplitude=float(amplitude), wavevector=wavevector)
 
     def __post_init__(self):
-        if self.kind not in self._KEYS:
-            raise ValueError(f"unknown warp kind {self.kind!r}")
+        super().__post_init__()
         if tuple(self.wavevector) == (0, 0):
             raise ValueError("wavevector must be nonzero")
         if not all(float(v).is_integer() for v in self.wavevector):
@@ -425,20 +429,6 @@ class WarpMap:
         det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
         if not 0.5 <= det.min() <= det.max() <= 2.0:
             raise ValueError(f"warp determinant out of [0.5, 2]: [{det.min():.3f}, {det.max():.3f}]")
-
-    def to_json(self) -> dict:
-        return spec_json(self, self._KEYS[self.kind])
-
-    @classmethod
-    def from_json(cls, spec: dict) -> WarpMap:
-        kind = checked_kind("warp map", spec, cls._KEYS, default="identity")
-        if kind == "identity":
-            return cls.identity()
-        where = f"{kind} warp map"
-        if kind == "shear":
-            return cls.shear(number(f"{where} s", required(where, spec, "s")))
-        amplitude = number(f"{where} amplitude", required(where, spec, "amplitude"))
-        return cls.sinusoidal(amplitude, spec.get("wavevector", (1, 0)))
 
 
 def _jacobi_anger_order(z_max: float) -> tuple[int, float]:
@@ -552,14 +542,14 @@ def _hyper_spectrum(table: FrameTable, mu: CurveletIndex, branch, mode: str):
     return w, _polarization(*e, branch) * (values / math.sqrt(w.atom_norm2))
 
 
-def _read_sign(text) -> int:
+def _read_sign(where: str, text) -> int:
     if text not in ("+", "-"):
-        raise ValueError(f"operator sign must be + or -; got {text!r}")
+        raise ValueError(f"{where} must be + or -; got {text!r}")
     return 1 if text == "+" else -1
 
 
 @dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(Spec):
     """Declarative operator description with an ``apply``; its fields are
     its JSON keys.
 
@@ -581,7 +571,6 @@ class OperatorSpec:
     symbol: str = "one"
     map: WarpMap = field(default_factory=WarpMap.identity)
 
-    # JSON keys each kind reads and writes besides "kind"
     _KEYS = {
         "identity": (),
         "halfwave": ("t", "sign", "c0"),
@@ -592,12 +581,12 @@ class OperatorSpec:
         "psido": ("symbol",),
         "warp": ("map",),
     }
-    # how ``from_json`` reads each key that is not a number
-    _READ = {"sign": _read_sign, "symbol": str, "model": VelocityModel.from_json, "map": WarpMap.from_json}
+    _WHERE = "operator"
+    _READ = {"sign": _read_sign, "symbol": text, "model": VelocityModel, "map": WarpMap}
+    _REQUIRED = {"gaussian-smooth": ("width",)}
 
     def __post_init__(self):
-        if self.kind not in self._KEYS:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
+        super().__post_init__()
         if self.sign not in (1, -1):
             raise ValueError(f"operator sign must be + or -; got {self.sign!r}")
         if self.symbol not in SYMBOL_IDS:
@@ -693,17 +682,7 @@ class OperatorSpec:
         raise ValueError(f"adjoint not available for operator kind {self.kind!r}")
 
     def to_json(self) -> dict:
-        return spec_json(self, self._KEYS[self.kind], sign="+" if self.sign > 0 else "-", model=self.speed)
-
-    @classmethod
-    def from_json(cls, spec: dict) -> OperatorSpec:
-        kind = checked_kind("operator", spec, cls._KEYS)
-        if kind == "gaussian-smooth":
-            required("gaussian-smooth operator", spec, "width")
-        return cls(kind=kind, **{
-            key: cls._READ[key](spec[key]) if key in cls._READ else number(f"{kind} operator {key}", spec[key])
-            for key in cls._KEYS[kind] if key in spec
-        })
+        return super().to_json(sign="+" if self.sign > 0 else "-", model=self.speed)
 
 
 SYMBOL_IDS = ("one", "space-sine", "freq-lowpass", "mixed")

@@ -9,12 +9,14 @@ from scipy.special import jv
 
 import curvewave as cw
 from curvewave.propagators import (
+    CHEBYSHEV_TAIL,
     JACOBI_ANGER_TAIL,
     _eval_fourier_at_points,
     _grid_points,
     _grids,
     _jacobi_anger_order,
     _laplacian,
+    _wave_expansion,
     named_symbol,
 )
 
@@ -254,6 +256,19 @@ class TestChebyshevWave:
         assert np.array_equal(u, u0) and bound == 0.0
         with pytest.raises(ValueError, match="matching shapes"):
             cw.chebyshev_wave(u0, np.zeros((2, N, N)), model, 0.1)
+
+    @pytest.mark.parametrize("n, count", [(128, 111), (256, 202), (512, 400)])
+    def test_degree_follows_the_true_coefficients(self, n, count):
+        # the cut reads the closed-form bounds, not the DCT values: at N = 512
+        # those sit on a rounding floor above CHEBYSHEV_TAIL, and a cut read
+        # from them kept 1,303 coefficients; count is exact below N = 512
+        _, lam_max, (a, b, _, _) = _wave_expansion(cw.VelocityModel.sinusoidal(0.2, (1, 0)), n, 0.25)
+        assert len(a) == len(b) and (len(a) == count if n < 512 else len(a) <= count)
+        r = 0.25 * math.sqrt(lam_max)
+        k = np.arange(len(a))
+        exact = 2.0 * (-1.0) ** k * jv(2 * k, r) * np.where(k == 0, 0.5, 1.0)
+        assert np.max(np.abs(a - exact)) <= 1e-13
+        assert 2.0 * abs(jv(2 * len(a), r)) < CHEBYSHEV_TAIL  # the first coefficient left out
 
     def test_stated_bound_of_benchmark_columns(self, frame128):
         # the columns of configs/variable_wave_n128.json: N = 128, sinusoidal speed, j = 4
@@ -504,6 +519,47 @@ class TestOperatorSpecJson:
             cw.OperatorSpec.from_json({"kind": "halfwav"})
         with pytest.raises(ValueError, match="must be a JSON object"):
             cw.WarpMap.from_json([0.3])
+
+    @pytest.mark.parametrize("cls, where", [(cw.OperatorSpec, "operator"), (cw.VelocityModel, "velocity model"),
+                                            (cw.WarpMap, "warp map")])
+    def test_unknown_kind_has_one_message(self, cls, where):
+        # read from JSON or built directly, a spec names its class in the refusal
+        for make in (lambda: cls(kind="bogus"), lambda: cls.from_json({"kind": "bogus"})):
+            with pytest.raises(ValueError, match=f"unknown {where} kind 'bogus'"):
+                make()
+        with pytest.raises(ValueError, match=rf"unknown {where} kind \['bogus'\]"):
+            cls.from_json({"kind": ["bogus"]})
+
+    # each kind given its required keys alone, and the named constructor
+    # (for an operator, the dataclass) given the same values: the JSON
+    # defaults are the Python ones, gaussian-bump's amplitude 0.2 included
+    MINIMAL = [
+        (cw.VelocityModel, {}, cw.VelocityModel.constant()),
+        (cw.VelocityModel, {"kind": "constant"}, cw.VelocityModel.constant()),
+        (cw.VelocityModel, {"kind": "sinusoidal", "amplitude": 0.2}, cw.VelocityModel.sinusoidal(0.2)),
+        (cw.VelocityModel, {"kind": "gaussian-bump"}, cw.VelocityModel.gaussian_bump()),
+        (cw.WarpMap, {}, cw.WarpMap.identity()),
+        (cw.WarpMap, {"kind": "identity"}, cw.WarpMap.identity()),
+        (cw.WarpMap, {"kind": "shear", "s": 0.3}, cw.WarpMap.shear(0.3)),
+        (cw.WarpMap, {"kind": "sinusoidal", "amplitude": 0.05}, cw.WarpMap.sinusoidal(0.05)),
+        (cw.OperatorSpec, {"kind": "gaussian-smooth", "width": 0.05}, cw.OperatorSpec(kind="gaussian-smooth", width=0.05)),
+        *[(cw.OperatorSpec, {"kind": kind}, cw.OperatorSpec(kind=kind))
+          for kind in ("identity", "halfwave", "cos-wave", "acoustic", "variable-wave", "psido", "warp")],
+    ]
+
+    @pytest.mark.parametrize("cls, spec, expected", MINIMAL,
+                             ids=[f"{cls.__name__}-{spec.get('kind', 'default')}" for cls, spec, _ in MINIMAL])
+    def test_required_keys_alone_give_the_python_defaults(self, cls, spec, expected):
+        assert cls.from_json(spec) == expected
+
+    def test_every_kind_has_a_minimal_spec(self):
+        given = {(cls, spec["kind"]) for cls, spec, _ in self.MINIMAL if "kind" in spec}
+        assert given == {(cls, kind) for cls in (cw.OperatorSpec, cw.VelocityModel, cw.WarpMap) for kind in cls._KEYS}
+
+    def test_non_integer_wavevector_refused_when_built_directly(self):
+        # as a warp map (TestWarp): the speed is periodic on the torus only for an integer k
+        with pytest.raises(ValueError, match="wavevector must be integer"):
+            cw.VelocityModel(kind="sinusoidal", amplitude=0.2, wavevector=(1.5, 0))
 
     @pytest.mark.parametrize(
         "make",
