@@ -8,14 +8,14 @@ benchmark provenance.  ``fft2`` and ``ifft2`` are the one ortho FFT pair
 every module uses, and the FFTs are the one parallel level: a transform of
 at least ``THREADED_POINTS`` points per field runs on ``FFT_WORKERS``, the
 CPUs this process may run on (its affinity mask), a smaller one on one
-thread, where starting threads costs more than it saves; a caller that
-shares the CPUs out itself passes ``workers``.  A caller that owns its
-buffer and reads it no more may pass ``overwrite_x=True``: SciPy may then
-transform it in place, but need not, so the caller uses the returned array.
-The package keeps no thread, lock or pool between calls.  ``checked``
-refuses a JSON section with keys its reader would ignore; ``number``,
-``pair`` and ``text`` read JSON values; ``Spec`` is the one JSON codec of
-``OperatorSpec``, ``VelocityModel`` and ``WarpMap``, each a table of keys.
+thread, where starting threads costs more than it saves.  A caller that
+owns its buffer and reads it no more may pass ``overwrite_x=True``: SciPy
+may then transform it in place, but need not, so the caller uses the
+returned array.  The package starts no thread of its own and keeps no
+lock or pool.  ``checked`` refuses a JSON section with keys its reader
+would ignore; ``number``, ``pair`` and ``text`` read JSON values; ``Spec``
+is the one JSON codec of ``OperatorSpec``, ``VelocityModel`` and
+``WarpMap``, each a table of keys.
 """
 
 import math
@@ -44,19 +44,19 @@ def fft_workers(points: int) -> int:
     return FFT_WORKERS if points >= THREADED_POINTS else 1
 
 
-def fft2(x, overwrite_x: bool = False, workers: int | None = None):
+def fft2(x, overwrite_x: bool = False):
     """Ortho 2-D FFT over the last two axes of ``x``, an (N, N) field or a
-    (..., N, N) stack, on ``workers`` threads (default: :func:`fft_workers`;
-    the result does not depend on it).  With ``overwrite_x`` the contents
-    of ``x`` may be destroyed, and the result may or may not share its
-    memory.  ``scipy.fft.fft2`` is looked up at each call, so a patched
-    ``scipy.fft`` (``perfbench``'s FFT counter) sees every FFT."""
-    return spfft.fft2(x, norm="ortho", overwrite_x=overwrite_x, workers=workers or fft_workers(x.shape[-2] * x.shape[-1]))
+    (..., N, N) stack, on :func:`fft_workers` threads (the result does not
+    depend on them).  With ``overwrite_x`` the contents of ``x`` may be
+    destroyed, and the result may or may not share its memory.
+    ``scipy.fft.fft2`` is looked up at each call, so a patched ``scipy.fft``
+    (``perfbench``'s FFT counter) sees every FFT."""
+    return spfft.fft2(x, norm="ortho", overwrite_x=overwrite_x, workers=fft_workers(x.shape[-2] * x.shape[-1]))
 
 
-def ifft2(x, overwrite_x: bool = False, workers: int | None = None):
+def ifft2(x, overwrite_x: bool = False):
     """Inverse of :func:`fft2`."""
-    return spfft.ifft2(x, norm="ortho", overwrite_x=overwrite_x, workers=workers or fft_workers(x.shape[-2] * x.shape[-1]))
+    return spfft.ifft2(x, norm="ortho", overwrite_x=overwrite_x, workers=fft_workers(x.shape[-2] * x.shape[-1]))
 
 
 def checked(where: str, section, allowed) -> dict:

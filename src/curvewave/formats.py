@@ -118,8 +118,11 @@ def read_index_csv(path, header):
 
 def write_coeffs_csv(path, coeffs: CoeffSet) -> None:
     """Write the nonzero coefficients as rows j,l,k1,k2,nu,re,im (nu = 0),
-    one part per block of a wedge's coefficients: j, l and nu are shared."""
+    one part per block of a wedge's coefficients: j, l and nu are shared.
+    A stack of fields' coefficients is refused before the file is opened."""
     flat = coeffs.packed
+    if flat.ndim != 1:
+        raise ValueError(f"coefficients of shape {flat.shape} are a stack; a CSV holds one field's")
     keep = np.flatnonzero(np.abs(flat) > 0.0)
 
     def parts():

@@ -29,14 +29,13 @@ discrete l2 (no grid weights).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as spfft
 from scipy.sparse import csr_array
 
-from ._core import fft2, fft_workers, ifft2, kernels
+from ._core import fft2, ifft2, kernels
 from .distance import PhasePoint
 from .windows import WindowFamily, build_windows
 
@@ -476,62 +475,40 @@ def analyze_spectrum(table: FrameTable, spectra: np.ndarray) -> CoeffSet:
     (N, N) spectrum or a (..., N, N) stack: the gather, then the inverse FFT
     of each wedge block.  A block that is exactly zero after the gather is
     left as it is (its inverse FFT is zero), so a spectrum that reaches a
-    few wedges costs a few small FFTs.  Where the field's FFTs run on several
-    workers, the guard block runs on a lane of the call's own (:func:`_transform_blocks`)."""
+    few wedges costs a few small FFTs."""
     lead, n = spectra.shape[:-2], table.n
     coeffs = CoeffSet(table, kernels.wedge_gather(table.wrap, spectra.reshape(-1, n * n)).reshape(lead + (table.size,)))
     # a nonzero first entry (a dense spectrum's) spares the scan
-    _transform_blocks(ifft2, coeffs.blocks, n, lambda block: block.flat[0] or block.any())
+    _transform_blocks(ifft2, coeffs.blocks, lambda block: block.flat[0] or block.any())
     return coeffs
 
 
-def _transform_blocks(transform, blocks: list[np.ndarray], n: int, wanted=None) -> None:
-    """Transform in place each of the wedge ``blocks`` that ``wanted`` accepts
-    (every one without it).  Where an FFT of an N x N field runs on several
-    workers, the blocks run in two lanes: the guard, the last and at large N
-    the only large block, on a lane thread this call starts and joins, with
-    all workers but one, and the small blocks on the calling thread with one
-    worker each, so no CPU idles through the small wedges.  Otherwise one
-    loop transforms them all.  Each block's result does not depend on its
-    workers.  The lane is joined even when the calling thread's blocks
-    raise, and an error on the lane is raised here."""
-    *small, guard = blocks
-    wanted = wanted or (lambda block: True)
-    workers = fft_workers(n * n)
-    if workers == 1 or not wanted(guard):
-        for block in blocks:
-            if wanted(block):
-                _transform_in_place(transform, block)
-        return
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="curvewave-lane") as lane:
-        guard_done = lane.submit(_transform_in_place, transform, guard, workers - 1)
-        for block in small:
-            if wanted(block):
-                _transform_in_place(transform, block, 1)
-    guard_done.result()
+def _transform_blocks(transform, blocks: list[np.ndarray], wanted=lambda block: True) -> None:
+    """Transform in place, one after another on the calling thread, each of
+    the wedge ``blocks`` that ``wanted`` accepts.  Each FFT takes its workers
+    from the thread rule of ``_core``: at N >= 256 the N x N guard block runs
+    on every CPU, the small blocks on one.
 
-
-def _transform_in_place(transform, block: np.ndarray, workers: int | None = None) -> None:
-    """Leave ``transform(block)`` in ``block``, a view of an array this module
-    owns.  SciPy may write the result into the block itself; only when it
-    did not is the result copied in, since assigning a block to itself
-    makes NumPy copy through a temporary."""
-    out = transform(block, overwrite_x=True, workers=workers)
-    if not np.may_share_memory(out, block):
-        block[...] = out
+    SciPy may write a block's result into the block itself; only when it did
+    not is the result copied in, since assigning a block to itself makes
+    NumPy copy through a temporary."""
+    for block in blocks:
+        if wanted(block):
+            out = transform(block, overwrite_x=True)
+            if not np.may_share_memory(out, block):
+                block[...] = out
 
 
 def synthesize(table: FrameTable, coeffs: CoeffSet) -> np.ndarray:
     """Adjoint of :func:`analyze`; synthesize(analyze(f)) reproduces f exactly.
-    The wedge blocks are transformed as in :func:`analyze_spectrum`, every
-    one of them and in two lanes, on a lane thread of the call's own, where
-    the field's FFTs run on several workers, then scattered into one
-    spectrum.  Coefficients of a frame with other parameters raise FrameError."""
+    The FFT of every wedge block, in place as in :func:`analyze_spectrum`,
+    then one scatter into a spectrum and its inverse FFT.  Coefficients of a
+    frame with other parameters raise FrameError."""
     if coeffs.table.params != table.params:
         raise FrameError(f"coefficients of the frame {coeffs.table.params} do not fit the frame {table.params}")
     lead, n = coeffs.packed.shape[:-1], table.n
     rects = CoeffSet(table, np.array(coeffs.packed, dtype=np.complex128))  # the one copy: the caller's stays as it is
-    _transform_blocks(fft2, rects.blocks, n)
+    _transform_blocks(fft2, rects.blocks)
     spectra = kernels.wedge_scatter(table.wrap, rects.packed.reshape(-1, table.size))
     return ifft2(spectra.reshape(lead + (n, n)), overwrite_x=True)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,13 @@ class TestCoeffsCsv:
         formats.write_coeffs_csv(path, cw.analyze(frame64, np.zeros((64, 64))))
         assert len(path.read_text().strip().splitlines()) == 1  # header only
 
+    def test_stack_refused_before_the_file_opens(self, frame64, rng, tmp_path):
+        path = tmp_path / "coeffs.csv"
+        path.write_text("kept\n")
+        stack = cw.analyze(frame64, np.stack([random_field(rng, 64) for _ in range(2)]))
+        with pytest.raises(ValueError, match=re.escape(str((2, frame64.size)))):
+            formats.write_coeffs_csv(path, stack)
+        assert path.read_text() == "kept\n"
 
     def test_crlf_rows(self, frame64, rng, tmp_path):
         coeffs = cw.analyze(frame64, random_field(rng, 64))

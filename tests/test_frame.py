@@ -1,5 +1,4 @@
 import math
-import multiprocessing
 import re
 import threading
 
@@ -255,27 +254,23 @@ def frame512():
     return cw.build_frame(cw.FrameParams(n=512, scales=7))
 
 
-def _analyze_in_child(table, f, expected):
-    if not np.array_equal(cw.analyze(table, f).packed, expected):
-        raise SystemExit(1)
-
-
 class TestLanes:
-    """From N = 256 on (N^2 >= THREADED_POINTS) the wedge blocks run in two
-    lanes, the guard on the lane thread; every result is the sequential loop's."""
+    """Every wedge block of an ``analyze`` or ``synthesize`` call is transformed
+    in one loop on the calling thread, at every N; every result is the
+    sequential loop's."""
 
     @pytest.fixture(autouse=True)
     def two_workers(self, monkeypatch):
-        # lanes run wherever FFTs get two or more workers: pin two, whatever this machine has
+        # from N = 256 on the N x N FFTs take FFT_WORKERS: pin two, whatever this machine has
         monkeypatch.setattr(core, "FFT_WORKERS", 2)
 
     @staticmethod
     def _spy(patched):
-        """Record (transform, block shape, thread name, workers) of every scipy FFT."""
+        """Record (transform, block shape, thread, Python threads alive) of every scipy FFT."""
         calls = []
         for name in ("fft2", "ifft2"):
             def spied(x, *args, _orig=getattr(spfft, name), _name=name, **kwargs):
-                calls.append((_name, x.shape[-2:], threading.current_thread().name, kwargs.get("workers")))
+                calls.append((_name, x.shape[-2:], threading.current_thread(), threading.active_count()))
                 return _orig(x, *args, **kwargs)
 
             patched.setattr(spfft, name, spied)
@@ -298,12 +293,8 @@ class TestLanes:
         guard = table.wedges[-1]
         assert guard.kind == "guard" and guard.rect == (n, n)
         blocks = [c for c in calls if c[1] == guard.rect][1:-1]  # between the field's fft2 and ifft2
-        lanes = n * n >= core.THREADED_POINTS
         assert [c[0] for c in blocks] == ["ifft2", "fft2"]
-        assert all(c[2].startswith("curvewave-lane") == lanes for c in blocks)
-        small = [c for c in calls if c[1] != guard.rect]
-        assert len(small) == 2 * (len(table.wedges) - 1)
-        assert all(c[2] == threading.current_thread().name and c[3] == 1 for c in small)
+        assert len([c for c in calls if c[1] != guard.rect]) == 2 * (len(table.wedges) - 1)
 
     @pytest.mark.parametrize("n", [128, 256, 512])
     def test_partial_spectra_equal_sequential_loop(self, n, request):
@@ -325,34 +316,37 @@ class TestLanes:
             else:
                 assert 0 < sum(hit) < len(hit) // 2 and not hit[-1]
 
-    def test_lane_error_propagates(self, frame256, rng, monkeypatch):
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    def test_start_no_thread(self, n, request, rng, monkeypatch):
+        # every FFT of a round trip, the guard's too, runs on the calling thread, and no thread starts
+        table = request.getfixturevalue(f"frame{n}")
+        f = random_field(rng, n)
+        before = threading.active_count()
+        with monkeypatch.context() as patched:
+            calls = self._spy(patched)
+            for _ in range(3):
+                cw.synthesize(table, cw.analyze(table, f))
+        assert len(calls) == 3 * 2 * (len(table.wedges) + 1)
+        assert all(c[2] is threading.current_thread() and c[3] == before for c in calls)
+        assert threading.active_count() == before
+
+    def test_guard_error_propagates(self, frame256, rng, monkeypatch):
         f = random_field(rng, 256)
-        raised_on = []
         with monkeypatch.context() as patched:
             orig = spfft.ifft2
 
             def failing(x, *args, **kwargs):
                 if x.shape[-2:] == frame256.wedges[-1].rect:
-                    raised_on.append(threading.current_thread().name)
                     raise RuntimeError("guard FFT failed")
                 return orig(x, *args, **kwargs)
 
             patched.setattr(spfft, "ifft2", failing)
             with pytest.raises(RuntimeError, match="guard FFT failed"):
                 cw.analyze(frame256, f)
-        assert len(raised_on) == 1 and raised_on[0].startswith("curvewave-lane")
         assert np.array_equal(cw.analyze(frame256, f).packed, sequential_analyze(frame256, spfft.fft2(f, norm="ortho")))
 
-    def test_one_lane_thread(self, frame256, rng):
-        # each call starts and joins its own lane: no thread outlives it
-        f = random_field(rng, 256)
-        before = threading.active_count()
-        for _ in range(20):
-            cw.synthesize(frame256, cw.analyze(frame256, f))
-        assert threading.active_count() == before
-
     def test_concurrent_callers_equal_sequential_loop(self, frame256, rng):
-        # two threads sharing one table, each with lanes of its own
+        # two threads sharing one table
         fields = [random_field(rng, 256) for _ in range(2)]
         expected = [sequential_analyze(frame256, spfft.fft2(f, norm="ortho")) for f in fields]
         rounds = [[], []]
@@ -372,21 +366,6 @@ class TestLanes:
             assert len(rounds[i]) == 10
             rec = sequential_synthesize(frame256, expected[i])
             assert all(np.array_equal(c, expected[i]) and np.array_equal(r, rec) for c, r in rounds[i])
-
-    def test_forked_child_runs_its_own_lanes(self, frame256, rng):
-        # a child forked after the parent ran lanes starts lanes of its own
-        f = random_field(rng, 256)
-        expected = cw.analyze(frame256, f).packed
-        child = multiprocessing.get_context("fork").Process(target=_analyze_in_child, args=(frame256, f, expected))
-        child.start()
-        try:
-            child.join(30)
-            assert not child.is_alive(), "forked child still running after 30 s"
-        finally:
-            if child.is_alive():
-                child.kill()
-                child.join(10)
-        assert child.exitcode == 0
 
 
 class TestLayout:
