@@ -2,7 +2,9 @@
 
 Runs, in this process through ``cli.main``:
 
-- frame-check, matrix and sparsity on each ``configs/*.json``;
+- frame-check, matrix and sparsity on each ``configs/*.json`` (``matrix``
+  writes ``matrix.csv`` and its sidecar ``matrix.csv.npz``, which
+  ``sparsity`` reads back in place of the CSV's text);
 - transform on seeded fields at N = 128 and 256;
 - flow for branches + and 0 (the sinusoidal speed of
   ``configs/variable_wave_n128.json``);

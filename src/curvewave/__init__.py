@@ -1,6 +1,6 @@
 """Curvelet tight frames, wave propagators, and operator-sparsity diagnostics."""
 
-from ._core import BACKEND
+from ._core import BACKEND, __version__
 from .distance import PhasePoint, d, omega
 from .flow import (
     VelocityModel,
@@ -52,4 +52,3 @@ from .sparsity import (
 )
 from .windows import WindowFamily, build_windows
 
-__version__ = "0.1.0"

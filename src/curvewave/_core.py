@@ -15,7 +15,8 @@ returned array.  The package starts no thread of its own and keeps no
 lock or pool.  ``checked`` refuses a JSON section with keys its reader
 would ignore; ``number``, ``pair`` and ``text`` read JSON values; ``Spec``
 is the one JSON codec of ``OperatorSpec``, ``VelocityModel`` and
-``WarpMap``, each a table of keys.
+``WarpMap``, each a table of keys.  ``__version__`` is the package's
+version, which matrix sidecars record.
 """
 
 import math
@@ -27,6 +28,7 @@ import scipy.fft as spfft
 from . import _kernels_py as kernels
 
 BACKEND = kernels.BACKEND
+__version__ = "0.1.0"
 
 FFT_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 

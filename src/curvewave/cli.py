@@ -148,11 +148,26 @@ def cmd_propagate(cfg: ExperimentConfig, input_path: str) -> int:
     return 0
 
 
+def _distinct_columns(table, rng: np.random.Generator, count: int, scales) -> list:
+    """``count`` distinct indices drawn by ``random_index``: a repeat is drawn
+    again, so draws with no repeat give the indices they always gave.
+    ValueError when the scales hold fewer than ``count`` directional indices."""
+    pool = sum(w.size for w in table.wedges if w.kind == "directional" and (scales is None or w.j in scales))
+    if count > pool:
+        raise ValueError(f"columns count {count} exceeds the {pool} directional indices at scales {scales}")
+    cols: list = []
+    while len(cols) < count:
+        mu = table.random_index(rng, scales)
+        if mu not in cols:
+            cols.append(mu)
+    return cols
+
+
 def cmd_matrix(cfg: ExperimentConfig) -> int:
     table = build_frame(cfg.frame)
     op = cfg.operator
     rng = np.random.default_rng(cfg.seed)
-    cols = [table.random_index(rng, cfg.columns["scales"]) for _ in range(cfg.columns["count"])]
+    cols = _distinct_columns(table, rng, cfg.columns["count"], cfg.columns["scales"])
     matrix = build_matrix(table, op, cols, threshold=cfg.threshold)
     cfg.out.mkdir(parents=True, exist_ok=True)
     path = cfg.out / "matrix.csv"
@@ -208,9 +223,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("propagate", help="apply the configured operator to a field file")
     pp.add_argument("input")
 
-    sub.add_parser("matrix", help="stream sampled curvelet-matrix columns to CSV")
+    sub.add_parser("matrix", help="stream sampled curvelet-matrix columns to CSV, with a .npz sidecar")
 
-    sp = sub.add_parser("sparsity", help="decay/concentration report from a matrix CSV")
+    sp = sub.add_parser("sparsity", help="decay/concentration report from a matrix CSV and its sidecar")
     sp.add_argument("matrix")
 
     fp = sub.add_parser("flow", help="integrate a bicharacteristic ray, emit trajectory CSV")

@@ -1,9 +1,14 @@
-"""On-disk formats: field files, index-row CSVs, and PGM quick-looks.
+"""On-disk formats: field files, index-row CSVs, .npz sidecars and PGM quick-looks.
 
 Field2D format: one JSON header line {"N": ..., "m": ..., "dtype": "c128le"}
 followed by raw little-endian interleaved re/im float64 samples, row-major,
 components contiguous.  Index-row CSV: an exact header line (COEFF_HEADER or
-MATRIX_HEADER), then integer index cells and re,im as %.17g, CRLF line ends.
+MATRIX_HEADER), then integer index cells and re,im as %.17g, CRLF line ends;
+writing one returns the SHA-256 of its bytes, and ``sha256_file`` hashes a
+file in chunks.  A sidecar is an uncompressed .npz of 1-D arrays that
+``np.load`` reads with ``allow_pickle=False``: ``write_npz_parts`` streams
+each array from parts, so no array is built whole, and ``read_npz`` refuses
+a malformed file or an array of another dtype or shape with FormatError.
 
 The CSV layer holds each entry once.  Rows are written part by part (a
 run of a matrix column's rows, or a wedge's coefficients, at a time), so
@@ -16,19 +21,23 @@ only the cells that vary (k1, k2, re and im, in the parts written here).
 
 from __future__ import annotations
 
+import hashlib
 import json
+import zipfile
 
 import numpy as np
 
 from .frame import CoeffSet, FrameTable
 
-__all__ = ["write_field", "read_field", "write_index_parts", "read_index_csv",
-           "write_coeffs_csv", "read_coeffs_csv", "write_pgm"]
+__all__ = ["write_field", "read_field", "write_index_parts", "read_index_csv", "sha256_file",
+           "write_npz_parts", "read_npz", "write_coeffs_csv", "read_coeffs_csv", "write_pgm"]
 
 _MAGIC_DTYPE = "c128le"
 COEFF_HEADER = ("j", "l", "k1", "k2", "nu", "re", "im")
 MATRIX_HEADER = tuple(f"{side}_{c}" for side in ("row", "col") for c in COEFF_HEADER[:5]) + ("re", "im")
 _CSV_BLOCK = 1024  # rows formatted per write (and coefficients decoded per part): one block's Python objects live at a time
+_HASH_CHUNK = 1 << 16  # bytes read per update of sha256_file
+_ZIP_TIME = (1980, 1, 1, 0, 0, 0)  # every sidecar entry's timestamp, so the same arrays give the same bytes
 
 
 class FormatError(ValueError):
@@ -71,13 +80,21 @@ def read_field(path) -> np.ndarray:
     return data.reshape((n, n) if m == 1 else (m, n, n))
 
 
-def write_index_parts(path, header, parts) -> None:
+def write_index_parts(path, header, parts) -> str:
     """Write one row per entry of each (index, values) part in turn: the
     integer ``index`` cells (an array per header name before re,im, or an int
     shared by every row of the part, formatted once into its row template),
-    then the complex ``values``.  A generator keeps one part alive at a time."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    then the complex ``values``.  A generator keeps one part alive at a time.
+    Returns the SHA-256 hex digest of the bytes written, hashed as they go."""
+    digest = hashlib.sha256()
+
+    def write(text: str) -> None:
+        data = text.encode("ascii")
+        digest.update(data)
+        fh.write(data)
+
+    with open(path, "wb") as fh:
+        write(",".join(header) + "\r\n")
         for index, values in parts:
             if len(index) != len(header) - 2:
                 raise ValueError(f"{len(index)} index cells for the {len(header) - 2} of {','.join(header)}")
@@ -88,7 +105,8 @@ def write_index_parts(path, header, parts) -> None:
             columns += [values.real, values.imag]
             for start in range(0, len(values), _CSV_BLOCK):
                 cells = [column[start : start + _CSV_BLOCK].tolist() for column in columns]
-                fh.write("".join([line % row for row in zip(*cells)]))
+                write("".join([line % row for row in zip(*cells)]))
+    return digest.hexdigest()
 
 
 def read_index_csv(path, header):
@@ -114,6 +132,54 @@ def read_index_csv(path, header):
     index = rows.view(np.int64).reshape(shape)[:, :-2].T
     values = rows.view(np.float64).reshape(shape)[:, -2:].view(np.complex128)[:, 0]
     return index, values
+
+
+def sha256_file(path) -> str:
+    """SHA-256 hex digest of a file, read in chunks into one buffer."""
+    digest, buf = hashlib.sha256(), bytearray(_HASH_CHUNK)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            digest.update(memoryview(buf)[:n])
+    return digest.hexdigest()
+
+
+def write_npz_parts(path, arrays) -> None:
+    """Write an uncompressed .npz of 1-D arrays, one per (name, dtype, length,
+    parts) of ``arrays``: the array's data are the ``parts`` (arrays of that
+    dtype) in turn, which must hold ``length`` items in all."""
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, dtype, length, parts in arrays:
+            dtype = np.dtype(dtype)
+            with zf.open(zipfile.ZipInfo(f"{name}.npy", _ZIP_TIME), "w", force_zip64=True) as fh:
+                header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (length,)}
+                np.lib.format.write_array_header_1_0(fh, header)
+                written = 0
+                for part in parts:
+                    part = np.ascontiguousarray(part, dtype=dtype)
+                    fh.write(part.view(np.uint8))
+                    written += len(part)
+            if written != length:
+                raise ValueError(f"{name}: {written} items written, {length} declared")
+
+
+def read_npz(path, dtypes) -> dict:
+    """The 1-D arrays of a :func:`write_npz_parts` file, by name, for each
+    name -> dtype of ``dtypes``, read as ``np.load`` reads an .npz, with
+    ``allow_pickle=False``.  A file that is no such .npz, a missing array and
+    an array of another dtype or not 1-D raise FormatError."""
+    arrays = {}
+    try:
+        with zipfile.ZipFile(path) as zf:
+            for name in dtypes:
+                with zf.open(f"{name}.npy") as fh:
+                    arrays[name] = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise FormatError(f"{path}: not a readable .npz: {exc}") from None
+    for name, dtype in dtypes.items():
+        a = arrays[name]
+        if a.dtype != np.dtype(dtype) or a.ndim != 1:
+            raise FormatError(f"{path}: {name} is {a.dtype} of shape {a.shape}, not 1-D {np.dtype(dtype)}")
+    return arrays
 
 
 def write_coeffs_csv(path, coeffs: CoeffSet) -> None:

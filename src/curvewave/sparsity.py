@@ -8,6 +8,14 @@ multiplier or the acoustic system keeps the atom's support, and a warp or
 a psido adds a few shifted copies of it; variable-wave alone is applied
 on the grid.
 
+``SparseOperatorMatrix.write_csv`` writes the matrix as an index-row CSV
+(``formats``) and, next to it, a sidecar ``<csv>.npz``: the frame, the
+operator, the CSV's SHA-256, each column's pre-threshold energy, threshold
+and solver error, and the columns' arrays.  ``read_csv`` reads the sidecar
+in place of parsing the CSV's text, refusing one written for another frame,
+operator or CSV; a CSV with no sidecar is parsed, and then each column's
+energy is its kept energy.
+
 Reports quantify sorted-entry decay (fitted power), l^p quasi-norms, and
 concentration of energy in omega-balls around the Hamiltonian-flowed
 column index (minimized over flow branches, matching the shifted-diagonal
@@ -16,13 +24,16 @@ organization of the curvelet matrix).
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csc_array
 
 from . import formats
+from ._core import __version__, checked, number, text
 from .distance import omega
 from .flow import VelocityModel, flow_index
 from .frame import CurveletIndex, FrameTable, analyze_spectrum, atom_spectrum
@@ -37,6 +48,7 @@ __all__ = [
     "decay_report",
     "truncation_error",
     "polarization_split",
+    "sidecar_path",
 ]
 
 DEFAULT_THRESHOLD = 1e-7
@@ -129,7 +141,14 @@ class SparseOperatorMatrix:
         """One formats.MATRIX_HEADER row per entry, column by column; only
         the column being written has its rows decoded.  Each column goes out
         as runs of rows that share a wedge and a component, so the row's j,
-        ell and nu and the five column cells are formatted once per run."""
+        ell and nu and the five column cells are formatted once per run.
+
+        Then the sidecar ``<path>.npz`` (:func:`sidecar_path`): a JSON
+        manifest (package version, frame parameters, operator, the CSV's
+        SHA-256, and each column's index, component, energy, threshold and
+        solver error) and the columns' rows, row components and values, each
+        concatenated over the columns and written column by column, with each
+        column's start.  A sidecar left by an earlier file is removed first."""
 
         def parts():
             for c in self.columns:
@@ -141,19 +160,51 @@ class SparseOperatorMatrix:
                 for a, b in zip(bounds, bounds[1:]):
                     yield (int(j[a]), int(ell[a]), k1[a:b], k2[a:b], int(nu[a]), *key), c.values[a:b]
 
-        formats.write_index_parts(path, formats.MATRIX_HEADER, parts())
+        sidecar = sidecar_path(path)
+        sidecar.unlink(missing_ok=True)
+        digest = formats.write_index_parts(path, formats.MATRIX_HEADER, parts())
+        cols = self.columns
+        manifest = {
+            "version": __version__,
+            "frame": asdict(self.table.params),
+            "operator": self.op.to_json(),
+            "csv_sha256": digest,
+            "columns": [
+                {"index": [int(v) for v in astuple(c.col_index)], "component": int(c.col_component),
+                 "energy": float(c.energy), "threshold": float(c.threshold), "solver_error": float(c.solver_error)}
+                for c in cols
+            ],
+        }
+        blob = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
+        n = self.total_entries()
+        formats.write_npz_parts(sidecar, [
+            ("manifest", np.uint8, len(blob), [blob]),
+            ("starts", np.int64, len(cols) + 1, [np.cumsum([0] + [c.nnz for c in cols])]),
+            ("rows", np.int64, n, (c.rows_flat for c in cols)),
+            ("components", np.int64, n, (c.row_component for c in cols)),
+            ("values", np.complex128, n, (c.values for c in cols)),
+        ])
 
     @classmethod
     def read_csv(cls, table: FrameTable, op: OperatorSpec, path) -> SparseOperatorMatrix:
         """Matrix from a :meth:`write_csv` file: columns sorted by (j, ell, k1,
-        k2, nu), entries in file order, each column's energy its kept energy
-        and its threshold and solver error 0.  FormatError on a malformed
-        file or a nu the operator lacks (scalar: 0, acoustic: 0-2);
-        UnknownIndexError on an index outside the frame."""
+        k2, nu), entries in file order.
+
+        With a sidecar (:func:`sidecar_path`) the columns are its arrays, with
+        the energy, threshold and solver error written; a sidecar written for
+        another frame or operator, or for a CSV whose bytes have changed since,
+        raises FormatError saying what differs.  Without one, the CSV is
+        parsed, and each column's energy is its kept energy and its threshold
+        and solver error 0.  Either way, FormatError on a malformed file, a nu
+        the operator lacks (scalar: 0, acoustic: 0-2) or a column that holds
+        one (row index, row component) twice, and UnknownIndexError on an
+        index outside the frame."""
+        sidecar = sidecar_path(path)
+        if sidecar.exists():
+            return cls._read_sidecar(table, op, path, sidecar)
         index, values = formats.read_index_csv(path, formats.MATRIX_HEADER)
         for nu in (index[4], index[9]):
-            if np.any((nu < 0) | (nu >= (3 if op.is_vector else 1))):
-                raise formats.FormatError(f"{path}: nu must be {'0, 1 or 2' if op.is_vector else '0'} for {op.kind}")
+            _check_components(nu, op, path)
         # runs of rows that share their column cells (a write_csv file has one
         # per column): the column cells are decoded at each run's head, and
         # the row cells one column, in blocks of rows, at a time
@@ -176,7 +227,78 @@ class SparseOperatorMatrix:
             row_nu = np.concatenate([index[4, s] for s in spans])
             energy = float(np.sum(np.abs(vals) ** 2))
             mat.columns.append(MatrixColumn(CurveletIndex(j, ell, k1, k2), nu, rows_flat, row_nu, vals, energy, 0.0))
+            _refuse_repeats(table, mat.columns[-1], path)
         return mat
+
+    @classmethod
+    def _read_sidecar(cls, table: FrameTable, op: OperatorSpec, path, sidecar) -> SparseOperatorMatrix:
+        arrays = formats.read_npz(sidecar, _SIDECAR_ARRAYS)
+        try:
+            manifest = checked("sidecar manifest", json.loads(arrays["manifest"].tobytes()), _SIDECAR_KEYS)
+            records = [checked("sidecar column", c, _SIDECAR_COLUMN_KEYS) for c in manifest["columns"]]
+            mus = [CurveletIndex(*(number("sidecar column index", v, int) for v in c["index"])) for c in records]
+            comps = np.array([number("sidecar column component", c["component"], int) for c in records], np.int64)
+            numbers = [[number(f"sidecar column {k}", c[k]) for k in ("energy", "threshold", "solver_error")]
+                       for c in records]
+            frame, spec = manifest["frame"], manifest["operator"]
+            digest = text("sidecar csv_sha256", manifest["csv_sha256"])
+        except (ValueError, TypeError, KeyError) as exc:
+            raise formats.FormatError(f"{sidecar}: malformed manifest: {exc}") from None
+        if frame != asdict(table.params):
+            raise formats.FormatError(f"{path}: the matrix was built for frame {frame}, not {asdict(table.params)}")
+        if spec != json.loads(json.dumps(op.to_json())):
+            raise formats.FormatError(f"{path}: the matrix was built for operator {spec}, not {op.to_json()}")
+        if formats.sha256_file(path) != digest:
+            raise formats.FormatError(f"{path}: the CSV has changed since {sidecar} was written (SHA-256 differs)")
+        starts, rows, row_nu, values = (arrays[k] for k in ("starts", "rows", "components", "values"))
+        if not (len(starts) == len(mus) + 1 and starts[0] == 0 and np.all(np.diff(starts) >= 0)
+                and starts[-1] == len(rows) == len(row_nu) == len(values)):
+            raise formats.FormatError(f"{sidecar}: column starts {starts.tolist()} do not split "
+                                      f"{len(rows)} rows, {len(row_nu)} components and {len(values)} values")
+        if len(rows) and (rows.min() < 0 or rows.max() >= table.size):
+            raise formats.FormatError(f"{sidecar}: packed position outside [0, {table.size})")
+        for nu in (row_nu, comps):
+            _check_components(nu, op, path)
+        key = table.flat_of_index(np.array([astuple(mu) for mu in mus], np.int64).reshape(-1, 4).T) * 3 + comps
+        order = np.argsort(key, kind="stable")
+        if len(same := np.flatnonzero(np.diff(key[order]) == 0)):
+            k = order[same[0]]
+            raise formats.FormatError(f"{sidecar}: column {astuple(mus[k])}, nu = {comps[k]} is written twice")
+        mat = cls(table=table, op=op)
+        for k in order.tolist():
+            span = slice(starts[k], starts[k + 1])
+            mat.columns.append(MatrixColumn(mus[k], int(comps[k]), rows[span], row_nu[span], values[span], *numbers[k]))
+            _refuse_repeats(table, mat.columns[-1], path)
+        return mat
+
+
+def sidecar_path(path) -> Path:
+    """Where :meth:`SparseOperatorMatrix.write_csv` puts the sidecar of the CSV at ``path``."""
+    return Path(f"{path}.npz")
+
+
+_SIDECAR_ARRAYS = {"manifest": np.uint8, "starts": np.int64, "rows": np.int64, "components": np.int64,
+                   "values": np.complex128}
+_SIDECAR_KEYS = ("version", "frame", "operator", "csv_sha256", "columns")
+_SIDECAR_COLUMN_KEYS = ("index", "component", "energy", "threshold", "solver_error")
+
+
+def _check_components(nu: np.ndarray, op: OperatorSpec, path) -> None:
+    """FormatError unless every nu is one the operator has (scalar: 0, acoustic: 0-2)."""
+    if np.any((nu < 0) | (nu >= (3 if op.is_vector else 1))):
+        raise formats.FormatError(f"{path}: nu must be {'0, 1 or 2' if op.is_vector else '0'} for {op.kind}")
+
+
+def _refuse_repeats(table: FrameTable, col: MatrixColumn, path) -> None:
+    """FormatError if the column holds one (row index, row component) twice."""
+    key = col.row_component * table.size + col.rows_flat
+    key.sort()
+    same = np.flatnonzero(key[1:] == key[:-1])
+    if len(same):
+        nu, flat = divmod(int(key[same[0]]), table.size)
+        row = tuple(int(a[0]) for a in table.index_of_flat(np.array([flat])))
+        raise formats.FormatError(f"{path}: column {astuple(col.col_index)}, nu = {col.col_component} "
+                                  f"holds row {row}, nu = {nu} twice")
 
 
 _EXACT_FIT_RANKS = 2000

@@ -322,9 +322,112 @@ class TestPropagateMatrixSparsity:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["--config", cfg, "--out", str(out_a), "matrix"]) == 0
         assert main(["--config", cfg, "--out", str(out_b), "matrix"]) == 0
-        ha = hashlib.sha256((out_a / "matrix.csv").read_bytes()).hexdigest()
-        hb = hashlib.sha256((out_b / "matrix.csv").read_bytes()).hexdigest()
-        assert ha == hb
+        for name in ("matrix.csv", "matrix.csv.npz"):
+            ha = hashlib.sha256((out_a / name).read_bytes()).hexdigest()
+            hb = hashlib.sha256((out_b / name).read_bytes()).hexdigest()
+            assert ha == hb, name
+
+
+    def test_matrix_columns_are_distinct(self, tmp_path, capsys):
+        # seed 4 draws (2, 7, 0, 3) twice among 8 indices at j = 2; the repeat is drawn again
+        cfg = write_config(tmp_path, columns={"count": 8, "scales": [2]}, seed=4)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "matrix"]) == 0
+        assert main(["--config", cfg, "--out", str(out), "sparsity", str(out / "matrix.csv")]) == 0
+        report = json.loads((out / "decay_report.json").read_text())
+        assert len({tuple(c["col"]) for c in report["columns"]}) == 8
+
+    def test_matrix_count_beyond_the_indices_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, columns={"count": 10**6, "scales": [2]})
+        assert main(["--config", cfg, "--out", str(tmp_path / "out"), "matrix"]) == 2
+        assert "exceeds the" in capsys.readouterr().err
+
+
+class TestMatrixSidecar:
+    """``sparsity`` reads the sidecar ``matrix`` writes next to ``matrix.csv``
+    and refuses (exit 2) one that does not describe the CSV and the manifest."""
+
+    @staticmethod
+    def matrix(tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--config", write_config(tmp_path), "--out", str(out), "matrix"]) == 0
+        capsys.readouterr()
+        return out / "matrix.csv"
+
+    @staticmethod
+    def sparsity(tmp_path, path, **overrides):
+        cfg = write_config(tmp_path, **overrides)
+        return main(["--config", cfg, "--out", str(tmp_path / "report"), "sparsity", str(path)])
+
+    def test_report_has_the_written_energies(self, tmp_path, capsys):
+        path = self.matrix(tmp_path, capsys)
+        assert self.sparsity(tmp_path, path) == 0
+        report = json.loads((tmp_path / "report" / "decay_report.json").read_text())
+        with np.load(f"{path}.npz", allow_pickle=False) as npz:
+            manifest = json.loads(npz["manifest"].tobytes())
+        written = sorted((c["index"] + [c["component"]], c["energy"]) for c in manifest["columns"])
+        assert [(c["col"], c["energy"]) for c in report["columns"]] == written
+
+    def test_stale_digest_exits_2(self, tmp_path, capsys):
+        path = self.matrix(tmp_path, capsys)
+        text = path.read_bytes()
+        path.write_bytes(text[:-2] + b"5\r\n")  # the last entry's im cell gains a digit
+        assert self.sparsity(tmp_path, path) == 2
+        assert "the CSV has changed since" in capsys.readouterr().err
+
+    def test_other_frame_exits_2(self, tmp_path, capsys):
+        path = self.matrix(tmp_path, capsys)
+        assert self.sparsity(tmp_path, path, frame={"n": 64, "scales": 4, "angles_base": 12}) == 2
+        err = capsys.readouterr().err
+        assert "the matrix was built for frame" in err and "'angles_base': 8" in err
+
+    def test_other_operator_exits_2(self, tmp_path, capsys):
+        path = self.matrix(tmp_path, capsys)
+        assert self.sparsity(tmp_path, path, operator={"kind": "halfwave", "sign": "+", "t": 0.3, "c0": 1.0}) == 2
+        err = capsys.readouterr().err
+        assert "the matrix was built for operator" in err and "'t': 0.25" in err
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda arrays: b"not a zip file", "not a readable .npz"),
+            (lambda arrays: {**arrays, "values": arrays["values"].real}, "values is float64"),
+            (lambda arrays: {k: v for k, v in arrays.items() if k != "rows"}, "not a readable .npz"),
+            (lambda arrays: {**arrays, "starts": arrays["starts"] + 1}, "do not split"),
+            (lambda arrays: {**arrays, "rows": arrays["rows"] - arrays["rows"].min() - 1}, "packed position outside"),
+            (lambda arrays: {**arrays, "components": arrays["components"] + 1}, "nu must be 0"),
+            (lambda arrays: {**arrays, "manifest": np.frombuffer(b"{]", np.uint8)}, "malformed manifest"),
+            (lambda arrays: {**arrays, "manifest": TestMatrixSidecar.edited(arrays, columns=[{"index": [3]}])},
+             "malformed manifest"),
+            (lambda arrays: {**arrays, "manifest": TestMatrixSidecar.edited(arrays, extra=1)}, "unknown key"),
+        ],
+        ids=["garbage", "dtype", "missing-array", "starts", "rows", "components", "json", "column", "key"],
+    )
+    def test_malformed_sidecar_exits_2(self, tmp_path, capsys, damage, message):
+        path = self.matrix(tmp_path, capsys)
+        sidecar = tmp_path / "out" / "matrix.csv.npz"
+        with np.load(sidecar, allow_pickle=False) as npz:
+            damaged = damage({name: npz[name] for name in npz.files})
+        if isinstance(damaged, bytes):
+            sidecar.write_bytes(damaged)
+        else:
+            with open(sidecar, "wb") as fh:
+                np.savez(fh, **damaged)
+        assert self.sparsity(tmp_path, path) == 2
+        assert message in capsys.readouterr().err
+
+    @staticmethod
+    def edited(arrays, **changes):
+        manifest = {**json.loads(arrays["manifest"].tobytes()), **changes}
+        return np.frombuffer(json.dumps(manifest).encode(), np.uint8)
+
+    def test_repeated_entry_exits_2(self, tmp_path, capsys):
+        path = self.matrix(tmp_path, capsys)
+        (tmp_path / "out" / "matrix.csv.npz").unlink(missing_ok=True)
+        lines = path.read_bytes().split(b"\r\n")
+        path.write_bytes(b"\r\n".join(lines[:2] + lines[1:]))
+        assert self.sparsity(tmp_path, path) == 2
+        assert "twice" in capsys.readouterr().err
 
 
 MATRIX_HEADER = "row_j,row_l,row_k1,row_k2,row_nu,col_j,col_l,col_k1,col_k2,col_nu,re,im"

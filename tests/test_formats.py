@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -147,6 +148,35 @@ class TestCoeffsCsv:
         path.write_bytes(b"j,l,k1,k2,nu,re,im\r\n1,0,0,999,0,1,0\r\n")
         with pytest.raises(UnknownIndexError):
             formats.read_coeffs_csv(path, frame64)
+
+
+class TestDigestsAndNpz:
+    def test_write_returns_the_digest_of_its_bytes(self, frame64, rng, tmp_path):
+        path = tmp_path / "coeffs.csv"
+        coeffs = cw.analyze(frame64, random_field(rng, 64))
+        keep = np.flatnonzero(coeffs.packed)[: 3 * formats._CSV_BLOCK]
+        index = (*frame64.index_of_flat(keep), 0)
+        digest = formats.write_index_parts(path, formats.COEFF_HEADER, [(index, coeffs.packed[keep])])
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest() == formats.sha256_file(path)
+        assert path.stat().st_size > formats._HASH_CHUNK  # the file is hashed in more than one chunk
+
+    def test_npz_parts_load_with_np_load(self, rng, tmp_path):
+        path = tmp_path / "arrays.npz"
+        values = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+        formats.write_npz_parts(path, [("ints", np.int64, 5, [np.arange(2), [], np.arange(2, 5)]),
+                                       ("values", np.complex128, 50, [values[:7], values[7:]])])
+        with np.load(path, allow_pickle=False) as npz:
+            assert np.array_equal(npz["ints"], np.arange(5)) and np.array_equal(npz["values"], values)
+        arrays = formats.read_npz(path, {"ints": np.int64, "values": np.complex128})
+        assert np.array_equal(arrays["ints"], np.arange(5)) and np.array_equal(arrays["values"], values)
+        with pytest.raises(formats.FormatError, match="values is complex128 of shape"):
+            formats.read_npz(path, {"values": np.float64})
+        with pytest.raises(formats.FormatError, match="not a readable .npz"):
+            formats.read_npz(path, {"other": np.int64})
+
+    def test_npz_part_lengths_must_add_up(self, tmp_path):
+        with pytest.raises(ValueError, match="4 items written, 5 declared"):
+            formats.write_npz_parts(tmp_path / "arrays.npz", [("ints", np.int64, 5, [np.arange(4)])])
 
 
 class TestPgm:

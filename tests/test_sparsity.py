@@ -10,7 +10,7 @@ import curvewave as cw
 from curvewave import formats
 from curvewave.frame import atom_spectrum
 from curvewave.propagators import SYMBOL_IDS, named_symbol, warp_spectrum
-from curvewave.sparsity import DEFAULT_THRESHOLD, MatrixColumn, _core_size, _fit_sorted_decay
+from curvewave.sparsity import DEFAULT_THRESHOLD, MatrixColumn, _core_size, _fit_sorted_decay, sidecar_path
 
 import pinned
 from conftest import psido_on_grid, random_field
@@ -476,44 +476,145 @@ class TestColumnQuasiNorms:
         assert abs(b / a - 1.0) <= pinned.GRAM_LHALF_STABILITY
 
 
-def _assert_same_after_csv(matrix, back):
-    # read_csv orders columns by (j, ell, k1, k2, nu) and keeps each column's entries in order
-    expect = sorted(matrix.columns, key=lambda c: (c.col_index, c.col_component))
+def _sorted_columns(matrix):
+    # read_csv orders columns by (j, ell, k1, k2, nu)
+    return sorted(matrix.columns, key=lambda c: (c.col_index, c.col_component))
+
+
+def _assert_same_after_csv(matrix, back, sidecar):
+    # read_csv keeps each column's entries in order; from a sidecar each column has the
+    # energy, threshold and solver error written, from the CSV alone its kept energy and 0
+    expect = _sorted_columns(matrix)
     assert [(c.col_index, c.col_component) for c in back.columns] == [(c.col_index, c.col_component) for c in expect]
     for a, b in zip(expect, back.columns):
         assert np.array_equal(a.rows_flat, b.rows_flat)
         assert np.array_equal(a.row_component, b.row_component)
         assert np.array_equal(a.values.view(np.float64), b.values.view(np.float64))  # bit-equal, signed zeros too
-        assert b.energy == b.kept_energy() and b.threshold == 0.0
+        if sidecar:
+            assert (b.energy, b.threshold, b.solver_error) == (a.energy, a.threshold, a.solver_error)
+        else:
+            assert b.energy == b.kept_energy() and b.threshold == 0.0 and b.solver_error == 0.0
+
+
+def _read_both(table, op, path):
+    """The matrix read with its sidecar, then from the CSV alone (the sidecar is removed)."""
+    with_sidecar = cw.SparseOperatorMatrix.read_csv(table, op, path)
+    sidecar_path(path).unlink()
+    return with_sidecar, cw.SparseOperatorMatrix.read_csv(table, op, path)
+
+
+def _assert_bit_equal(a, b):
+    assert [(c.col_index, c.col_component) for c in a.columns] == [(c.col_index, c.col_component) for c in b.columns]
+    for x, y in zip(a.columns, b.columns):
+        for name in ("rows_flat", "row_component", "values"):
+            u, v = getattr(x, name), getattr(y, name)
+            assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), name
 
 
 def _synthetic_matrix(table, op, lengths, rng):
-    """A matrix of random columns, one per length, at distinct column indices."""
+    """A matrix of random columns, one per length, at distinct column indices;
+    each column holds distinct (row, component) entries, sorted by row."""
     nus, columns = (3 if op.is_vector else 1), []
     for pos, n in zip(rng.choice(table.size, len(lengths), replace=False), lengths):
         mu = cw.CurveletIndex(*(int(v) for v in table.index_of_flat(pos)))
-        rows = np.sort(rng.integers(0, table.size, n))
+        nu, rows = np.divmod(rng.choice(nus * table.size, n, replace=False), table.size)
+        order = np.argsort(rows, kind="stable")
         values = rng.standard_normal(n) * 10.0 ** rng.integers(-150, 150, n) + 1j * rng.standard_normal(n)
-        columns.append(MatrixColumn(mu, int(rng.integers(nus)), rows, rng.integers(0, nus, n), values, 1.0, 0.0))
+        columns.append(MatrixColumn(mu, int(rng.integers(nus)), rows[order], nu[order], values, 1.0, 0.0))
     return cw.SparseOperatorMatrix(table, op, columns)
 
 
 class TestMatrixCsv:
-    def test_round_trip(self, frame64, halfwave_op, rng, tmp_path):
+    @pytest.mark.parametrize("spec", [{"kind": "halfwave", "sign": "+", "t": 0.25},
+                                      {"kind": "warp", "map": {"kind": "sinusoidal", "amplitude": 0.05}}],
+                             ids=["halfwave", "warp"])
+    def test_round_trip(self, frame64, rng, tmp_path, spec):
+        # the sidecar gives back the columns the CSV holds, bit for bit, with the
+        # energy, threshold and solver error written (a warp's is not 0)
+        op = cw.OperatorSpec.from_json(spec)
         cols = [frame64.random_index(rng, scales=[3]) for _ in range(3)]
-        matrix = cw.build_matrix(frame64, halfwave_op, cols)
+        matrix = cw.build_matrix(frame64, op, cols)
+        assert all(c.threshold > 0.0 and (c.solver_error > 0.0) == (op.kind == "warp") for c in matrix.columns)
         path = tmp_path / "matrix.csv"
         matrix.write_csv(path)
-        _assert_same_after_csv(matrix, cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path))
+        from_sidecar, from_csv = _read_both(frame64, op, path)
+        _assert_same_after_csv(matrix, from_sidecar, sidecar=True)
+        _assert_same_after_csv(matrix, from_csv, sidecar=False)
+        _assert_bit_equal(from_sidecar, from_csv)
 
     def test_round_trip_vector(self, frame64, tmp_path):
         op = cw.OperatorSpec.from_json({"kind": "acoustic", "t": 0.2})
         matrix = cw.build_matrix(frame64, op, [cw.CurveletIndex(3, 5, 1, 2)], components=[2, 0])
         path = tmp_path / "matrix.csv"
         matrix.write_csv(path)
-        back = cw.SparseOperatorMatrix.read_csv(frame64, op, path)
-        assert set(np.concatenate([c.row_component for c in back.columns]).tolist()) == {0, 1, 2}
-        _assert_same_after_csv(matrix, back)
+        from_sidecar, from_csv = _read_both(frame64, op, path)
+        assert set(np.concatenate([c.row_component for c in from_sidecar.columns]).tolist()) == {0, 1, 2}
+        _assert_same_after_csv(matrix, from_sidecar, sidecar=True)
+        _assert_same_after_csv(matrix, from_csv, sidecar=False)
+        _assert_bit_equal(from_sidecar, from_csv)
+
+    def test_csv_without_sidecar_reads_kept_energy(self, frame64, halfwave_op, rng, tmp_path):
+        matrix = cw.build_matrix(frame64, halfwave_op, [frame64.random_index(rng, scales=[3])])
+        path = tmp_path / "matrix.csv"
+        matrix.write_csv(path)
+        sidecar_path(path).unlink(missing_ok=True)
+        (col,) = cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path).columns
+        assert col.energy == col.kept_energy() < matrix.columns[0].energy
+        assert col.threshold == 0.0 and col.solver_error == 0.0
+
+    def test_decay_report_equals_in_memory(self, frame64, halfwave_op, rng, tmp_path):
+        # a report read back from a matrix file is the report of the columns written
+        cols = [frame64.random_index(rng, scales=[2, 3]) for _ in range(4)]
+        matrix = cw.build_matrix(frame64, halfwave_op, cols)
+        path = tmp_path / "matrix.csv"
+        matrix.write_csv(path)
+        back = cw.decay_report(cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path))
+        in_memory = cw.decay_report(cw.SparseOperatorMatrix(frame64, halfwave_op, _sorted_columns(matrix)))
+        assert back.to_json() == in_memory.to_json()
+
+    @pytest.mark.parametrize("source", ["csv", "sidecar"])
+    def test_repeated_entry_refused(self, frame64, halfwave_op, tmp_path, source):
+        # a column holding one (row index, row component) twice would count that
+        # entry's energy twice in every report
+        matrix = cw.build_matrix(frame64, halfwave_op, [cw.CurveletIndex(3, 5, 1, 2)])
+        col = matrix.columns[0]
+        i = int(np.argmax(np.abs(col.values)))
+        col.rows_flat, col.row_component, col.values = (np.insert(a, i, a[i]) for a in
+                                                        (col.rows_flat, col.row_component, col.values))
+        path = tmp_path / "matrix.csv"
+        matrix.write_csv(path)
+        if source == "csv":
+            sidecar_path(path).unlink(missing_ok=True)
+        row = tuple(int(a[0]) for a in frame64.index_of_flat(col.rows_flat[i : i + 1]))
+        with pytest.raises(formats.FormatError, match=rf"holds row \({', '.join(map(str, row))}\), nu = 0 twice"):
+            cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path)
+
+    def test_repeated_column_refused(self, frame64, halfwave_op, tmp_path):
+        mu = cw.CurveletIndex(3, 5, 1, 2)
+        path = tmp_path / "matrix.csv"
+        cw.build_matrix(frame64, halfwave_op, [mu, mu]).write_csv(path)
+        with pytest.raises(formats.FormatError, match=r"column \(3, 5, 1, 2\), nu = 0 is written twice"):
+            cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path)
+        sidecar_path(path).unlink()  # the CSV alone reads one column of repeated entries
+        with pytest.raises(formats.FormatError, match="twice"):
+            cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path)
+
+    def test_sidecar_bytes_are_deterministic(self, frame64, halfwave_op, tmp_path):
+        matrix = cw.build_matrix(frame64, halfwave_op, [cw.CurveletIndex(3, 5, 1, 2)])
+        matrix.write_csv(tmp_path / "a.csv")
+        matrix.write_csv(tmp_path / "b.csv")
+        a, b = (sidecar_path(tmp_path / name).read_bytes() for name in ("a.csv", "b.csv"))
+        assert a == b
+        with np.load(sidecar_path(tmp_path / "a.csv"), allow_pickle=False) as npz:
+            assert sorted(npz.files) == ["components", "manifest", "rows", "starts", "values"]
+            assert np.array_equal(npz["values"], matrix.columns[0].values)
+
+    def test_rewrite_replaces_the_sidecar(self, frame64, halfwave_op, tmp_path):
+        path = tmp_path / "matrix.csv"
+        cw.build_matrix(frame64, halfwave_op, [cw.CurveletIndex(3, 5, 1, 2)]).write_csv(path)
+        matrix = cw.build_matrix(frame64, halfwave_op, [cw.CurveletIndex(2, 1, 0, 1)])
+        matrix.write_csv(path)
+        _assert_same_after_csv(matrix, cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path), sidecar=True)
 
     @staticmethod
     def _check_bytes_equal_one_part(table, rng, tmp_path, spec, rows):
@@ -570,7 +671,7 @@ class TestMatrixCsv:
         path = tmp_path / "matrix.csv"
         index = (*frame64.index_of_flat(rows[0]), rows[1], *np.array([keys[k] for k in which], dtype=np.int64).T)
         formats.write_index_parts(path, formats.MATRIX_HEADER, [(index, [cols[k].values[p] for k, p in zip(which, pos)])])
-        _assert_same_after_csv(matrix, cw.SparseOperatorMatrix.read_csv(frame64, op, path))
+        _assert_same_after_csv(matrix, cw.SparseOperatorMatrix.read_csv(frame64, op, path), sidecar=False)
 
     def test_peak_memory_per_entry(self, frame64, halfwave_op, rng, tmp_path):
         # write_csv decodes one column's rows at a time (the whole-matrix
