@@ -152,7 +152,7 @@ def _distinct_columns(table, rng: np.random.Generator, count: int, scales) -> li
     """``count`` distinct indices drawn by ``random_index``: a repeat is drawn
     again, so draws with no repeat give the indices they always gave.
     ValueError when the scales hold fewer than ``count`` directional indices."""
-    pool = sum(w.size for w in table.wedges if w.kind == "directional" and (scales is None or w.j in scales))
+    pool = sum(w.size for w in table.directional_wedges(scales))
     if count > pool:
         raise ValueError(f"columns count {count} exceeds the {pool} directional indices at scales {scales}")
     cols: list = []

@@ -4,11 +4,12 @@ Field2D format: one JSON header line {"N": ..., "m": ..., "dtype": "c128le"}
 followed by raw little-endian interleaved re/im float64 samples, row-major,
 components contiguous.  Index-row CSV: an exact header line (COEFF_HEADER or
 MATRIX_HEADER), then integer index cells and re,im as %.17g, CRLF line ends;
-writing one returns the SHA-256 of its bytes, and ``sha256_file`` hashes a
+writing one can hash its bytes as they go, and ``sha256_file`` hashes a
 file in chunks.  A sidecar is an uncompressed .npz of 1-D arrays that
 ``np.load`` reads with ``allow_pickle=False``: ``write_npz_parts`` streams
-each array from parts, so no array is built whole, and ``read_npz`` refuses
-a malformed file or an array of another dtype or shape with FormatError.
+each array from parts, so no array is built whole, into a temporary file
+it renames into place, and ``read_npz`` refuses a malformed file or an
+array of another dtype or shape with FormatError.
 
 The CSV layer holds each entry once.  Rows are written part by part (a
 run of a matrix column's rows, or a wedge's coefficients, at a time), so
@@ -23,7 +24,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import zipfile
+from pathlib import Path
 
 import numpy as np
 
@@ -80,17 +83,17 @@ def read_field(path) -> np.ndarray:
     return data.reshape((n, n) if m == 1 else (m, n, n))
 
 
-def write_index_parts(path, header, parts) -> str:
+def write_index_parts(path, header, parts, digest=None) -> None:
     """Write one row per entry of each (index, values) part in turn: the
     integer ``index`` cells (an array per header name before re,im, or an int
     shared by every row of the part, formatted once into its row template),
     then the complex ``values``.  A generator keeps one part alive at a time.
-    Returns the SHA-256 hex digest of the bytes written, hashed as they go."""
-    digest = hashlib.sha256()
+    A ``digest`` (a hashlib object) is updated with the bytes as they go."""
 
     def write(text: str) -> None:
         data = text.encode("ascii")
-        digest.update(data)
+        if digest is not None:
+            digest.update(data)
         fh.write(data)
 
     with open(path, "wb") as fh:
@@ -106,7 +109,6 @@ def write_index_parts(path, header, parts) -> str:
             for start in range(0, len(values), _CSV_BLOCK):
                 cells = [column[start : start + _CSV_BLOCK].tolist() for column in columns]
                 write("".join([line % row for row in zip(*cells)]))
-    return digest.hexdigest()
 
 
 def read_index_csv(path, header):
@@ -146,37 +148,44 @@ def sha256_file(path) -> str:
 def write_npz_parts(path, arrays) -> None:
     """Write an uncompressed .npz of 1-D arrays, one per (name, dtype, length,
     parts) of ``arrays``: the array's data are the ``parts`` (arrays of that
-    dtype) in turn, which must hold ``length`` items in all."""
-    with zipfile.ZipFile(path, "w") as zf:
-        for name, dtype, length, parts in arrays:
-            dtype = np.dtype(dtype)
-            with zf.open(zipfile.ZipInfo(f"{name}.npy", _ZIP_TIME), "w", force_zip64=True) as fh:
-                header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (length,)}
-                np.lib.format.write_array_header_1_0(fh, header)
-                written = 0
-                for part in parts:
-                    part = np.ascontiguousarray(part, dtype=dtype)
-                    fh.write(part.view(np.uint8))
-                    written += len(part)
-            if written != length:
-                raise ValueError(f"{name}: {written} items written, {length} declared")
+    dtype) in turn, which must hold ``length`` items in all.  The file is
+    written under a temporary name beside ``path`` and renamed to it, so a
+    write that fails leaves no file at ``path``."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with zipfile.ZipFile(tmp, "w") as zf:
+            for name, dtype, length, parts in arrays:
+                dtype = np.dtype(dtype)
+                with zf.open(zipfile.ZipInfo(f"{name}.npy", _ZIP_TIME), "w", force_zip64=True) as fh:
+                    header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (length,)}
+                    np.lib.format.write_array_header_1_0(fh, header)
+                    written = 0
+                    for part in parts:
+                        part = np.ascontiguousarray(part, dtype=dtype)
+                        fh.write(part.view(np.uint8))
+                        written += len(part)
+                if written != length:
+                    raise ValueError(f"{name}: {written} items written, {length} declared")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_npz(path, dtypes) -> dict:
     """The 1-D arrays of a :func:`write_npz_parts` file, by name, for each
-    name -> dtype of ``dtypes``, read as ``np.load`` reads an .npz, with
-    ``allow_pickle=False``.  A file that is no such .npz, a missing array and
-    an array of another dtype or not 1-D raise FormatError."""
-    arrays = {}
+    name -> dtype of ``dtypes``, read by ``np.load`` with ``allow_pickle=False``.
+    A file that is no such .npz, a missing array and an array of another
+    dtype or not 1-D raise FormatError."""
     try:
-        with zipfile.ZipFile(path) as zf:
-            for name in dtypes:
-                with zf.open(f"{name}.npy") as fh:
-                    arrays[name] = np.lib.format.read_array(fh, allow_pickle=False)
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in dtypes}
+    except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise FormatError(f"{path}: not a readable .npz: {exc}") from None
     for name, dtype in dtypes.items():
         a = arrays[name]
+        if not isinstance(a, np.ndarray):
+            raise FormatError(f"{path}: {name} is not an .npy array")
         if a.dtype != np.dtype(dtype) or a.ndim != 1:
             raise FormatError(f"{path}: {name} is {a.dtype} of shape {a.shape}, not 1-D {np.dtype(dtype)}")
     return arrays

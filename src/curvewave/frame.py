@@ -404,11 +404,15 @@ class FrameTable:
             raise UnknownIndexError(f"no index (j, ell, k1, k2) = {bad} in this frame (no such wedge, or k off its lattice)")
         return self._offset[which] + k1 * r2 + k2
 
+    def directional_wedges(self, scales=None) -> list[Wedge]:
+        """The directional wedges, in frame order, optionally only those at given scales."""
+        scales = None if scales is None else set(scales)
+        return [w for w in self.wedges if w.kind == "directional" and (scales is None or w.j in scales)]
+
     def random_index(self, rng: np.random.Generator, scales=None) -> CurveletIndex:
-        """Uniform random directional index, optionally restricted to given scales."""
-        pool = [w for w in self.wedges if w.kind == "directional"]
-        if scales is not None:
-            pool = [w for w in pool if w.j in set(scales)]
+        """Uniform random directional index, optionally restricted to given
+        scales: a wedge of :meth:`directional_wedges`, then k in its rectangle."""
+        pool = self.directional_wedges(scales)
         if not pool:
             raise FrameError("no directional wedges in the requested scale range")
         w = pool[rng.integers(len(pool))]

@@ -24,6 +24,7 @@ organization of the curvelet matrix).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import asdict, astuple, dataclass, field
@@ -162,13 +163,14 @@ class SparseOperatorMatrix:
 
         sidecar = sidecar_path(path)
         sidecar.unlink(missing_ok=True)
-        digest = formats.write_index_parts(path, formats.MATRIX_HEADER, parts())
+        digest = hashlib.sha256()
+        formats.write_index_parts(path, formats.MATRIX_HEADER, parts(), digest)
         cols = self.columns
         manifest = {
             "version": __version__,
             "frame": asdict(self.table.params),
             "operator": self.op.to_json(),
-            "csv_sha256": digest,
+            "csv_sha256": digest.hexdigest(),
             "columns": [
                 {"index": [int(v) for v in astuple(c.col_index)], "component": int(c.col_component),
                  "energy": float(c.energy), "threshold": float(c.threshold), "solver_error": float(c.solver_error)}

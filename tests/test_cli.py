@@ -391,6 +391,7 @@ class TestMatrixSidecar:
         "damage, message",
         [
             (lambda arrays: b"not a zip file", "not a readable .npz"),
+            (lambda arrays: np.lib.format.MAGIC_PREFIX + b"\x01\x00", "not a readable .npz"),
             (lambda arrays: {**arrays, "values": arrays["values"].real}, "values is float64"),
             (lambda arrays: {k: v for k, v in arrays.items() if k != "rows"}, "not a readable .npz"),
             (lambda arrays: {**arrays, "starts": arrays["starts"] + 1}, "do not split"),
@@ -401,7 +402,7 @@ class TestMatrixSidecar:
              "malformed manifest"),
             (lambda arrays: {**arrays, "manifest": TestMatrixSidecar.edited(arrays, extra=1)}, "unknown key"),
         ],
-        ids=["garbage", "dtype", "missing-array", "starts", "rows", "components", "json", "column", "key"],
+        ids=["garbage", "npy", "dtype", "missing-array", "starts", "rows", "components", "json", "column", "key"],
     )
     def test_malformed_sidecar_exits_2(self, tmp_path, capsys, damage, message):
         path = self.matrix(tmp_path, capsys)

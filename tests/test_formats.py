@@ -1,5 +1,6 @@
 import hashlib
 import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -151,13 +152,14 @@ class TestCoeffsCsv:
 
 
 class TestDigestsAndNpz:
-    def test_write_returns_the_digest_of_its_bytes(self, frame64, rng, tmp_path):
+    def test_write_hashes_its_bytes(self, frame64, rng, tmp_path):
         path = tmp_path / "coeffs.csv"
         coeffs = cw.analyze(frame64, random_field(rng, 64))
         keep = np.flatnonzero(coeffs.packed)[: 3 * formats._CSV_BLOCK]
         index = (*frame64.index_of_flat(keep), 0)
-        digest = formats.write_index_parts(path, formats.COEFF_HEADER, [(index, coeffs.packed[keep])])
-        assert digest == hashlib.sha256(path.read_bytes()).hexdigest() == formats.sha256_file(path)
+        digest = hashlib.sha256()
+        formats.write_index_parts(path, formats.COEFF_HEADER, [(index, coeffs.packed[keep])], digest)
+        assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest() == formats.sha256_file(path)
         assert path.stat().st_size > formats._HASH_CHUNK  # the file is hashed in more than one chunk
 
     def test_npz_parts_load_with_np_load(self, rng, tmp_path):
@@ -177,6 +179,30 @@ class TestDigestsAndNpz:
     def test_npz_part_lengths_must_add_up(self, tmp_path):
         with pytest.raises(ValueError, match="4 items written, 5 declared"):
             formats.write_npz_parts(tmp_path / "arrays.npz", [("ints", np.int64, 5, [np.arange(4)])])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_npz_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "arrays.npz"
+        formats.write_npz_parts(path, [("ints", np.int64, 3, [np.arange(3)])])
+        old = path.read_bytes()
+
+        def parts():
+            yield np.arange(2)
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            formats.write_npz_parts(path, [("ints", np.int64, 4, parts())])
+        assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == old
+
+    def test_npy_member_that_is_not_an_array(self, tmp_path):
+        path = tmp_path / "arrays.npz"
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr("ints.npy", b"raw bytes")
+        with pytest.raises(formats.FormatError, match="ints is not an .npy array"):
+            formats.read_npz(path, {"ints": np.int64})
+        np.save(path.with_suffix(".npy"), np.arange(3))
+        with pytest.raises(formats.FormatError, match="not a readable .npz"):
+            formats.read_npz(path.with_suffix(".npy"), {"ints": np.int64})
 
 
 class TestPgm:

@@ -414,6 +414,13 @@ class TestLayout:
         flat = np.flatnonzero(table.phase_points(np.arange(table.size)).directional)
         assert flat.size and np.array_equal(table.nearest_index(table.phase_points(flat)), flat)
 
+    @pytest.mark.parametrize("scales", [None, [2], (2, 3)])
+    def test_random_index_draws_from_directional_wedges(self, frame64, rng, scales):
+        wedges = frame64.directional_wedges(scales)
+        assert wedges == [w for w in frame64.wedges if w.kind == "directional" and (scales is None or w.j in scales)]
+        drawn = {(mu.j, mu.ell) for mu in (frame64.random_index(rng, scales) for _ in range(400))}
+        assert drawn == {(w.j, w.ell) for w in wedges}
+
 
 class TestWaveform:
     def test_unit_norm(self, frame128):

@@ -616,6 +616,27 @@ class TestMatrixCsv:
         matrix.write_csv(path)
         _assert_same_after_csv(matrix, cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path), sidecar=True)
 
+    def test_failed_sidecar_write_leaves_the_csv_alone(self, frame64, halfwave_op, tmp_path, monkeypatch):
+        # a sidecar write that fails partway leaves no sidecar, so the CSV
+        # written before it reads as a CSV alone
+        path = tmp_path / "matrix.csv"
+        cw.build_matrix(frame64, halfwave_op, [cw.CurveletIndex(3, 5, 1, 2)]).write_csv(path)
+        matrix = cw.build_matrix(frame64, halfwave_op, [cw.CurveletIndex(2, 1, 0, 1), cw.CurveletIndex(3, 0, 1, 1)])
+        write_npz_parts = formats.write_npz_parts
+
+        def failing(target, arrays):
+            def parts(parts):
+                yield next(iter(parts))
+                raise OSError("disk full")
+
+            write_npz_parts(target, [(n, d, k, parts(p) if n == "values" else p) for n, d, k, p in arrays])
+
+        monkeypatch.setattr(formats, "write_npz_parts", failing)
+        with pytest.raises(OSError, match="disk full"):
+            matrix.write_csv(path)
+        assert list(tmp_path.iterdir()) == [path]
+        _assert_same_after_csv(matrix, cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path), sidecar=False)
+
     @staticmethod
     def _check_bytes_equal_one_part(table, rng, tmp_path, spec, rows):
         # reference: every column's entries concatenated and written as one
@@ -679,7 +700,8 @@ class TestMatrixCsv:
         # parsed rows once, 96 bytes per entry, where a stacked copy of the
         # index cells took about 192 bytes per entry; it decodes the row
         # cells a column at a time, in blocks (about 132 bytes per entry here,
-        # against 153 when every entry's cells were decoded at once)
+        # against 153 when every entry's cells were decoded at once).  The
+        # sidecar's arrays are 32 bytes per entry, read once (about 65 here)
         matrix = _synthetic_matrix(frame64, halfwave_op, [1500, 2000, 2500, 3000, 3500, 4000], rng)
         path, entries = tmp_path / "matrix.csv", matrix.total_entries()
         tracemalloc.start()
@@ -687,16 +709,24 @@ class TestMatrixCsv:
             matrix.write_csv(path)
             write_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            back = cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path)
-            read_peak = tracemalloc.get_traced_memory()[1]
+            from_sidecar = cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path)
+            sidecar_peak = tracemalloc.get_traced_memory()[1]
+            del from_sidecar
+            sidecar_path(path).unlink()
+            tracemalloc.reset_peak()
+            parsed = cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path)
+            parse_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert back.total_entries() == entries
+        assert parsed.total_entries() == entries
         assert write_peak <= 60 * entries
-        assert read_peak <= 145 * entries
+        assert sidecar_peak <= 80 * entries
+        assert parse_peak <= 145 * entries
 
     def test_empty_matrix_is_header_only(self, frame64, halfwave_op, tmp_path):
         path = tmp_path / "matrix.csv"
         cw.SparseOperatorMatrix(frame64, halfwave_op).write_csv(path)
         assert path.read_bytes() == (",".join(formats.MATRIX_HEADER) + "\r\n").encode()
+        assert cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path).columns == []
+        sidecar_path(path).unlink()
         assert cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path).columns == []
