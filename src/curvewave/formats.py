@@ -11,13 +11,13 @@ each array from parts, so no array is built whole, into a temporary file
 it renames into place, and ``read_npz`` refuses a malformed file or an
 array of another dtype or shape with FormatError.
 
-The CSV layer holds each entry once.  Rows are written part by part (a
-run of a matrix column's rows, or a wedge's coefficients, at a time), so
-no array of every row's index cells is built; ``read_index_csv`` returns
-views of the one array ``np.loadtxt`` parsed.  Each part formats its rows
-through one row template: an index cell that every row of the part shares
-is given as one int and written into the template once, so a row formats
-only the cells that vary (k1, k2, re and im, in the parts written here).
+CSVs are written, never read back: a matrix is read from its sidecar.
+Rows are written part by part (a run of a matrix column's rows, or a
+wedge's coefficients, at a time), so no array of every row's index cells
+is built.  Each part formats its rows through one row template: an index
+cell that every row of the part shares is given as one int and written
+into the template once, so a row formats only the cells that vary (k1,
+k2, re and im, in the parts written here).
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .frame import CoeffSet, FrameTable
+from .frame import CoeffSet
 
-__all__ = ["write_field", "read_field", "write_index_parts", "read_index_csv", "sha256_file",
-           "write_npz_parts", "read_npz", "write_coeffs_csv", "read_coeffs_csv", "write_pgm"]
+__all__ = ["write_field", "read_field", "write_index_parts", "sha256_file", "write_npz_parts", "read_npz",
+           "write_coeffs_csv", "write_pgm"]
 
 _MAGIC_DTYPE = "c128le"
 COEFF_HEADER = ("j", "l", "k1", "k2", "nu", "re", "im")
@@ -44,7 +44,7 @@ _ZIP_TIME = (1980, 1, 1, 0, 0, 0)  # every sidecar entry's timestamp, so the sam
 
 
 class FormatError(ValueError):
-    """Malformed field or coefficient file."""
+    """Malformed field, matrix or sidecar file."""
 
 
 def write_field(path, f: np.ndarray) -> None:
@@ -109,31 +109,6 @@ def write_index_parts(path, header, parts, digest=None) -> None:
             for start in range(0, len(values), _CSV_BLOCK):
                 cells = [column[start : start + _CSV_BLOCK].tolist() for column in columns]
                 write("".join([line % row for row in zip(*cells)]))
-
-
-def read_index_csv(path, header):
-    """(index, values) of a :func:`write_index_parts` file, in file order; index
-    holds one int64 row per index column.  Both are views of the parsed rows,
-    so the entries are held once.  A header other than ``header``, a
-    non-integer index cell, a non-numeric cell or a wrong column count raise
-    FormatError."""
-    dtype = [(name, np.int64) for name in header[:-2]] + [("re", np.float64), ("im", np.float64)]
-    rows = np.zeros(0, dtype)
-    with open(path) as fh:
-        if fh.readline().rstrip("\n") != ",".join(header):
-            raise FormatError(f"{path}: the header is not {','.join(header)}")
-        start = fh.tell()
-        if fh.read(1):  # more than a header
-            fh.seek(start)
-            try:
-                rows = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, ndmin=1)
-            except ValueError as exc:
-                raise FormatError(f"{path}: {exc}") from None
-    # the fields are contiguous 8-byte cells: index ones, then re and im
-    shape = (len(rows), len(header))
-    index = rows.view(np.int64).reshape(shape)[:, :-2].T
-    values = rows.view(np.float64).reshape(shape)[:, -2:].view(np.complex128)[:, 0]
-    return index, values
 
 
 def sha256_file(path) -> str:
@@ -208,16 +183,6 @@ def write_coeffs_csv(path, coeffs: CoeffSet) -> None:
                 yield (w.j, w.ell, *np.divmod(b - w.offset, w.rect[1]), 0), flat[b]
 
     write_index_parts(path, COEFF_HEADER, parts())
-
-
-def read_coeffs_csv(path, table: FrameTable) -> CoeffSet:
-    """Coefficients of one scalar field (every nu must be 0)."""
-    (j, ell, k1, k2, nu), values = read_index_csv(path, COEFF_HEADER)
-    if np.any(nu != 0):
-        raise FormatError(f"{path}: nu must be 0 for the coefficients of one scalar field")
-    packed = np.zeros(table.size, dtype=np.complex128)
-    packed[table.flat_of_index((j, ell, k1, k2))] = values
-    return CoeffSet(table, packed)
 
 
 def write_pgm(path, f: np.ndarray, floor_db: float = -80.0) -> None:

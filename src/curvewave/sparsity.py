@@ -11,10 +11,9 @@ on the grid.
 ``SparseOperatorMatrix.write_csv`` writes the matrix as an index-row CSV
 (``formats``) and, next to it, a sidecar ``<csv>.npz``: the frame, the
 operator, the CSV's SHA-256, each column's pre-threshold energy, threshold
-and solver error, and the columns' arrays.  ``read_csv`` reads the sidecar
-in place of parsing the CSV's text, refusing one written for another frame,
-operator or CSV; a CSV with no sidecar is parsed, and then each column's
-energy is its kept energy.
+and solver error, and the columns' arrays.  ``read_csv`` reads the matrix
+from the sidecar alone, refusing a missing one and one written for another
+frame, operator or CSV; the CSV's text is never parsed.
 
 Reports quantify sorted-entry decay (fitted power), l^p quasi-norms, and
 concentration of energy in omega-balls around the Hamiltonian-flowed
@@ -189,51 +188,20 @@ class SparseOperatorMatrix:
 
     @classmethod
     def read_csv(cls, table: FrameTable, op: OperatorSpec, path) -> SparseOperatorMatrix:
-        """Matrix from a :meth:`write_csv` file: columns sorted by (j, ell, k1,
-        k2, nu), entries in file order.
+        """Matrix of a :meth:`write_csv` file, read from its sidecar
+        (:func:`sidecar_path`): columns sorted by (j, ell, k1, k2, nu), each
+        with its entries in file order and the energy, threshold and solver
+        error written.
 
-        With a sidecar (:func:`sidecar_path`) the columns are its arrays, with
-        the energy, threshold and solver error written; a sidecar written for
-        another frame or operator, or for a CSV whose bytes have changed since,
-        raises FormatError saying what differs.  Without one, the CSV is
-        parsed, and each column's energy is its kept energy and its threshold
-        and solver error 0.  Either way, FormatError on a malformed file, a nu
-        the operator lacks (scalar: 0, acoustic: 0-2) or a column that holds
-        one (row index, row component) twice, and UnknownIndexError on an
-        index outside the frame."""
+        FormatError on a CSV with no sidecar (naming it), a sidecar written
+        for another frame or operator, or for a CSV whose bytes have changed
+        since (saying what differs), a malformed sidecar, a nu the operator
+        lacks (scalar: 0, acoustic: 0-2) or a column that holds one (row
+        index, row component) twice; UnknownIndexError on a column index
+        outside the frame; OSError when the CSV cannot be read."""
         sidecar = sidecar_path(path)
-        if sidecar.exists():
-            return cls._read_sidecar(table, op, path, sidecar)
-        index, values = formats.read_index_csv(path, formats.MATRIX_HEADER)
-        for nu in (index[4], index[9]):
-            _check_components(nu, op, path)
-        # runs of rows that share their column cells (a write_csv file has one
-        # per column): the column cells are decoded at each run's head, and
-        # the row cells one column, in blocks of rows, at a time
-        col = index[5:]
-        cut = np.zeros(max(len(values) - 1, 0), dtype=bool)
-        for cells in col:
-            cut |= cells[1:] != cells[:-1]
-        starts = np.flatnonzero(np.concatenate([[len(values) > 0], cut]))
-        ends = np.append(starts[1:], len(values))
-        # packed positions sort like (j, ell, k1, k2), so this key sorts like (j, ell, k1, k2, nu)
-        key = table.flat_of_index(col[:4, starts]) * 3 + col[4, starts]
-        order = np.argsort(key, kind="stable")
-        mat = cls(table=table, op=op)
-        for runs in np.split(order, np.flatnonzero(np.diff(key[order])) + 1) if len(order) else []:
-            block = formats._CSV_BLOCK
-            spans = [slice(a, min(a + block, ends[r])) for r in runs for a in range(starts[r], ends[r], block)]
-            j, ell, k1, k2, nu = col[:, starts[runs[0]]].tolist()
-            vals = np.concatenate([values[s] for s in spans])
-            rows_flat = np.concatenate([table.flat_of_index(index[:4, s]) for s in spans])
-            row_nu = np.concatenate([index[4, s] for s in spans])
-            energy = float(np.sum(np.abs(vals) ** 2))
-            mat.columns.append(MatrixColumn(CurveletIndex(j, ell, k1, k2), nu, rows_flat, row_nu, vals, energy, 0.0))
-            _refuse_repeats(table, mat.columns[-1], path)
-        return mat
-
-    @classmethod
-    def _read_sidecar(cls, table: FrameTable, op: OperatorSpec, path, sidecar) -> SparseOperatorMatrix:
+        if not sidecar.exists():
+            raise formats.FormatError(f"{path}: its sidecar {sidecar} is missing; run matrix again to write both")
         arrays = formats.read_npz(sidecar, _SIDECAR_ARRAYS)
         try:
             manifest = checked("sidecar manifest", json.loads(arrays["manifest"].tobytes()), _SIDECAR_KEYS)
@@ -378,6 +346,8 @@ class ColumnReport:
     nnz: int
     energy: float
     kept_energy: float
+    threshold: float
+    solver_error: float
     decay_slope: float
     lp_half: float
     lp_one: float
@@ -438,6 +408,8 @@ def decay_report(matrix: SparseOperatorMatrix, model: VelocityModel | None = Non
                 nnz=col.nnz,
                 energy=col.energy,
                 kept_energy=kept,
+                threshold=col.threshold,
+                solver_error=col.solver_error,
                 decay_slope=_fit_sorted_decay(mags),
                 lp_half=float(np.sum(np.sqrt(mags))),
                 lp_one=float(np.sum(mags)),

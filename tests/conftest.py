@@ -31,6 +31,20 @@ def random_field(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
+def parse_index_csv(path, header):
+    """(index, values) of a non-empty index-row CSV, parsed here with
+    ``np.loadtxt``, so the written text is checked independently of the
+    library (which reads no CSV): ``index`` holds one int64 row per index
+    column, and ``values`` is re + i im with both parts' bits kept."""
+    dtype = [(name, np.int64) for name in header[:-2]] + [("re", np.float64), ("im", np.float64)]
+    with open(path, newline="") as fh:
+        assert fh.readline() == ",".join(header) + "\r\n"
+        rows = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, ndmin=1)
+    values = np.empty(len(rows), np.complex128)
+    values.real, values.imag = rows["re"], rows["im"]
+    return np.stack([rows[name] for name in header[:-2]]), values
+
+
 def trig_polynomial(n, coefficients):
     """sum_m a_m exp(2 pi i m.x) on the N x N grid, for coefficients {(m1, m2): a_m}."""
     x = np.arange(n) / n

@@ -365,8 +365,30 @@ class TestMatrixSidecar:
         report = json.loads((tmp_path / "report" / "decay_report.json").read_text())
         with np.load(f"{path}.npz", allow_pickle=False) as npz:
             manifest = json.loads(npz["manifest"].tobytes())
-        written = sorted((c["index"] + [c["component"]], c["energy"]) for c in manifest["columns"])
-        assert [(c["col"], c["energy"]) for c in report["columns"]] == written
+        keys = ("energy", "threshold", "solver_error")
+        written = sorted((c["index"] + [c["component"]], *(c[k] for k in keys)) for c in manifest["columns"])
+        assert [(c["col"], *(c[k] for k in keys)) for c in report["columns"]] == written
+        assert all(c["threshold"] > 0.0 for c in report["columns"])
+
+    def test_csv_without_sidecar_exits_2(self, tmp_path, capsys):
+        path = self.matrix(tmp_path, capsys)
+        (tmp_path / "out" / "matrix.csv.npz").unlink()
+        assert self.sparsity(tmp_path, path) == 2
+        err = capsys.readouterr().err
+        assert f"its sidecar {path}.npz is missing" in err and "run matrix again" in err
+
+    def test_sidecar_without_csv_exits_2(self, tmp_path, capsys):
+        path = self.matrix(tmp_path, capsys)
+        path.unlink()
+        assert self.sparsity(tmp_path, path) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_empty_matrix_exits_1(self, tmp_path, frame64, capsys):
+        path = tmp_path / "matrix.csv"
+        op = cw.OperatorSpec.from_json(json.loads(Path(write_config(tmp_path)).read_text())["operator"])
+        cw.SparseOperatorMatrix(frame64, op).write_csv(path)
+        assert self.sparsity(tmp_path, path) == 1
+        assert "sparsity: empty matrix" in capsys.readouterr().err
 
     def test_stale_digest_exits_2(self, tmp_path, capsys):
         path = self.matrix(tmp_path, capsys)
@@ -401,8 +423,15 @@ class TestMatrixSidecar:
             (lambda arrays: {**arrays, "manifest": TestMatrixSidecar.edited(arrays, columns=[{"index": [3]}])},
              "malformed manifest"),
             (lambda arrays: {**arrays, "manifest": TestMatrixSidecar.edited(arrays, extra=1)}, "unknown key"),
+            (lambda arrays: {**arrays, "manifest": TestMatrixSidecar.edited_column(arrays, index=[3, 99, 0, 0])},
+             "no index"),
+            (lambda arrays: {**arrays, "manifest": TestMatrixSidecar.edited_column(arrays, index=[3, 0, 0, -1])},
+             "no index"),
+            (lambda arrays: {**arrays, "manifest": TestMatrixSidecar.edited_column(arrays, component=1)},
+             "nu must be 0"),
         ],
-        ids=["garbage", "npy", "dtype", "missing-array", "starts", "rows", "components", "json", "column", "key"],
+        ids=["garbage", "npy", "dtype", "missing-array", "starts", "rows", "components", "json", "column", "key",
+             "col-wedge", "col-k-outside", "col-nu"],
     )
     def test_malformed_sidecar_exits_2(self, tmp_path, capsys, damage, message):
         path = self.matrix(tmp_path, capsys)
@@ -422,48 +451,24 @@ class TestMatrixSidecar:
         manifest = {**json.loads(arrays["manifest"].tobytes()), **changes}
         return np.frombuffer(json.dumps(manifest).encode(), np.uint8)
 
+    @staticmethod
+    def edited_column(arrays, **changes):
+        columns = json.loads(arrays["manifest"].tobytes())["columns"]
+        columns[0].update(changes)
+        return TestMatrixSidecar.edited(arrays, columns=columns)
+
     def test_repeated_entry_exits_2(self, tmp_path, capsys):
+        # the first column's second entry repeats its first (row index, row component)
         path = self.matrix(tmp_path, capsys)
-        (tmp_path / "out" / "matrix.csv.npz").unlink(missing_ok=True)
-        lines = path.read_bytes().split(b"\r\n")
-        path.write_bytes(b"\r\n".join(lines[:2] + lines[1:]))
+        sidecar = tmp_path / "out" / "matrix.csv.npz"
+        with np.load(sidecar, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        assert arrays["starts"][1] >= 2
+        arrays["rows"][1] = arrays["rows"][0]
+        with open(sidecar, "wb") as fh:
+            np.savez(fh, **arrays)
         assert self.sparsity(tmp_path, path) == 2
         assert "twice" in capsys.readouterr().err
-
-
-MATRIX_HEADER = "row_j,row_l,row_k1,row_k2,row_nu,col_j,col_l,col_k1,col_k2,col_nu,re,im"
-
-
-class TestMalformedMatrixCsv:
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("row_j,row_l,row_k1,row_k2,row_nu,col_l,col_k1,col_k2,col_nu,re,im\n3,0,0,0,0,0,0,0,0,1,0\n", "header"),
-            (MATRIX_HEADER + "\r\n3,0,0,0,0,3,0,0,0,0,one,0\r\n", "could not convert"),
-            (MATRIX_HEADER + "\r\n3,0,0,0,0,3,0,0,0,0,1\r\n", "columns"),
-            (MATRIX_HEADER + "\r\n3,99,0,0,0,3,0,0,0,0,1,0\r\n", "no index"),
-            (MATRIX_HEADER + "\r\n3,0,0,0,0,7,0,0,0,0,1,0\r\n", "no index"),
-            (MATRIX_HEADER + "\r\n3,0,999,0,0,3,0,0,0,0,1,0\r\n", "no index"),
-            (MATRIX_HEADER + "\r\n3,0,0,0,0,3,0,0,-1,0,1,0\r\n", "no index"),
-            (MATRIX_HEADER + "\r\n3,0,0,0,7,3,0,0,0,0,1,0\r\n", "nu must be 0"),
-            (MATRIX_HEADER + "\r\n3,0,0,0,0,3,0,0,0,1,1,0\r\n", "nu must be 0"),
-        ],
-        ids=["header", "non-numeric", "column-count", "unknown-row-wedge", "unknown-col-wedge",
-             "row-k-outside", "col-k-outside", "row-nu", "col-nu"],
-    )
-    def test_exits_2(self, tmp_path, capsys, text, message):
-        path = tmp_path / "matrix.csv"
-        path.write_text(text)
-        rc = main(["--config", write_config(tmp_path), "--out", str(tmp_path / "out"), "sparsity", str(path)])
-        assert rc == 2
-        assert message in capsys.readouterr().err
-
-    def test_header_only_is_empty_matrix(self, tmp_path, capsys):
-        path = tmp_path / "matrix.csv"
-        path.write_text(MATRIX_HEADER + "\r\n")
-        rc = main(["--config", write_config(tmp_path), "--out", str(tmp_path / "out"), "sparsity", str(path)])
-        assert rc == 1
-        assert "sparsity: empty matrix" in capsys.readouterr().err
 
 
 class TestFlowCommand:

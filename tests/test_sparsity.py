@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from curvewave.propagators import SYMBOL_IDS, named_symbol, warp_spectrum
 from curvewave.sparsity import DEFAULT_THRESHOLD, MatrixColumn, _core_size, _fit_sorted_decay, sidecar_path
 
 import pinned
-from conftest import psido_on_grid, random_field
+from conftest import parse_index_csv, psido_on_grid, random_field
 
 
 @pytest.fixture(scope="module")
@@ -481,34 +482,33 @@ def _sorted_columns(matrix):
     return sorted(matrix.columns, key=lambda c: (c.col_index, c.col_component))
 
 
-def _assert_same_after_csv(matrix, back, sidecar):
-    # read_csv keeps each column's entries in order; from a sidecar each column has the
-    # energy, threshold and solver error written, from the CSV alone its kept energy and 0
+def _assert_same_after_csv(matrix, back):
+    # read_csv keeps each column's entries in order, with the energy,
+    # threshold and solver error written
     expect = _sorted_columns(matrix)
     assert [(c.col_index, c.col_component) for c in back.columns] == [(c.col_index, c.col_component) for c in expect]
     for a, b in zip(expect, back.columns):
         assert np.array_equal(a.rows_flat, b.rows_flat)
         assert np.array_equal(a.row_component, b.row_component)
         assert np.array_equal(a.values.view(np.float64), b.values.view(np.float64))  # bit-equal, signed zeros too
-        if sidecar:
-            assert (b.energy, b.threshold, b.solver_error) == (a.energy, a.threshold, a.solver_error)
-        else:
-            assert b.energy == b.kept_energy() and b.threshold == 0.0 and b.solver_error == 0.0
+        assert (b.energy, b.threshold, b.solver_error) == (a.energy, a.threshold, a.solver_error)
 
 
-def _read_both(table, op, path):
-    """The matrix read with its sidecar, then from the CSV alone (the sidecar is removed)."""
-    with_sidecar = cw.SparseOperatorMatrix.read_csv(table, op, path)
-    sidecar_path(path).unlink()
-    return with_sidecar, cw.SparseOperatorMatrix.read_csv(table, op, path)
-
-
-def _assert_bit_equal(a, b):
-    assert [(c.col_index, c.col_component) for c in a.columns] == [(c.col_index, c.col_component) for c in b.columns]
-    for x, y in zip(a.columns, b.columns):
-        for name in ("rows_flat", "row_component", "values"):
-            u, v = getattr(x, name), getattr(y, name)
-            assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), name
+def _assert_csv_holds(back, path):
+    """The CSV at ``path``, parsed by the test, holds one run of rows per
+    column of ``back`` (a matrix read from its sidecar): the same column
+    cells, and the same entries in the same order, bit for bit."""
+    table = back.table
+    index, values = parse_index_csv(path, formats.MATRIX_HEADER)
+    col = index[5:]
+    cuts = (np.flatnonzero(np.any(col[:, 1:] != col[:, :-1], axis=0)) + 1).tolist()
+    runs = sorted((tuple(col[:, a].tolist()), a, b) for a, b in zip([0, *cuts], [*cuts, len(values)]))
+    assert [key for key, _, _ in runs] == [(*astuple(c.col_index), c.col_component) for c in back.columns]
+    for (_, a, b), c in zip(runs, back.columns):
+        for name, csv in (("rows_flat", table.flat_of_index(index[:4, a:b])), ("row_component", index[4, a:b]),
+                          ("values", values[a:b])):
+            mine = getattr(c, name)
+            assert mine.dtype == csv.dtype and mine.tobytes() == csv.tobytes(), name
 
 
 def _synthetic_matrix(table, op, lengths, rng):
@@ -537,30 +537,26 @@ class TestMatrixCsv:
         assert all(c.threshold > 0.0 and (c.solver_error > 0.0) == (op.kind == "warp") for c in matrix.columns)
         path = tmp_path / "matrix.csv"
         matrix.write_csv(path)
-        from_sidecar, from_csv = _read_both(frame64, op, path)
-        _assert_same_after_csv(matrix, from_sidecar, sidecar=True)
-        _assert_same_after_csv(matrix, from_csv, sidecar=False)
-        _assert_bit_equal(from_sidecar, from_csv)
+        back = cw.SparseOperatorMatrix.read_csv(frame64, op, path)
+        _assert_same_after_csv(matrix, back)
+        _assert_csv_holds(back, path)
 
     def test_round_trip_vector(self, frame64, tmp_path):
         op = cw.OperatorSpec.from_json({"kind": "acoustic", "t": 0.2})
         matrix = cw.build_matrix(frame64, op, [cw.CurveletIndex(3, 5, 1, 2)], components=[2, 0])
         path = tmp_path / "matrix.csv"
         matrix.write_csv(path)
-        from_sidecar, from_csv = _read_both(frame64, op, path)
-        assert set(np.concatenate([c.row_component for c in from_sidecar.columns]).tolist()) == {0, 1, 2}
-        _assert_same_after_csv(matrix, from_sidecar, sidecar=True)
-        _assert_same_after_csv(matrix, from_csv, sidecar=False)
-        _assert_bit_equal(from_sidecar, from_csv)
+        back = cw.SparseOperatorMatrix.read_csv(frame64, op, path)
+        assert set(np.concatenate([c.row_component for c in back.columns]).tolist()) == {0, 1, 2}
+        _assert_same_after_csv(matrix, back)
+        _assert_csv_holds(back, path)
 
-    def test_csv_without_sidecar_reads_kept_energy(self, frame64, halfwave_op, rng, tmp_path):
-        matrix = cw.build_matrix(frame64, halfwave_op, [frame64.random_index(rng, scales=[3])])
+    def test_csv_without_sidecar_refused(self, frame64, halfwave_op, rng, tmp_path):
         path = tmp_path / "matrix.csv"
-        matrix.write_csv(path)
-        sidecar_path(path).unlink(missing_ok=True)
-        (col,) = cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path).columns
-        assert col.energy == col.kept_energy() < matrix.columns[0].energy
-        assert col.threshold == 0.0 and col.solver_error == 0.0
+        cw.build_matrix(frame64, halfwave_op, [frame64.random_index(rng, scales=[3])]).write_csv(path)
+        sidecar_path(path).unlink()
+        with pytest.raises(formats.FormatError, match=f"its sidecar {sidecar_path(path)} is missing"):
+            cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path)
 
     def test_decay_report_equals_in_memory(self, frame64, halfwave_op, rng, tmp_path):
         # a report read back from a matrix file is the report of the columns written
@@ -572,8 +568,7 @@ class TestMatrixCsv:
         in_memory = cw.decay_report(cw.SparseOperatorMatrix(frame64, halfwave_op, _sorted_columns(matrix)))
         assert back.to_json() == in_memory.to_json()
 
-    @pytest.mark.parametrize("source", ["csv", "sidecar"])
-    def test_repeated_entry_refused(self, frame64, halfwave_op, tmp_path, source):
+    def test_repeated_entry_refused(self, frame64, halfwave_op, tmp_path):
         # a column holding one (row index, row component) twice would count that
         # entry's energy twice in every report
         matrix = cw.build_matrix(frame64, halfwave_op, [cw.CurveletIndex(3, 5, 1, 2)])
@@ -583,8 +578,6 @@ class TestMatrixCsv:
                                                         (col.rows_flat, col.row_component, col.values))
         path = tmp_path / "matrix.csv"
         matrix.write_csv(path)
-        if source == "csv":
-            sidecar_path(path).unlink(missing_ok=True)
         row = tuple(int(a[0]) for a in frame64.index_of_flat(col.rows_flat[i : i + 1]))
         with pytest.raises(formats.FormatError, match=rf"holds row \({', '.join(map(str, row))}\), nu = 0 twice"):
             cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path)
@@ -594,9 +587,6 @@ class TestMatrixCsv:
         path = tmp_path / "matrix.csv"
         cw.build_matrix(frame64, halfwave_op, [mu, mu]).write_csv(path)
         with pytest.raises(formats.FormatError, match=r"column \(3, 5, 1, 2\), nu = 0 is written twice"):
-            cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path)
-        sidecar_path(path).unlink()  # the CSV alone reads one column of repeated entries
-        with pytest.raises(formats.FormatError, match="twice"):
             cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path)
 
     def test_sidecar_bytes_are_deterministic(self, frame64, halfwave_op, tmp_path):
@@ -614,11 +604,11 @@ class TestMatrixCsv:
         cw.build_matrix(frame64, halfwave_op, [cw.CurveletIndex(3, 5, 1, 2)]).write_csv(path)
         matrix = cw.build_matrix(frame64, halfwave_op, [cw.CurveletIndex(2, 1, 0, 1)])
         matrix.write_csv(path)
-        _assert_same_after_csv(matrix, cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path), sidecar=True)
+        _assert_same_after_csv(matrix, cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path))
 
     def test_failed_sidecar_write_leaves_the_csv_alone(self, frame64, halfwave_op, tmp_path, monkeypatch):
-        # a sidecar write that fails partway leaves no sidecar, so the CSV
-        # written before it reads as a CSV alone
+        # a sidecar write that fails partway leaves no sidecar, and the CSV
+        # written before it on disk, which then reads as a missing sidecar
         path = tmp_path / "matrix.csv"
         cw.build_matrix(frame64, halfwave_op, [cw.CurveletIndex(3, 5, 1, 2)]).write_csv(path)
         matrix = cw.build_matrix(frame64, halfwave_op, [cw.CurveletIndex(2, 1, 0, 1), cw.CurveletIndex(3, 0, 1, 1)])
@@ -635,7 +625,10 @@ class TestMatrixCsv:
         with pytest.raises(OSError, match="disk full"):
             matrix.write_csv(path)
         assert list(tmp_path.iterdir()) == [path]
-        _assert_same_after_csv(matrix, cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path), sidecar=False)
+        index, _ = parse_index_csv(path, formats.MATRIX_HEADER)
+        assert index.shape[1] == matrix.total_entries()
+        with pytest.raises(formats.FormatError, match="sidecar .* is missing"):
+            cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path)
 
     @staticmethod
     def _check_bytes_equal_one_part(table, rng, tmp_path, spec, rows):
@@ -677,31 +670,10 @@ class TestMatrixCsv:
         # wedge almost every row
         self._check_bytes_equal_one_part(frame64, rng, tmp_path, spec, rows)
 
-    def test_columns_spread_over_the_file(self, frame64, rng, tmp_path):
-        # a file whose rows interleave the columns reads back each column's
-        # entries in file order, the columns sorted by (j, ell, k1, k2, nu)
-        op = cw.OperatorSpec.from_json({"kind": "acoustic", "t": 0.2})
-        matrix = _synthetic_matrix(frame64, op, [3, 400, 250, 1], rng)
-        cols = matrix.columns
-        which = rng.permutation(np.repeat(np.arange(len(cols)), [c.nnz for c in cols]))
-        pos = np.zeros(len(which), dtype=np.int64)
-        for k in range(len(cols)):
-            pos[which == k] = np.arange(cols[k].nnz)
-        rows = [np.array([getattr(cols[k], a)[p] for k, p in zip(which, pos)]) for a in ("rows_flat", "row_component")]
-        keys = [(c.col_index.j, c.col_index.ell, c.col_index.k1, c.col_index.k2, c.col_component) for c in cols]
-        path = tmp_path / "matrix.csv"
-        index = (*frame64.index_of_flat(rows[0]), rows[1], *np.array([keys[k] for k in which], dtype=np.int64).T)
-        formats.write_index_parts(path, formats.MATRIX_HEADER, [(index, [cols[k].values[p] for k, p in zip(which, pos)])])
-        _assert_same_after_csv(matrix, cw.SparseOperatorMatrix.read_csv(frame64, op, path), sidecar=False)
-
     def test_peak_memory_per_entry(self, frame64, halfwave_op, rng, tmp_path):
         # write_csv decodes one column's rows at a time (the whole-matrix
-        # arrays took about 117 bytes per entry here), and read_csv holds the
-        # parsed rows once, 96 bytes per entry, where a stacked copy of the
-        # index cells took about 192 bytes per entry; it decodes the row
-        # cells a column at a time, in blocks (about 132 bytes per entry here,
-        # against 153 when every entry's cells were decoded at once).  The
-        # sidecar's arrays are 32 bytes per entry, read once (about 65 here)
+        # arrays took about 117 bytes per entry here); read_csv reads the
+        # sidecar's arrays, 32 bytes per entry, once (about 65 here)
         matrix = _synthetic_matrix(frame64, halfwave_op, [1500, 2000, 2500, 3000, 3500, 4000], rng)
         path, entries = tmp_path / "matrix.csv", matrix.total_entries()
         tracemalloc.start()
@@ -711,22 +683,14 @@ class TestMatrixCsv:
             tracemalloc.reset_peak()
             from_sidecar = cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path)
             sidecar_peak = tracemalloc.get_traced_memory()[1]
-            del from_sidecar
-            sidecar_path(path).unlink()
-            tracemalloc.reset_peak()
-            parsed = cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path)
-            parse_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert parsed.total_entries() == entries
+        assert from_sidecar.total_entries() == entries
         assert write_peak <= 60 * entries
         assert sidecar_peak <= 80 * entries
-        assert parse_peak <= 145 * entries
 
     def test_empty_matrix_is_header_only(self, frame64, halfwave_op, tmp_path):
         path = tmp_path / "matrix.csv"
         cw.SparseOperatorMatrix(frame64, halfwave_op).write_csv(path)
         assert path.read_bytes() == (",".join(formats.MATRIX_HEADER) + "\r\n").encode()
-        assert cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path).columns == []
-        sidecar_path(path).unlink()
         assert cw.SparseOperatorMatrix.read_csv(frame64, halfwave_op, path).columns == []
