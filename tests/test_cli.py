@@ -429,9 +429,19 @@ class TestMatrixSidecar:
              "no index"),
             (lambda arrays: {**arrays, "manifest": TestMatrixSidecar.edited_column(arrays, component=1)},
              "nu must be 0"),
+            (lambda arrays: {**arrays, "manifest": TestMatrixSidecar.edited_column(arrays, index=[7, 0, 0, 0])},
+             "no index"),
+            (lambda arrays: {**arrays, "manifest": TestMatrixSidecar.edited_column(arrays, energy="one")},
+             "sidecar column energy must be a JSON number"),
+            (lambda arrays: {**arrays, "manifest": TestMatrixSidecar.dropped(arrays, "csv_sha256")},
+             "malformed manifest: 'csv_sha256'"),
+            (lambda arrays: {**arrays, "values": arrays["values"][:-1]}, "do not split"),
+            (lambda arrays: {**arrays, "rows": arrays["rows"] - arrays["rows"].min() + 10**9},
+             "packed position outside"),
         ],
         ids=["garbage", "npy", "dtype", "missing-array", "starts", "rows", "components", "json", "column", "key",
-             "col-wedge", "col-k-outside", "col-nu"],
+             "col-wedge", "col-k-outside", "col-nu", "col-scale", "non-numeric", "missing-key", "count",
+             "row-k-outside"],
     )
     def test_malformed_sidecar_exits_2(self, tmp_path, capsys, damage, message):
         path = self.matrix(tmp_path, capsys)
@@ -449,6 +459,12 @@ class TestMatrixSidecar:
     @staticmethod
     def edited(arrays, **changes):
         manifest = {**json.loads(arrays["manifest"].tobytes()), **changes}
+        return np.frombuffer(json.dumps(manifest).encode(), np.uint8)
+
+    @staticmethod
+    def dropped(arrays, key):
+        manifest = json.loads(arrays["manifest"].tobytes())
+        del manifest[key]
         return np.frombuffer(json.dumps(manifest).encode(), np.uint8)
 
     @staticmethod
