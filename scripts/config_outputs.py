@@ -43,6 +43,14 @@ byte-identical.  From the repository root:
     PYTHONPATH=src python scripts/config_outputs.py /tmp/after > after.txt
     PYTHONPATH=<other checkout>/src python scripts/config_outputs.py /tmp/before > before.txt
     diff before.txt after.txt
+
+``--compare BEFORE AFTER`` then prints one line per file that differs
+between two such OUTDIRs.  For ``.npy``, ``.field`` and sidecar ``.npz``
+arrays of unchanged shapes the line gives the largest |change| relative
+to the largest |before| entry and says whether the integer arrays (the
+rows) are identical; any other file, or a changed shape, reads "differs":
+
+    PYTHONPATH=src python scripts/config_outputs.py --compare /tmp/before /tmp/after
 """
 
 from __future__ import annotations
@@ -222,7 +230,50 @@ def digest(outdir: Path) -> None:
     print("\n".join(sorted(lines, key=lambda line: line.split("  ", 1)[1])))
 
 
+def arrays(path: Path) -> dict[str, np.ndarray] | None:
+    """The arrays of an ``.npy``, ``.field`` or sidecar ``.npz`` file by
+    name, or None for any other file."""
+    if path.suffix == ".npz":
+        with np.load(path, allow_pickle=False) as data:
+            return {key: data[key] for key in data.files}
+    if path.suffix == ".npy":
+        return {"": np.load(path, allow_pickle=False)}
+    return {"": formats.read_field(path)} if path.suffix == ".field" else None
+
+
+def change(before: Path, after: Path) -> str:
+    """How ``after`` differs from ``before``: for arrays of the same names
+    and shapes, the largest |change| of their float entries relative to the
+    largest |before| entry, whether the integer arrays (the rows) are
+    identical, and which byte arrays (a sidecar's JSON manifest) differ."""
+    old, new = arrays(before), arrays(after)
+    if old is None or new is None or old.keys() != new.keys():
+        return "differs"
+    if any(old[k].shape != new[k].shape for k in old if old[k].dtype.kind != "u"):
+        return "differs"
+    values = [k for k in old if old[k].dtype.kind in "fc"]
+    delta = max((np.max(np.abs(new[k] - old[k]), initial=0.0) for k in values), default=0.0)
+    scale = max((np.max(np.abs(old[k]), initial=0.0) for k in values), default=0.0)
+    rows = all(np.array_equal(old[k], new[k]) for k in old if old[k].dtype.kind in "ib")
+    text = [f"; {k} differs" for k in old if old[k].dtype.kind == "u" and not np.array_equal(old[k], new[k])]
+    return (f"largest |change| / largest |before| {delta / scale if scale else delta:.2e}, "
+            f"rows {'identical' if rows else 'differ'}{''.join(text)}")
+
+
+def compare(before: Path, after: Path) -> None:
+    """Print one line per file under ``before`` or ``after`` whose bytes differ."""
+    names = sorted({p.relative_to(root) for root in (before, after) for p in root.rglob("*") if p.is_file()})
+    for name in names:
+        if not (before / name).is_file() or not (after / name).is_file():
+            print(f"{name}: only in {before if (before / name).is_file() else after}")
+        elif (before / name).read_bytes() != (after / name).read_bytes():
+            print(f"{name}: {change(before / name, after / name)}")
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: config_outputs.py OUTDIR")
-    digest(Path(sys.argv[1]))
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        compare(Path(sys.argv[2]), Path(sys.argv[3]))
+    elif len(sys.argv) == 2:
+        digest(Path(sys.argv[1]))
+    else:
+        sys.exit("usage: config_outputs.py OUTDIR | config_outputs.py --compare BEFORE AFTER")

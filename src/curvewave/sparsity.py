@@ -46,6 +46,7 @@ __all__ = [
     "curvelet_column",
     "build_matrix",
     "decay_report",
+    "column_omegas",
     "truncation_error",
     "polarization_split",
     "sidecar_path",

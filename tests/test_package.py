@@ -18,3 +18,15 @@ def test_exported_names_resolve(name):
     assert exported is not None or name == "curvewave"
     assert [n for n in exported or [] if not hasattr(module, n)] == []
     exec(f"from {name} import *", {})
+
+
+def test_reexports_are_in_their_modules_all():
+    # each public name the package re-exports is exported by the module
+    # that defines it, so a star-import of that module brings it too
+    missing = []
+    for name in dir(cw):
+        module = getattr(getattr(cw, name), "__module__", None)
+        if not name.startswith("_") and module and module.startswith("curvewave."):
+            if name not in getattr(importlib.import_module(module), "__all__", ()):
+                missing.append(f"{module}.{name}")
+    assert missing == []

@@ -257,18 +257,31 @@ class TestChebyshevWave:
         with pytest.raises(ValueError, match="matching shapes"):
             cw.chebyshev_wave(u0, np.zeros((2, N, N)), model, 0.1)
 
-    @pytest.mark.parametrize("n, count", [(128, 111), (256, 202), (512, 400)])
-    def test_degree_follows_the_true_coefficients(self, n, count):
-        # the cut reads the closed-form bounds, not the DCT values: at N = 512
-        # those sit on a rounding floor above CHEBYSHEV_TAIL, and a cut read
-        # from them kept 1,303 coefficients; count is exact below N = 512
-        _, lam_max, (a, b, _, _) = _wave_expansion(cw.VelocityModel.sinusoidal(0.2, (1, 0)), n, 0.25)
-        assert len(a) == len(b) and (len(a) == count if n < 512 else len(a) <= count)
-        r = 0.25 * math.sqrt(lam_max)
+    @pytest.mark.parametrize("n, t, count", [(128, 0.25, 111), (256, 0.25, 202), (256, -0.25, 202), (512, 0.25, 381), (256, 0.0, 1)])
+    def test_degree_follows_the_true_coefficients(self, n, t, count):
+        # with R = |t| sqrt(lam_max) and e_k = 2 - delta_k0: a_k = e_k (-1)^k J_2k(R) is even in t,
+        # sqrt(lam_max) b_k = sign(t) 2 e_k (-1)^k sum_{m>=k} J_2m+1(R) is odd, and b = [0] at t = 0
+        _, lam_max, (a, b, _, _) = _wave_expansion(cw.VelocityModel.sinusoidal(0.2, (1, 0)), n, t)
+        assert len(a) == len(b) == count
+        r = abs(t) * math.sqrt(lam_max)
         k = np.arange(len(a))
-        exact = 2.0 * (-1.0) ** k * jv(2 * k, r) * np.where(k == 0, 0.5, 1.0)
-        assert np.max(np.abs(a - exact)) <= 1e-13
+        e = np.where(k == 0, 1.0, 2.0) * (-1.0) ** k
+        exact_a = e * jv(2 * k, r)
+        exact_b = np.sign(t) * 2.0 * e * np.array([math.fsum(jv(np.arange(2 * i + 1, 4 * r + 64, 2), r)) for i in k])
+        assert np.max(np.abs(a - exact_a)) <= 1e-13
+        assert np.max(np.abs(math.sqrt(lam_max) * b - exact_b)) <= 1e-13
         assert 2.0 * abs(jv(2 * len(a), r)) < CHEBYSHEV_TAIL  # the first coefficient left out
+        assert t or (a.tolist(), b.tolist()) == ([1.0], [0.0])
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_constant_speed_within_stated_error(self, n):
+        # with c = 1 the variable-wave operator is the half-wave multiplier, so
+        # their distance is the expansion's true error; one field at N = 512,
+        # where an apply takes seconds
+        f = random_field(np.random.default_rng(5), n)
+        model = cw.VelocityModel.constant(1.0)
+        out, error = cw.OperatorSpec(kind="variable-wave", t=0.25, model=model).apply(f)
+        assert 0.0 < np.linalg.norm(out - cw.OperatorSpec(kind="halfwave", t=0.25).apply(f)[0]) <= error
 
     def test_stated_bound_of_benchmark_columns(self, frame128):
         # the columns of configs/variable_wave_n128.json: N = 128, sinusoidal speed, j = 4
